@@ -8,9 +8,9 @@ is sent after the previous one returned.  Passes over the same seeded inputs
 repeat while another pass still fits in ``--seconds`` (at least one pass runs).
 ``wall_s`` is the median pass, and the item percentiles pool the items of all
 passes.  End-to-end times are scaled to full host speed by a pure-Python probe
-sampled from a background thread (see ``hostspeed.py``).  Every item is checked
-against an independent answer; a failure is printed with its witness and makes
-the exit code 1.
+run before every item and every 0.1 s from a timer signal (see
+``hostspeed.py``).  Every item is checked against an independent answer; a
+failure is printed with its witness and makes the exit code 1.
 
 With ``--trace 1`` the library's public functions are wrapped from outside
 (see ``tracer.py``) and the per-layer metrics are reported instead: times are
@@ -95,26 +95,27 @@ class PassResult:
 def run_pass(workload, tracer, sample_host: bool = True) -> PassResult:
     """Run every item once.
 
-    With ``sample_host``, wall time and latencies are scaled to full host
-    speed; otherwise they stay as measured.  Traced runs do not sample: their
-    times are reported as measured, and the probe thread slowed traced passes
-    by several percent.
+    With ``sample_host``, the host is probed before every item and from a
+    timer, and wall time and latencies are scaled to full host speed;
+    otherwise they stay as measured.  Traced runs do not sample: their times
+    are per-layer times, reported as measured.
     """
     result = PassResult()
     if tracer is not None:
         tracer.begin_pass()
-    spans: list[tuple[float, float]] = []
+    spans: list[tuple[float, float, bool]] = []
     host = HostSampler() if sample_host else None
     with host or contextlib.nullcontext():
         t0 = perf_counter()
         for item in workload.items():
+            if host is not None:
+                host.sample()  # so that even a short item has a probe right before and right after it
             t_item = perf_counter()
             try:
                 verdict = item.run()
             except Exception as exc:  # an item that raises is a failed item, named with its error
                 verdict = f"raised {type(exc).__name__}: {exc}"
-            if item.timed:
-                spans.append((t_item, perf_counter()))
+            spans.append((t_item, perf_counter(), item.timed))
             result.attempted += item.count
             if verdict is not None:
                 n, text = (1, verdict) if isinstance(verdict, str) else (verdict.n, verdict.text)
@@ -123,8 +124,14 @@ def run_pass(workload, tracer, sample_host: bool = True) -> PassResult:
         t1 = perf_counter()
     result.raw_wall = t1 - t0
     scaled = host.scaled if host is not None else lambda a, b: b - a
-    result.wall = scaled(t0, t1)
-    result.latencies = [scaled(a, b) for a, b in spans]
+    # Each item, and each stretch between items, is scaled by the probes in and
+    # around it, so a pass that is slow in one part and fast in another is
+    # scaled part by part.  One speed for the whole pass would be weighted by
+    # the probe count: the probes before 2,000 short items would set the speed
+    # of a 30-s item that ran at another speed.
+    bounds = [t0] + [t for a, b, _ in spans for t in (a, b)] + [t1]
+    result.wall = sum(scaled(a, b) for a, b in zip(bounds, bounds[1:]))
+    result.latencies = [scaled(a, b) for a, b, timed in spans if timed]
     if tracer is not None:
         result.counts = tracer.pass_counts()
     return result

@@ -12,9 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
@@ -123,12 +125,49 @@ def test_traced_counts_repeat_and_tracing_is_removed():
 
 
 def test_host_sampler_scales_to_full_speed():
+    full = hostspeed.FULL_SPEED_S
     host = hostspeed.HostSampler()
-    host.starts, host.ends, host.probes = [0.0, 1.0, 2.0], [0.01, 1.01, 2.01], [1e-3, 1e-3, 0.5e-3]
-    # one probe inside, at half speed, and 10 ms of probe time to leave out
-    assert host.scaled(0.5, 1.5) == pytest.approx(0.99 * 0.5)
-    # no probe inside: the mean speed of the probes on either side
+    host.starts, host.ends, host.probes = [0.0, 1.0, 2.0], [0.01, 1.01, 2.01], [2 * full, 2 * full, full]
+    # one probe inside at half speed, one at half speed before, one at full speed after,
+    # and 10 ms of probe time to leave out
+    assert host.scaled(0.5, 1.5) == pytest.approx(0.99 * (0.5 + 0.5 + 1.0) / 3)
+    # no probe inside: the probes on either side
     assert host.scaled(1.2, 1.4) == pytest.approx(0.2 * (0.5 + 1.0) / 2)
+
+
+def test_pass_is_scaled_item_by_item(monkeypatch):
+    class HalfSpeedHost:
+        """Reads every interval handed to it as run at half of full speed."""
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def sample(self):
+            pass
+
+        def scaled(self, a, b):
+            return (b - a) / 2
+
+    monkeypatch.setattr(run, "HostSampler", HalfSpeedHost)
+    result = run_once(tiny("ip_torus"))
+    # the items and the stretches between them cover the pass exactly once
+    assert result.wall == pytest.approx(result.raw_wall / 2, rel=1e-9)
+    assert len(result.latencies) == result.attempted
+
+
+def test_host_sampler_probes_from_a_timer_and_stops_it():
+    before = signal.getsignal(signal.SIGALRM)
+    with hostspeed.HostSampler() as host:
+        t0 = perf_counter()
+        while perf_counter() - t0 < 3.5 * hostspeed.GAP_S:
+            sum(range(1000))
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert len(host.probes) >= 4  # one on entry, one on exit and the timer's
+    assert host.starts == sorted(host.starts)
 
 
 def test_tail_percentile_keeps_ten_items_beyond():
