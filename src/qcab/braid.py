@@ -10,19 +10,21 @@ on seeds by short mutation sequences followed by a relabelling.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .cartan import CartanDatum, _cartan_inverse, build_cartan
 from .seeds import (
     CompatiblePair,
-    SeedError,
     make_pair,
+    mutate_arrays,
     mutate_pair,
     permute_pair,
     transpositions,
@@ -111,22 +113,23 @@ def alternating(datum: CartanDatum) -> IndexSequence:
 
 
 @lru_cache(maxsize=None)
-def _np_tables(datum: CartanDatum):
+def _weyl_tables(datum: CartanDatum):
+    """Per-datum constants of the window builder.
+
+    ``alpha[j]`` is column j of den * C^{-1}: the alpha-coordinates of the
+    fundamental weight pi_j, scaled to integers by ``den``.  ``off[i]`` lists
+    (j, c_ji) for the nonzero off-diagonal entries in column i of the Cartan
+    matrix, which is all that right multiplication by s_i reads.
+    """
     n = datum.rank
-    c = np.array(datum.cartan, dtype=np.int64)
-    dvec = np.array(datum.symmetrizer, dtype=np.int64)
-    refl = []
-    for i in range(n):
-        s = np.eye(n, dtype=np.int64)
-        s[:, i] -= c[:, i]
-        refl.append(s)
     inv = _cartan_inverse(datum)
-    den = 1
-    for row in inv:
-        for x in row:
-            den = den * x.denominator // np.gcd(den, x.denominator)
-    cinv_num = np.array([[int(x * den) for x in row] for row in inv], dtype=np.int64)
-    return c, dvec, tuple(refl), cinv_num, int(den)
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    alpha = tuple(tuple(int(inv[a][j] * den) for a in range(n)) for j in range(n))
+    off = tuple(
+        tuple((j, datum.cartan[j][i]) for j in range(n) if j != i and datum.cartan[j][i])
+        for i in range(n)
+    )
+    return alpha, off, datum.symmetrizer, den
 
 
 def _lambda_and_b(
@@ -139,74 +142,66 @@ def _lambda_and_b(
     """
     s = len(letters)
     full = letters if horizon is None else letters + tuple(horizon)
-    _, dvec, refl, cinv_num, den = _np_tables(datum)
+    alpha, off, dvec, den = _weyl_tables(datum)
     n = datum.rank
 
-    nxt = [0] * (s + 1)  # u^+ computed in the extended sequence
-    last_seen: dict[int, int] = {}
-    nxt_full = [len(full) + 1] * (len(full) + 2)
+    # u^+ computed in the extended sequence; len(full) + 1 when there is none
+    nxt = [len(full) + 1] * (len(full) + 1)
+    seen: dict[int, int] = {}
     for k in range(len(full), 0, -1):
-        a = full[k - 1]
-        nxt_full[k] = last_seen.get(a, len(full) + 1)
-        last_seen[a] = k
-    for k in range(1, s + 1):
-        nxt[k] = nxt_full[k]
+        nxt[k] = seen.get(full[k - 1], len(full) + 1)
+        seen[full[k - 1]] = k
 
-    # cumulative Weyl matrices in fundamental-weight coordinates
-    m = np.eye(n, dtype=np.int64)
-    lhs = np.empty((s, n), dtype=np.int64)  # d-scaled alpha-coords of pi - w_u pi
-    rhs = np.empty((s, n), dtype=np.int64)  # pi-coords of pi + w_v pi
-    for u in range(1, s + 1):
-        i = letters[u - 1]
-        m = m @ refl[i - 1]
-        col = m[:, i - 1]
-        p = -col.copy()
-        p[i - 1] += 1
-        x = cinv_num @ p
-        if den != 1:
-            if np.any(x % den):
-                raise BraidError("weight unexpectedly outside the root lattice")
-            x = x // den
-        lhs[u - 1] = x * dvec
-        q = col.copy()
-        q[i - 1] += 1
-        rhs[u - 1] = q
+    # Column j of the cumulative Weyl matrix w_u = s_{i_1} ... s_{i_u} holds
+    # w_u pi_j twice: in pi-coordinates, then in den-scaled alpha-coordinates.
+    # Right multiplication by s_i replaces column i by -col_i - sum_j c_ji col_j.
+    cols = [[int(a == j) for a in range(n)] + list(alpha[j]) for j in range(n)]
+    rows = []  # d-scaled alpha-coords of pi_i - w_u pi_i, then pi-coords of pi_i + w_u pi_i
+    for i in letters:
+        i -= 1
+        col = [-x for x in cols[i]]
+        for j, cji in off[i]:
+            col = [x - cji * y for x, y in zip(col, cols[j])]
+        cols[i] = col
+        x = [a - y for a, y in zip(alpha[i], col[n:])]
+        if den != 1 and any(t % den for t in x):
+            raise BraidError("weight unexpectedly outside the root lattice")
+        q = col[:n]
+        q[i] += 1
+        rows.append([t // den * d for t, d in zip(x, dvec)] + q)
 
-    grid = lhs @ rhs.T
+    rows = np.array(rows, dtype=np.int64).reshape(s, 2 * n)
+    grid = rows[:, :n] @ rows[:, n:].T
     lam = np.triu(grid, 1)
     lam = lam - lam.T
 
-    # last occurrence of each letter at or before t (0 if none)
-    last = [[0] * (n + 1)]
-    for t in range(1, s + 1):
-        row = last[t - 1][:]
-        row[letters[t - 1]] = t
+    # last[t][j]: the last position at or before t carrying letter j + 1 (0 if none)
+    last = [[0] * n]
+    for t, a in enumerate(letters, 1):
+        row = last[-1][:]
+        row[a - 1] = t
         last.append(row)
-    cmat = datum.cartan
 
     b = np.zeros((s, s), dtype=np.int64)
     for v in range(1, s + 1):
         vp = nxt[v]
         if vp > s:
             continue  # frozen column stays zero
-        jv = letters[v - 1]
+        jv = letters[v - 1] - 1
         b[vp - 1, v - 1] = -1
         prev = last[v - 1][jv]
         if prev:
             b[prev - 1, v - 1] = 1
-        for lj in range(1, n + 1):
-            cu = cmat[lj - 1][jv - 1]
-            if cu == 0 or lj == jv:
-                continue
-            # u < v < u+ < v+ forces u to be the last lj before v
-            u = last[v - 1][lj]
-            if u and nxt_full[u] < vp:
+        for j, cu in off[jv]:
+            # u < v < u+ < v+ forces u to be the last j before v
+            u = last[v - 1][j]
+            if u and nxt[u] < vp:
                 b[u - 1, v - 1] = cu
-            # v < u < v+ < u+ forces u to be the last lj before v+
-            u = last[vp - 1][lj]
+            # v < u < v+ < u+ forces u to be the last j before v+
+            u = last[vp - 1][j]
             if u > v:
                 b[u - 1, v - 1] = -cu
-    return lam, b, nxt
+    return lam, b, nxt[: s + 1]
 
 
 def build_seed(seq: IndexSequence, s: int) -> CompatiblePair:
@@ -442,75 +437,6 @@ _CORES = ((1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1))
 _ZETA_OFFSETS = (0, 1, 2, 0, 3, 1, 0, 2, 3, 0)
 
 
-def _lambda_and_b_rank2(datum: CartanDatum, letters: tuple[int, ...]):
-    """Rank-2 scalar fast path of the window builder (identical output)."""
-    s = len(letters)
-    c12, c21 = datum.c(1, 2), datum.c(2, 1)
-    d1, d2 = datum.d(1), datum.d(2)
-    det = 4 - c12 * c21
-    # integer inverse of the Cartan matrix times det
-    i11, i12, i21, i22 = 2, -c12, -c21, 2
-    w11, w12, w21, w22 = 1, 0, 0, 1
-    lhs = np.empty((s, 2), dtype=np.int64)
-    rhs = np.empty((s, 2), dtype=np.int64)
-    for u, letter in enumerate(letters):
-        if letter == 1:
-            w11, w21 = -w11 + w12 * (-c21), -w21 + w22 * (-c21)
-            p1, p2 = 1 - w11, -w21
-        else:
-            w12, w22 = w11 * (-c12) - w12, w21 * (-c12) - w22
-            p1, p2 = -w12, 1 - w22
-        x1 = i11 * p1 + i12 * p2
-        x2 = i21 * p1 + i22 * p2
-        if det != 1:
-            if x1 % det or x2 % det:
-                raise BraidError("weight unexpectedly outside the root lattice")
-            x1 //= det
-            x2 //= det
-        lhs[u, 0] = x1 * d1
-        lhs[u, 1] = x2 * d2
-        if letter == 1:
-            rhs[u, 0] = 1 + w11
-            rhs[u, 1] = w21
-        else:
-            rhs[u, 0] = w12
-            rhs[u, 1] = 1 + w22
-    grid = lhs @ rhs.T
-    lam = np.triu(grid, 1)
-    lam = lam - lam.T
-
-    nxt = [0] * (s + 1)
-    seen = {1: s + 1, 2: s + 1}
-    for t in range(s, 0, -1):
-        nxt[t] = seen[letters[t - 1]]
-        seen[letters[t - 1]] = t
-    b = np.zeros((s, s), dtype=np.int64)
-    last = {1: 0, 2: 0}
-    lastrows = [(0, 0)]
-    for t in range(1, s + 1):
-        last[letters[t - 1]] = t
-        lastrows.append((last[1], last[2]))
-    cval = {(1, 2): c12, (2, 1): c21}
-    for v in range(1, s + 1):
-        vp = nxt[v]
-        if vp > s:
-            continue
-        jv = letters[v - 1]
-        lj = 3 - jv
-        b[vp - 1, v - 1] = -1
-        prev = lastrows[v - 1][jv - 1]
-        if prev:
-            b[prev - 1, v - 1] = 1
-        cu = cval[(lj, jv)]
-        u = lastrows[v - 1][lj - 1]
-        if u and nxt[u] < vp:
-            b[u - 1, v - 1] = cu
-        u = lastrows[vp - 1][lj - 1]
-        if u > v:
-            b[u - 1, v - 1] = -cu
-    return lam, b
-
-
 def _sigma_indices(s: int, k: int) -> np.ndarray:
     idx = np.arange(s)
     for t in (k - 1, k + 1, k + 3):
@@ -561,64 +487,67 @@ def g2_sequences():
                             yield "iii", mid + w3 + (d,), k
 
 
-def _zeta_holds(datum: CartanDatum, letters: tuple[int, ...], k: int) -> bool:
-    lam, b = _lambda_and_b_rank2(datum, letters)
+def _zeta_holds(build, letters: tuple[int, ...], k: int) -> bool:
+    """Whether the 6-move recipe at k carries the window of ``letters`` to its swap.
+
+    ``build`` maps a word to its window arrays (Lambda, B).
+    """
+    lam, b = build(letters)
     for off in _ZETA_OFFSETS:
-        kk = k + off - 1
-        col = b[:, kk]
-        v = np.maximum(-col, 0)
-        v[kk] = -1
-        m = lam.copy()
-        m[:, kk] = lam @ v
-        m[kk, :] = v @ m
-        lam = m
-        row = b[kk, :]
-        b2 = b + np.outer(np.maximum(col, 0), np.maximum(row, 0)) - np.outer(
-            np.maximum(-col, 0), np.maximum(-row, 0)
-        )
-        b2[kk, :] = -row
-        b2[:, kk] = -col
-        b = b2
+        lam, b = mutate_arrays(lam, b, k + off)
     # sigma relabels positions; entries move by the inverse on rows/columns
     idx = _sigma_indices(len(letters), k)
-    lam = lam[np.ix_(idx, idx)]
+    lam = lam[idx][:, idx]
     swapped = list(letters)
     swapped[k - 1 : k + 5] = swapped[k - 1 : k + 5][::-1]
-    target, _ = _lambda_and_b_rank2(datum, tuple(swapped))
+    target, _ = build(tuple(swapped))
     return bool(np.array_equal(lam, target))
 
 
 def _cert_worker(chunk: list[tuple[str, tuple[int, ...], int]]) -> tuple[dict[str, int], int]:
     datum = build_cartan("G", 2)
+
+    # Each target window is the source of a configuration 24 items later, so
+    # a small cache local to the chunk halves the builds.  The arrays are
+    # shared between callers and therefore read-only.
+    @lru_cache(maxsize=64)
+    def build(letters: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        lam, b, _ = _lambda_and_b(datum, letters)
+        lam.setflags(write=False)
+        b.setflags(write=False)
+        return lam, b
+
     counts: dict[str, int] = {}
     bad = 0
     for fam, letters, k in chunk:
         counts[fam] = counts.get(fam, 0) + 1
-        if not _zeta_holds(datum, letters, k):
+        if not _zeta_holds(build, letters, k):
             bad += 1
     return counts, bad
 
 
-def g2_exhaustive_certify(jobs: int | None = None, chunk_size: int = 2000) -> CertReport:
+_CHUNK_SIZE = 2000
+
+
+def g2_exhaustive_certify(jobs: int | None = None) -> CertReport:
     """Run the full 6-move certification over all 62,208 local sequences."""
     start = time.monotonic()
-    items = list(g2_sequences())
-    chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
+    # chunks are cut as they are consumed, so no more than one chunk of
+    # configurations is held at a time when jobs <= 1
+    items = g2_sequences()
+    chunks = iter(lambda: list(islice(items, _CHUNK_SIZE)), [])
     counts: dict[str, int] = {}
     mismatches = 0
     if jobs is None:
         jobs = min(8, os.cpu_count() or 1)
     if jobs <= 1:
-        results = map(_cert_worker, chunks)
-        for c, bad in results:
-            mismatches += bad
-            for f, v in c.items():
-                counts[f] = counts.get(f, 0) + v
+        results = list(map(_cert_worker, chunks))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for c, bad in pool.map(_cert_worker, chunks):
-                mismatches += bad
-                for f, v in c.items():
-                    counts[f] = counts.get(f, 0) + v
+            results = list(pool.map(_cert_worker, chunks))
+    for c, bad in results:
+        mismatches += bad
+        for f, v in c.items():
+            counts[f] = counts.get(f, 0) + v
     elapsed = int(1000 * (time.monotonic() - start))
-    return CertReport(total=len(items), mismatches=mismatches, elapsed_ms=elapsed, families=counts)
+    return CertReport(total=sum(counts.values()), mismatches=mismatches, elapsed_ms=elapsed, families=counts)

@@ -14,7 +14,7 @@ from . import braid, gvectors, lusztig, qgroth, seeds
 from .cartan import parse_type
 
 
-def _parse_seq(datum, text: str, periodic_ok: bool = True) -> braid.IndexSequence:
+def _parse_seq(datum, text: str) -> braid.IndexSequence:
     if text == "alt":
         return braid.alternating(datum)
     letters = tuple(int(t) for t in text.split(","))
@@ -33,6 +33,18 @@ def _parse_gvec(text: str) -> dict[int, int]:
 
 def _parse_xi(text: str) -> dict[int, int]:
     return {int(k): int(v) for k, v in (c.split(":") for c in text.split(","))}
+
+
+def _parse_dominant(text: str) -> dict[tuple[int, int], int]:
+    dom: dict[tuple[int, int], int] = {}
+    for chunk in text.split(";"):
+        try:
+            idx, e = chunk.split(":")
+            i, p = (int(t) for t in idx.split(","))
+            dom[(i, p)] = int(e)
+        except ValueError:
+            raise ValueError(f"malformed --dominant entry {chunk!r}; expected i,p:e") from None
+    return dom
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -194,6 +206,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check-fq":
+        if args.xi:
+            if not args.dominant:
+                raise ValueError("check-fq: --xi needs --dominant")
+            dom, xi = _parse_dominant(args.dominant), _parse_xi(args.xi)
+        elif None in (args.i, args.p, args.s):
+            raise ValueError("check-fq: give --i, --p and --s, or --xi with --dominant")
         datum = parse_type(args.type)
         umax = os.environ.get("QCAB_UMAX")
         tc = qgroth.TCartan(datum, int(umax)) if umax else qgroth.TCartan(datum)
@@ -201,12 +219,7 @@ def _dispatch(args) -> int:
         with open(args.fixture, encoding="utf-8") as fh:
             x = qgroth.xelement_from_text(ambient, fh.read().strip())
         if args.xi:
-            dom = {}
-            for chunk in args.dominant.split(";"):
-                idx, e = chunk.split(":")
-                i, p = (int(t) for t in idx.split(","))
-                dom[(i, p)] = int(e)
-            report = qgroth.verify_truncated_fixture(x, dom, _parse_xi(args.xi))
+            report = qgroth.verify_truncated_fixture(x, dom, xi)
         else:
             report = qgroth.verify_fq_fixture(x, args.i, args.p, args.s)
         for name, ok in report.items():

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .braid import IndexSequence, build_seed
 from .cartan import CartanDatum, build_cartan, parity_function, validate_height_function
 from .commutative import LaurentPoly, RationalX
+from .seeds import mutate_pair
 from .torus import (
     QCoeff,
     TorusError,
@@ -488,15 +487,15 @@ def substitute_b2(m_max: int = 1) -> dict[str, bool]:
     position = {pair: u + 1 for u, pair in enumerate(pairs)}
     seq = IndexSequence(datum, tuple(i for i, _ in pairs))
     seed = build_seed(seq, window)
-
-    b = seed.b.copy()
     variables: list[LaurentPoly] = [
         LaurentPoly.var(("Z",) + pairs[u]) for u in range(window)
     ]
 
     def mutate_at(vertex: HatIndex) -> None:
+        nonlocal seed
         u = position[vertex]
-        col = b[:, u - 1]
+        col = seed.b[:, u - 1]
+        seed = mutate_pair(seed, u)
         m_plus = LaurentPoly.const(1)
         m_minus = LaurentPoly.const(1)
         for v in range(window):
@@ -506,14 +505,6 @@ def substitute_b2(m_max: int = 1) -> dict[str, bool]:
             elif e < 0:
                 m_minus = m_minus * variables[v] ** (-e)
         variables[u - 1] = (m_plus + m_minus).divexact(variables[u - 1])
-        row = b[u - 1, :].copy()
-        colc = col.copy()
-        b2 = b + np.outer(np.maximum(colc, 0), np.maximum(row, 0)) - np.outer(
-            np.maximum(-colc, 0), np.maximum(-row, 0)
-        )
-        b2[u - 1, :] = -row
-        b2[:, u - 1] = -colc
-        b[:, :] = b2
 
     for mm in range(m_max + 2):
         top = 1 - 4 * mm

@@ -69,6 +69,12 @@ class CompatiblePair:
         return hash((self.exchangeable, self.diag, self.lam.tobytes(), self.b.tobytes()))
 
 
+def _frozen_pair(lam: np.ndarray, b: np.ndarray, ex: frozenset[int], diag: tuple[int, ...]) -> CompatiblePair:
+    lam.setflags(write=False)
+    b.setflags(write=False)
+    return CompatiblePair(lam, b, ex, diag)
+
+
 def make_pair(
     lam: np.ndarray,
     b: np.ndarray,
@@ -88,9 +94,7 @@ def make_pair(
             raise SeedError(f"frozen column {v} must be zero")
     if len(diag) != s:
         raise SeedError("diagonal length mismatch")
-    lam.setflags(write=False)
-    b.setflags(write=False)
-    return CompatiblePair(lam, b, ex, tuple(int(d) for d in diag))
+    return _frozen_pair(lam, b, ex, tuple(int(d) for d in diag))
 
 
 def check_compatible(pair: CompatiblePair) -> bool:
@@ -105,34 +109,34 @@ def check_compatible(pair: CompatiblePair) -> bool:
     return True
 
 
-def mutate_pair(pair: CompatiblePair, k: int) -> CompatiblePair:
-    """BZ mutation mu_k(Lambda, B) = (E^T Lambda E, E B F) at an exchangeable k."""
-    if k not in pair.exchangeable:
-        raise SeedError(f"position {k} is frozen or out of range")
-    s = pair.size
+def mutate_arrays(lam: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """BZ mutation mu_k(Lambda, B) = (E^T Lambda E, E B F) at position k (1-based).
+
+    Works on plain arrays and returns new ones; the inputs are not written to
+    and k is not checked against the frozen set.
+    """
     kk = k - 1
-    lam, b = pair.copy_arrays()
     col = b[:, kk]
-    # E differs from the identity in column k only.
-    v = pos(-col).astype(np.int64)
-    v[kk] = -1
-    m = lam.copy()
-    m[:, kk] = lam @ v
-    m[kk, :] = v @ m
-    # B' via the scalar mutation formula (equivalent to E B F).
     row = b[kk, :]
-    b2 = b + np.outer(pos(col), pos(row)) - np.outer(pos(-col), pos(-row))
+    # E differs from the identity in column k only.
+    e = pos(-col)
+    e[kk] = -1
+    lam2 = lam.copy()
+    lam2[:, kk] = lam @ e
+    lam2[kk, :] = e @ lam2
+    # B' via the scalar rule b'_uv = b_uv + sgn(b_uk) [b_uk b_kv]_+ (equal to E B F).
+    b2 = b + np.sign(col)[:, None] * pos(np.outer(col, row))
     b2[kk, :] = -row
     b2[:, kk] = -col
-    m.setflags(write=False)
-    b2.setflags(write=False)
-    return CompatiblePair(m, b2, pair.exchangeable, pair.diag)
+    return lam2, b2
 
 
-def mutate_pair_seq(pair: CompatiblePair, ks: tuple[int, ...] | list[int]) -> CompatiblePair:
-    for k in ks:
-        pair = mutate_pair(pair, k)
-    return pair
+def mutate_pair(pair: CompatiblePair, k: int) -> CompatiblePair:
+    """BZ mutation of a pair at an exchangeable position k."""
+    if k not in pair.exchangeable:
+        raise SeedError(f"position {k} is frozen or out of range")
+    lam, b = mutate_arrays(pair.lam, pair.b, k)
+    return _frozen_pair(lam, b, pair.exchangeable, pair.diag)
 
 
 def permute_pair(pair: CompatiblePair, perm: dict[int, int]) -> CompatiblePair:
@@ -153,9 +157,7 @@ def permute_pair(pair: CompatiblePair, perm: dict[int, int]) -> CompatiblePair:
     b = pair.b[np.ix_(idx, idx)].copy()
     diag = tuple(pair.diag[inv[v] - 1] for v in range(1, s + 1))
     ex = frozenset(full[u] for u in pair.exchangeable)
-    lam.setflags(write=False)
-    b.setflags(write=False)
-    return CompatiblePair(lam, b, ex, diag)
+    return _frozen_pair(lam, b, ex, diag)
 
 
 def transpositions(*ks: int) -> dict[int, int]:
@@ -300,13 +302,22 @@ def pair_to_json(pair: CompatiblePair, type_code: str = "", sequence: list[int] 
 
 
 def pair_from_json(text: str) -> tuple[CompatiblePair, dict]:
+    """Read a seed file, checking its keys, its triplet indices and compatibility."""
     doc = json.loads(text)
+    missing = [key for key in ("window", "lambda", "b") if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise SeedError(f"seed file lacks {', '.join(missing)}")
     s = int(doc["window"])
     lam = np.array(doc["lambda"], dtype=np.int64)
     b = np.zeros((s, s), dtype=np.int64)
     for u, v, val in doc["b"]:
+        if not (1 <= u <= s and 1 <= v <= s):
+            raise SeedError(f"b entry ({u},{v}) outside the window 1..{s}")
         b[u - 1, v - 1] = val
     frozen = set(doc.get("frozen", []))
     ex = set(range(1, s + 1)) - frozen
     diag = tuple(doc.get("diag", [1] * s))
-    return make_pair(lam, b, ex, diag), doc
+    pair = make_pair(lam, b, ex, diag)
+    if not check_compatible(pair):
+        raise SeedError("Lambda and B are not compatible")
+    return pair, doc

@@ -276,10 +276,6 @@ def normal_monomial(lam: np.ndarray, a: tuple[int, ...]) -> QLaurent:
     return QLaurent.monomial(lam, a)
 
 
-def multiply(x: QLaurent, y: QLaurent) -> QLaurent:
-    return x * y
-
-
 # ----------------------------------------------------------------------
 # term orders, pointedness and exact division
 

@@ -8,7 +8,6 @@ from qcab.braid import (
     BraidError,
     IndexSequence,
     _lambda_and_b,
-    _lambda_and_b_rank2,
     _zeta_holds,
     alternating,
     apply_move_to_sequence,
@@ -89,19 +88,9 @@ def test_builder_matches_case_table():
                 assert b[u - 1, v - 1] == want
 
 
-def test_rank2_fast_builder_agrees():
-    rng = random.Random(12)
-    for _ in range(40):
-        code = rng.choice(["B2", "G2", "A2", "C2"])
-        d = build_cartan(code[0], 2)
-        letters = tuple(rng.randrange(1, 3) for _ in range(rng.randrange(4, 22)))
-        l1, b1, _ = _lambda_and_b(d, letters)
-        l2, b2 = _lambda_and_b_rank2(d, letters)
-        assert np.array_equal(l1, l2) and np.array_equal(b1, b2)
-
-
 def test_lambda_closed_form_extension():
-    # the closed form also covers v < u < v^+, beyond the defining triangle
+    # the closed form also covers v < u < v^+, beyond the defining triangle;
+    # it is the independent reference for the window builder
     for code in ("B2", "G2"):
         d = build_cartan(code[0], 2)
         seq = alternating(d)
@@ -110,6 +99,18 @@ def test_lambda_closed_form_extension():
             vp = seq.uplus(v, 12)
             for u in range(v + 1, min(vp, 9)):
                 assert pair.lam_entry(u, v) == lambda_closed_form(seq, u, v)
+    rng = random.Random(13)
+    for code in ("A3", "B3", "C3", "D4", "F4", "G2", "E6"):
+        d = build_cartan(code[0], int(code[1]))
+        for _ in range(5):
+            letters = tuple(rng.randrange(1, d.rank + 1) for _ in range(rng.randrange(10, 28)))
+            seq = IndexSequence(d, letters)
+            s = len(letters)
+            pair = build_seed(seq, s)
+            for u in range(1, s + 1):
+                for v in range(1, s + 1):
+                    if u < seq.uplus(v, s):
+                        assert pair.lam_entry(u, v) == lambda_closed_form(seq, u, v), (code, letters, u, v)
 
 
 def test_seed_compatibility_across_types():
@@ -284,7 +285,11 @@ def test_g2_certifier_sample():
     rng = random.Random(9)
     items = list(itertools.islice(g2_sequences(), 0, None, 97))
     sample = rng.sample(items, 120)
-    assert all(_zeta_holds(d, letters, k) for _, letters, k in sample)
+
+    def build(letters):
+        return _lambda_and_b(d, letters)[:2]
+
+    assert all(_zeta_holds(build, letters, k) for _, letters, k in sample)
 
 
 def test_appendix_orders_equivalent_on_window_14():

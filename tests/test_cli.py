@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from qcab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,3 +85,44 @@ def test_bad_fixture_fails(tmp_path, capsys):
     bad.write_text(text)
     code, out = run(capsys, "check-fq", str(bad), "--type", "B4", "--i", "1", "--p", "0", "--s", "0")
     assert code == 1 and "FAIL" in out
+
+
+# a compatible 2x2 pair: position 1 exchangeable, b_21 = -2, Lambda_21 = -1
+GOOD_SEED = {"window": 2, "lambda": [[0, 1], [-1, 0]], "b": [[2, 1, -2]], "frozen": [2], "diag": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"window": None},
+        {"lambda": None},
+        {"b": [[0, 1, -2]]},  # row 0 would wrap to the last row
+        {"b": [[3, 1, -2]]},  # row past the window
+        {"b": [[2, 1, -1]]},  # incompatible with Lambda
+        {"lambda": [[0, 0], [0, 0]], "b": [[1, 2, 1]], "frozen": []},  # incompatible
+    ],
+)
+def test_mutate_rejects_bad_seed_file(tmp_path, capsys, change):
+    path = tmp_path / "seed.json"
+    doc = {k: v for k, v in {**GOOD_SEED, **change}.items() if v is not None}
+    path.write_text(json.dumps(doc))
+    assert main(["mutate", str(path), "--at", "1"]) == 2
+    path.write_text(json.dumps(GOOD_SEED))
+    assert main(["mutate", str(path), "--at", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--xi", "1:0,2:-1,3:0"], "--dominant"),
+        (["--i", "1", "--p", "0"], "--s"),
+        (["--p", "0", "--s", "0"], "--i"),
+        (["--xi", "1:0,2:-1,3:0", "--dominant", "2,-5"], "--dominant"),
+        (["--xi", "1:0,2:-1,3:0", "--dominant", "2:1;1,0:1"], "--dominant"),
+    ],
+)
+def test_check_fq_usage_errors(capsys, args, named):
+    fixture = str(FIXTURES / "b3_truncated_simple.txt")
+    assert main(["check-fq", fixture, "--type", "B3", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err

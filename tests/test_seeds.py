@@ -2,7 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qcab.braid import IndexSequence, build_seed
+from qcab.cartan import build_cartan
 from qcab.seeds import (
     SeedError,
     check_compatible,
@@ -129,6 +133,29 @@ def test_quiver_round_trip_and_mutation_oracle():
         lam = np.zeros((n, n), dtype=np.int64)
         via_matrix = mutate_pair(make_pair(lam, b, ex, d), k).b
         assert np.array_equal(via_quiver, via_matrix), (b, k)
+
+
+@given(
+    st.sampled_from(["A3", "B2", "B3", "C3", "D4", "G2"]),
+    st.lists(st.integers(1, 8), min_size=12, max_size=20),
+    st.integers(6, 10),
+    st.lists(st.integers(0, 99), min_size=1, max_size=8),
+)
+def test_mutation_walks_match_quiver_oracle(code, letters, window, picks):
+    """Walks of mutate_pair on built seeds against the arrow-level oracle."""
+    d = build_cartan(code[0], int(code[1]))
+    letters = tuple((a - 1) % d.rank + 1 for a in letters)
+    pair = build_seed(IndexSequence(d, letters), window)
+    ex = sorted(pair.exchangeable)
+    if not ex:
+        return
+    q = quiver_from_matrix(pair.b, pair.frozen)
+    for pick in picks:
+        k = ex[pick % len(ex)]
+        prev, pair, q = pair, mutate_pair(pair, k), quiver_mutate(q, k)
+        assert np.array_equal(quiver_to_matrix(q), pair.b), (code, letters, k)
+        assert check_compatible(pair)
+        assert mutate_pair(pair, k) == prev
 
 
 def test_quiver_mutate_isolated_vertex():
