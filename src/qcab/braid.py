@@ -23,7 +23,7 @@ import numpy as np
 from .cartan import CartanDatum, _cartan_inverse, build_cartan
 from .seeds import (
     CompatiblePair,
-    make_pair,
+    _adopt_pair,
     mutate_arrays,
     mutate_pair,
     permute_pair,
@@ -215,7 +215,7 @@ def build_seed(seq: IndexSequence, s: int) -> CompatiblePair:
     lam, b, nxt = _lambda_and_b(seq.datum, letters, horizon)
     ex = frozenset(v for v in range(1, s + 1) if nxt[v] <= s)
     diag = tuple(seq.datum.d(a) for a in letters)
-    return make_pair(lam, b, ex, diag)
+    return _adopt_pair(lam, b, ex, diag)
 
 
 def b_infinite_entry(seq: IndexSequence, u: int, v: int, limit: int | None = None) -> int:
@@ -397,7 +397,7 @@ def forward_shift_seed(
     for v in range(1, sub + 1):
         if v not in nxt_ok:
             b[:, v - 1] = 0
-    return make_pair(lam, b, nxt_ok, diag), sigma, sub
+    return _adopt_pair(lam, b, nxt_ok, diag), sigma, sub
 
 
 # ----------------------------------------------------------------------

@@ -81,8 +81,17 @@ def make_pair(
     exchangeable: frozenset[int] | set[int],
     diag: tuple[int, ...],
 ) -> CompatiblePair:
-    lam = np.asarray(lam, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    """A checked pair on copies of lam and b; the caller's arrays stay writable."""
+    return _adopt_pair(np.array(lam, dtype=np.int64), np.array(b, dtype=np.int64), exchangeable, diag)
+
+
+def _adopt_pair(
+    lam: np.ndarray,
+    b: np.ndarray,
+    exchangeable: frozenset[int] | set[int],
+    diag: tuple[int, ...],
+) -> CompatiblePair:
+    """make_pair on fresh int64 arrays the caller gives up: they are frozen in place."""
     s = lam.shape[0]
     if lam.shape != (s, s) or b.shape != (s, s):
         raise SeedError("Lambda and B must be square of equal size")
@@ -301,23 +310,44 @@ def pair_to_json(pair: CompatiblePair, type_code: str = "", sequence: list[int] 
     return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SeedError(f"{what} {value!r} is not an integer")
+    if not -(2**63) <= value < 2**63:
+        raise SeedError(f"{what} {value} does not fit in int64")
+    return value
+
+
+def _json_ints(values, what: str) -> list[int]:
+    if not isinstance(values, list):
+        raise SeedError(f"{what} {values!r} is not a list of integers")
+    return [_json_int(v, f"{what} entry") for v in values]
+
+
 def pair_from_json(text: str) -> tuple[CompatiblePair, dict]:
-    """Read a seed file, checking its keys, its triplet indices and compatibility."""
+    """Read a seed file, checking its keys, that its numbers are integers, its
+    triplet indices and compatibility."""
     doc = json.loads(text)
     missing = [key for key in ("window", "lambda", "b") if not isinstance(doc, dict) or key not in doc]
     if missing:
         raise SeedError(f"seed file lacks {', '.join(missing)}")
-    s = int(doc["window"])
-    lam = np.array(doc["lambda"], dtype=np.int64)
+    s = _json_int(doc["window"], "window")
+    if not isinstance(doc["lambda"], list) or not isinstance(doc["b"], list):
+        raise SeedError("lambda and b must be lists")
+    lam = np.array([_json_ints(row, "lambda row") for row in doc["lambda"]], dtype=np.int64)
     b = np.zeros((s, s), dtype=np.int64)
-    for u, v, val in doc["b"]:
+    for entry in doc["b"]:
+        triplet = _json_ints(entry, "b triplet")
+        if len(triplet) != 3:
+            raise SeedError(f"b triplet {entry!r} does not have three entries")
+        u, v, val = triplet
         if not (1 <= u <= s and 1 <= v <= s):
             raise SeedError(f"b entry ({u},{v}) outside the window 1..{s}")
         b[u - 1, v - 1] = val
-    frozen = set(doc.get("frozen", []))
+    frozen = set(_json_ints(doc.get("frozen", []), "frozen"))
     ex = set(range(1, s + 1)) - frozen
-    diag = tuple(doc.get("diag", [1] * s))
-    pair = make_pair(lam, b, ex, diag)
+    diag = tuple(_json_ints(doc.get("diag", [1] * s), "diag"))
+    pair = _adopt_pair(lam, b, ex, diag)
     if not check_compatible(pair):
         raise SeedError("Lambda and B are not compatible")
     return pair, doc

@@ -8,7 +8,10 @@ live in Z[q^{+-1/2}], with q-exponents kept as integers counting half-units.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -182,7 +185,9 @@ class QLaurent:
         return self.lam.shape[0]
 
     def _same(self, other: "QLaurent") -> None:
-        if self.lam.shape != other.lam.shape or not np.array_equal(self.lam, other.lam):
+        if self.lam is not other.lam and (
+            self.lam.shape != other.lam.shape or not np.array_equal(self.lam, other.lam)
+        ):
             raise TorusError("mismatched ambient tori")
 
     @staticmethod
@@ -226,23 +231,19 @@ class QLaurent:
         self._same(other)
         if not self.terms or not other.terms:
             return QLaurent.zero(self.lam)
-        out: dict[tuple[int, ...], QCoeff] = {}
-        lam = self.lam
-        akeys = list(self.terms)
-        bkeys = list(other.terms)
-        twists = np.array(akeys) @ lam @ np.array(bkeys).T  # q^{twist/2}
-        for i, a in enumerate(akeys):
-            ca = self.terms[a]
-            trow = twists[i]
-            for j, b in enumerate(bkeys):
-                key = tuple(x + y for x, y in zip(a, b))
-                add = (ca * other.terms[b]).shift(int(trow[j]))
-                s = out.get(key, QCoeff()) + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return QLaurent(self.lam, out)
+        rows, _ = _tables(self.lam)
+        right = [(b, _apply(rows, b), c.terms.items()) for b, c in other.terms.items()]
+        acc: dict[tuple[int, ...], dict[int, int]] = {}
+        for a, c in self.terms.items():
+            ca = c.terms.items()
+            for b, lb, cb in right:
+                twist = _dot(a, lb)  # X^a X^b = q^{twist/2} X^{a+b}
+                key = tuple(map(add, a, b))
+                out = acc.get(key)
+                if out is None:
+                    out = acc[key] = {}
+                _convolve_into(out, ca, cb, twist)
+        return QLaurent(self.lam, {a: c for a, cs in acc.items() if (c := QCoeff(cs))})
 
     def __pow__(self, n: int) -> "QLaurent":
         if n < 0:
@@ -280,54 +281,124 @@ def normal_monomial(lam: np.ndarray, a: tuple[int, ...]) -> QLaurent:
 # term orders, pointedness and exact division
 
 
-def _order_key(lam: np.ndarray):
-    weight = lam.sum(axis=0)  # row vector 1^T Lambda
+_Rows = tuple[tuple[int, ...], ...]
 
-    def key(a: tuple[int, ...]):
-        return (int(weight @ np.array(a)), a)
 
-    return key
+@lru_cache(maxsize=64)
+def _tables_of(s: int, dtype: str, raw: bytes) -> tuple[_Rows, tuple[int, ...]]:
+    rows = np.frombuffer(raw, dtype=dtype).reshape(s, s).tolist()
+    return tuple(map(tuple, rows)), tuple(map(sum, zip(*rows)))
+
+
+def _tables(lam: np.ndarray) -> tuple[_Rows, tuple[int, ...]]:
+    """The rows of Lambda and the order weights 1^T Lambda, as Python ints, once per torus."""
+    return _tables_of(lam.shape[0], lam.dtype.str, lam.tobytes())
+
+
+def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _apply(rows: _Rows, b: tuple[int, ...]) -> tuple[int, ...]:
+    """Lambda b, so that the twist of X^a X^b is a . (Lambda b)."""
+    return tuple(_dot(row, b) for row in rows)
+
+
+def _convolve_into(acc: dict[int, int], ca, cb, shift: int) -> None:
+    """acc += q^{shift/2} ca cb for coefficient items ca and cb (zeros are left in acc)."""
+    for k1, v1 in ca:
+        k1 += shift
+        for k2, v2 in cb:
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + v1 * v2
+
+
+def _leading_exp(terms: dict[tuple[int, ...], QCoeff], weights: tuple[int, ...]) -> tuple[int, ...]:
+    """The largest exponent in the term order: weight 1^T Lambda a, then lexicographic."""
+    return max(terms, key=lambda a: (_dot(weights, a), a))
 
 
 def leading_term(x: QLaurent) -> tuple[tuple[int, ...], QCoeff]:
     if x.is_zero:
         raise TorusError("zero element has no leading term")
-    key = _order_key(x.lam)
-    a = max(x.terms, key=key)
+    a = _leading_exp(x.terms, _tables(x.lam)[1])
     return a, x.terms[a]
 
 
-def divide_right_exact(x: QLaurent, d: QLaurent, max_steps: int | None = None) -> QLaurent:
+def divide_right_exact(
+    x: QLaurent, d: QLaurent, max_steps: int | None = None, stats: dict | None = None
+) -> QLaurent:
     """The unique y with y * d = x, by leading-term elimination.
 
     The divisor's leading coefficient must be a unit q-power (true for every
     pointed cluster variable).  A nonzero remainder raises, which for cluster
     exchange steps signals an implementation bug, not a data condition.
+
+    The remainder is kept as a dict of mutable coefficient dicts with a heap
+    of its exponents in the term order (stale entries are skipped), so each
+    step costs one pass over the divisor (Johnson 1974; Monagan & Pearce 2007).
+    If ``stats`` is given, it receives ``steps``, ``remainder_peak`` (terms)
+    and ``output_terms``.
     """
     x._same(d)
     if d.is_zero:
         raise TorusError("division by zero")
-    lam = x.lam
-    key = _order_key(lam)
+    rows, weights = _tables(x.lam)
     ld_exp, ld_coeff = leading_term(d)
-    ld_inv = ld_coeff.q_power_inverse()
-    ld_vec = np.array(ld_exp)
-    rem = x
+    ((ld_k, ld_v),) = ld_coeff.q_power_inverse().terms.items()
+    ld_row = _apply(rows, ld_exp)
+    # The terms of -d below its leading one, each with Lambda b for the twist.
+    tail = [
+        (b, _apply(rows, b), [(k, -v) for k, v in c.terms.items()])
+        for b, c in d.terms.items()
+        if b != ld_exp
+    ]
+
+    def entry(a: tuple[int, ...]):  # heapq is a min-heap: negate weight and exponent
+        return -_dot(weights, a), tuple(-v for v in a), a
+
+    rem = {a: dict(c.terms) for a, c in x.terms.items()}
+    heap = [entry(a) for a in rem]
+    heapq.heapify(heap)
     out: dict[tuple[int, ...], QCoeff] = {}
     steps = 0
+    peak = len(rem)
     cap = max_steps if max_steps is not None else 4 * (len(x.terms) + 1) * (len(d.terms) + 1) + 64
-    while not rem.is_zero:
+    while heap:
+        m = heapq.heappop(heap)[2]
+        if m not in rem:
+            continue
+        if steps == cap:
+            break
         steps += 1
-        if steps > cap:
-            raise DivisionRemainderError("right division did not terminate: nonzero remainder")
-        m = max(rem.terms, key=key)
-        c = rem.terms[m]
-        t_exp = tuple(a - b for a, b in zip(m, ld_exp))
-        twist = int(np.array(t_exp) @ lam @ ld_vec)  # X^t X^ld = q^{twist/2} X^m
-        t_coeff = (c * ld_inv).shift(-twist)
-        out[t_exp] = out.get(t_exp, QCoeff()) + t_coeff
-        rem = rem - QLaurent.monomial(lam, t_exp, t_coeff) * d
-    return QLaurent(lam, {a: c for a, c in out.items() if c})
+        c = rem.pop(m)
+        t = tuple(map(sub, m, ld_exp))
+        shift = ld_k - _dot(t, ld_row)  # X^t X^ld = q^{(t . Lambda ld)/2} X^m
+        tc = {k + shift: ld_v * v for k, v in c.items()}
+        out[t] = QCoeff(tc)
+        # The leading term of X^t c d cancels m exactly; subtract the rest.
+        for b, lb, cb in tail:
+            key = tuple(map(add, t, b))
+            acc = rem.get(key)
+            if acc is None:
+                acc = rem[key] = {}
+                heapq.heappush(heap, entry(key))
+            _convolve_into(acc, tc.items(), cb, _dot(t, lb))
+            if 0 in acc.values():
+                for k in [k for k, v in acc.items() if not v]:
+                    del acc[k]
+                if not acc:
+                    del rem[key]
+        if len(rem) > peak:
+            peak = len(rem)
+    if stats is not None:
+        stats.update(steps=steps, remainder_peak=peak, output_terms=len(out))
+    if rem:  # the loop stopped at the cap; m led the remainder
+        raise DivisionRemainderError(
+            f"right division did not terminate: nonzero remainder after {steps} steps, "
+            f"leading term ({qcoeff_to_text(QCoeff(rem[m]))}) {_monomial_text(m) or '1'}"
+        )
+    return QLaurent(x.lam, out)
 
 
 def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
@@ -338,8 +409,7 @@ def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
     """
     if x.is_zero:
         raise NotPointedError("zero element is not pointed")
-    key = _order_key(pair.lam)
-    g = max(x.terms, key=key)
+    g = _leading_exp(x.terms, _tables(pair.lam)[1])
     if not x.terms[g].is_q_power():
         raise NotPointedError("lead coefficient is not a q-power")
     rest = [m for m in x.terms if m != g]

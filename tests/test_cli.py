@@ -100,6 +100,17 @@ GOOD_SEED = {"window": 2, "lambda": [[0, 1], [-1, 0]], "b": [[2, 1, -2]], "froze
         {"b": [[3, 1, -2]]},  # row past the window
         {"b": [[2, 1, -1]]},  # incompatible with Lambda
         {"lambda": [[0, 0], [0, 0]], "b": [[1, 2, 1]], "frozen": []},  # incompatible
+        {"b": [["2", 1, -2]]},  # a string index
+        {"b": [[2.0, 1, -2]]},  # a float index
+        {"b": [[2, 1, -2.5]]},  # a value that would be truncated
+        {"b": [[2, 1]]},  # not a triplet
+        {"b": [2]},
+        {"window": "2"},
+        {"window": True},
+        {"lambda": [[0, 1.5], [-1.5, 0]]},  # would be truncated to a compatible Lambda
+        {"diag": [1.9, 1]},
+        {"lambda": 7},
+        {"lambda": [[0, 2**70], [-(2**70), 0]]},  # past int64
     ],
 )
 def test_mutate_rejects_bad_seed_file(tmp_path, capsys, change):

@@ -53,6 +53,16 @@ def test_make_pair_validation():
         make_pair(lam, b2, {1, 2}, (1, 1, 1))  # frozen column 3 must be zero
 
 
+def test_make_pair_leaves_caller_arrays_writable():
+    lam = np.zeros((2, 2), dtype=np.int64)
+    b = np.zeros((2, 2), dtype=np.int64)
+    pair = make_pair(lam, b, {1, 2}, (1, 1))
+    assert lam.flags.writeable and b.flags.writeable
+    assert not pair.lam.flags.writeable and not pair.b.flags.writeable
+    lam[0, 1] = 5  # the pair keeps its own copy
+    assert pair.lam_entry(1, 2) == 0
+
+
 def test_check_compatible_vacuous_and_perturbed():
     lam = np.zeros((2, 2), dtype=np.int64)
     b = np.zeros((2, 2), dtype=np.int64)

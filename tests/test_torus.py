@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcab.braid import alternating, build_seed
-from qcab.cartan import build_cartan
+from qcab.cartan import build_cartan, parse_type
 from qcab.commutative import LaurentPoly, RationalX
 from qcab.torus import (
     ClusterState,
@@ -16,6 +17,7 @@ from qcab.torus import (
     QLaurent,
     degree_of_pointed,
     divide_right_exact,
+    leading_term,
     mutate_state,
     normal_monomial,
     predicted_degree,
@@ -98,8 +100,6 @@ def test_exact_division_roundtrip():
         if d.is_zero:
             continue
         # force a unit leading coefficient
-        from qcab.torus import leading_term
-
         a, _ = leading_term(d)
         d = d + QLaurent.monomial(lam, a, QCoeff.q_power(1)) - QLaurent.monomial(lam, a, d.terms[a])
         x = random_qlaurent(rng, lam, n_terms=3)
@@ -109,6 +109,143 @@ def test_exact_division_roundtrip():
             QLaurent.generator(small_lam(), 1) + QLaurent.generator(small_lam(), 3),
             QLaurent.generator(small_lam(), 2) + normal_monomial(small_lam(), (0, 0, 0)),
         )
+
+
+# Few exponents and q-powers, so sums and products collide and cancel.
+_exponents = st.tuples(*[st.integers(-1, 1)] * 3)
+_coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), min_size=1, max_size=3)
+
+
+@st.composite
+def qlaurents(draw, max_terms=4):
+    x = QLaurent.zero(small_lam())
+    for a, c in draw(st.dictionaries(_exponents, _coeffs, max_size=max_terms)).items():
+        x = x + QLaurent.monomial(small_lam(), a, QCoeff(c))
+    return x
+
+
+def assert_canonical(x):
+    for c in x.terms.values():
+        assert c.terms and all(c.terms.values())
+
+
+def _naive_product(x, y):
+    """The product summed one term pair at a time, with numpy twists."""
+    out = QLaurent.zero(x.lam)
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            twist = int(np.array(a) @ x.lam @ np.array(b))
+            key = tuple(u + v for u, v in zip(a, b))
+            out = out + QLaurent.monomial(x.lam, key, (ca * cb).shift(twist))
+    return out
+
+
+@given(qlaurents(), qlaurents(), qlaurents(), qlaurents())
+def test_product_ring_laws_and_canonical_form(x, y, z, w):
+    z = w - y  # y + z = w, so the products below cancel term by term
+    products = [x * y, y * z, (x * y) * z, x * (y * z), x * w, (y + z) * x]
+    assert products[0] == _naive_product(x, y) and products[1] == _naive_product(y, z)
+    assert products[2] == products[3]
+    assert x * (y + z) == x * y + x * z == products[4]
+    assert products[5] == y * x + z * x
+    assert (x * y + x * z) - x * w == QLaurent.zero(small_lam())
+    for p in products:
+        assert_canonical(p)
+
+
+@given(_exponents, _exponents, _exponents)
+def test_product_drops_cancelled_terms(a, b, c):
+    lam = small_lam()
+    e = tuple(x + y - z for x, y, z in zip(c, a, b))
+    key = tuple(x + y for x, y in zip(a, c))
+    # X^a X^c and X^b X^e land on the same key; weight X^e to cancel it exactly.
+    (t1,) = (normal_monomial(lam, a) * normal_monomial(lam, c)).terms[key].terms
+    (t2,) = (normal_monomial(lam, b) * normal_monomial(lam, e)).terms[key].terms
+    u = normal_monomial(lam, a) + normal_monomial(lam, b)
+    v = normal_monomial(lam, c) - QLaurent.monomial(lam, e, QCoeff.q_power(t1 - t2))
+    p = u * v
+    assert_canonical(p)
+    assert key not in p.terms and len(p.terms) == (0 if a == b else 2)
+
+
+@given(qlaurents(), qlaurents(max_terms=3), st.integers(-3, 3), st.sampled_from([1, -1]))
+def test_division_inverts_product(x, d, k, sign):
+    if d.is_zero:
+        return
+    a, c = leading_term(d)
+    d = d + QLaurent.monomial(small_lam(), a, QCoeff.q_power(k, sign) - c)
+    stats = {}
+    y = divide_right_exact(x * d, d, stats=stats)
+    assert y == x
+    assert_canonical(y)
+    steps, peak = _naive_division_trace(x * d, d)
+    assert stats == {"steps": steps, "remainder_peak": peak, "output_terms": len(x.terms)}
+    assert divide_right_exact(x * d, d, max_steps=steps) == x
+    if steps:
+        with pytest.raises(DivisionRemainderError, match=f"after {steps - 1} steps"):
+            divide_right_exact(x * d, d, max_steps=steps - 1)
+
+
+def _naive_division_trace(x, d, max_steps=None):
+    """Steps and largest remainder of leading-term division by whole products."""
+    lam = x.lam
+    lead, lead_coeff = leading_term(d)
+    rem, steps, peak = x, 0, len(x.terms)
+    while not rem.is_zero and steps != max_steps:
+        m, c = leading_term(rem)
+        t = tuple(u - v for u, v in zip(m, lead))
+        (twist,) = (normal_monomial(lam, t) * normal_monomial(lam, lead)).terms[m].terms
+        rem = rem - QLaurent.monomial(lam, t, (c * lead_coeff.q_power_inverse()).shift(-twist)) * d
+        steps += 1
+        peak = max(peak, len(rem.terms))
+    return steps, peak
+
+
+def test_division_stats_and_remainder_witness():
+    lam = small_lam()
+    pair = b2_pair()
+    state = mutate_state(mutate_state(ClusterState.from_pair(pair), 1), 2)
+    x, d = state.variables[0], state.variables[1]
+    stats = {}
+    assert divide_right_exact(x * d, d, stats=stats) == x
+    steps, peak = _naive_division_trace(x * d, d)
+    assert stats == {"steps": steps, "remainder_peak": peak, "output_terms": len(x.terms)}
+    # 1 + Z_2 leads with 1; Z_3 leads Z_1 + Z_3 and is eliminated by Z_3 Z_2^j
+    # for j = 0, 1, 2, after which Z_1 leads the remainder.
+    stats = {}
+    with pytest.raises(DivisionRemainderError, match=r"after 3 steps, leading term \(1\) Z\[1\]$"):
+        divide_right_exact(
+            QLaurent.generator(lam, 1) + QLaurent.generator(lam, 3),
+            QLaurent.generator(lam, 2) + normal_monomial(lam, (0, 0, 0)),
+            max_steps=3,
+            stats=stats,
+        )
+    assert stats["steps"] == 3 and stats["output_terms"] == 3
+    # Each step trades the leading remainder term for Z_1 and Z_2 multiples.
+    x = QLaurent.generator(lam, 3)
+    d = normal_monomial(lam, (0, 0, 0)) + QLaurent.generator(lam, 1) + QLaurent.generator(lam, 2)
+    with pytest.raises(DivisionRemainderError, match="after 6 steps"):
+        divide_right_exact(x, d, max_steps=6, stats=stats)
+    peak = _naive_division_trace(x, d, max_steps=6)[1]
+    assert stats == {"steps": 6, "remainder_peak": peak, "output_terms": 6}
+    assert stats["remainder_peak"] > 2
+
+
+def test_heavy_g2_walk_golden_digests():
+    """The first seven steps of criterion 8's heavy G2 walk, against fixed digests."""
+    pair = build_seed(alternating(parse_type("G2")), 6)
+    state = ClusterState.from_pair(pair)
+    digests = {
+        6: "67f1eb8ace72c633e73f855f3e6ec15bddf5be04284e1eb2a66ab25518f79260",
+        7: "55ba5b1e6a48e2355c2cd99a98d3e0deb0b6e24e5d8f35a721fd9980c03c3d46",
+    }
+    for step, k in enumerate((2, 1, 3, 4, 1, 2, 3), start=1):
+        state = mutate_state(state, k)
+        text = "\n".join(qlaurent_to_text(v) for v in state.variables)
+        if step in digests:
+            assert hashlib.sha256(text.encode()).hexdigest() == digests[step]
+        for u in range(1, pair.size + 1):
+            assert degree_of_pointed(state.variables[u - 1], pair) == predicted_degree(state, u)
 
 
 def test_one_step_exchange_degree():
