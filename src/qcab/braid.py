@@ -13,10 +13,13 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import groupby, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,11 +97,6 @@ class IndexSequence:
                 return v
         return 0
 
-    def umin(self, k: int) -> int:
-        """First position carrying the letter of position k."""
-        a = self.letter(k)
-        return next(v for v in range(1, k + 1) if self.letter(v) == a)
-
 
 def alternating(datum: CartanDatum) -> IndexSequence:
     """The alternating rank-2 sequence (1, 2, 1, 2, ...) as a periodic word."""
@@ -156,22 +154,21 @@ def _lambda_and_b(
     # w_u pi_j twice: in pi-coordinates, then in den-scaled alpha-coordinates.
     # Right multiplication by s_i replaces column i by -col_i - sum_j c_ji col_j.
     cols = [[int(a == j) for a in range(n)] + list(alpha[j]) for j in range(n)]
-    rows = []  # d-scaled alpha-coords of pi_i - w_u pi_i, then pi-coords of pi_i + w_u pi_i
+    hist = []  # w_u pi_{i_u} for u = 1, ..., s
     for i in letters:
-        i -= 1
-        col = [-x for x in cols[i]]
-        for j, cji in off[i]:
+        col = [-x for x in cols[i - 1]]
+        for j, cji in off[i - 1]:
             col = [x - cji * y for x, y in zip(col, cols[j])]
-        cols[i] = col
-        x = [a - y for a, y in zip(alpha[i], col[n:])]
-        if den != 1 and any(t % den for t in x):
-            raise BraidError("weight unexpectedly outside the root lattice")
-        q = col[:n]
-        q[i] += 1
-        rows.append([t // den * d for t, d in zip(x, dvec)] + q)
-
-    rows = np.array(rows, dtype=np.int64).reshape(s, 2 * n)
-    grid = rows[:, :n] @ rows[:, n:].T
+        cols[i - 1] = col
+        hist += col
+    w = np.array(hist, dtype=np.int64).reshape(s, 2 * n)
+    at = np.array(letters, dtype=np.intp) - 1
+    x = np.array(alpha, dtype=np.int64).reshape(n, n)[at] - w[:, n:]  # den * (pi_i - w_u pi_i)
+    if den != 1 and (x % den).any():
+        raise BraidError("weight unexpectedly outside the root lattice")
+    plus = w[:, :n]  # pi-coordinates of w_u pi_i, then of pi_i + w_u pi_i
+    plus[np.arange(s), at] += 1
+    grid = (x // den * np.array(dvec, dtype=np.int64)) @ plus.T
     lam = np.triu(grid, 1)
     lam = lam - lam.T
 
@@ -404,23 +401,31 @@ def forward_shift_seed(
 # exhaustive G2 certification
 
 
+class CertWitness(NamedTuple):
+    """A configuration that fails, and the first differing entry (u, v) of its
+    relabelled window against the target window, in ``matrix`` "lam" or "b"."""
+
+    family: str
+    letters: tuple[int, ...]
+    k: int
+    matrix: str
+    u: int
+    v: int
+    got: int
+    want: int
+
+
 @dataclass(frozen=True)
 class CertReport:
     total: int
     mismatches: int
     elapsed_ms: int
     families: dict[str, int]
+    witnesses: tuple[CertWitness, ...] = ()  # the first few mismatches
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total": self.total,
-                "mismatches": self.mismatches,
-                "elapsed_ms": self.elapsed_ms,
-                "families": dict(sorted(self.families.items())),
-            },
-            sort_keys=True,
-        )
+        doc = {**self.__dict__, "witnesses": [w._asdict() for w in self.witnesses]}
+        return json.dumps(doc, sort_keys=True)
 
 
 def _g2_rep_words() -> list[tuple[int, ...]]:
@@ -435,6 +440,10 @@ def _g2_rep_words() -> list[tuple[int, ...]]:
 
 _CORES = ((1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1))
 _ZETA_OFFSETS = (0, 1, 2, 0, 3, 1, 0, 2, 3, 0)
+_MAX_WITNESSES = 5
+# Matrix entries in one (N, s, s) stack: enough to amortise numpy's call
+# overhead, few enough that each int64 stack array stays near 64 KB.
+_STACK_ENTRIES = 2**13
 
 
 def _sigma_indices(s: int, k: int) -> np.ndarray:
@@ -447,107 +456,97 @@ def _sigma_indices(s: int, k: int) -> np.ndarray:
 def g2_sequences():
     """Yield (family, letters, k) for the exhaustive 6-move certification.
 
-    Families follow the three shapes w1 a w2 b c | w1 a c{1,2} | w1 a, each
-    followed by the alternating core and a tail w3 d; the deliberate overlap
-    between families is kept.
+    A configuration is a head, the alternating core at k = len(head) + 1 and a
+    tail w3 d.  Heads take three shapes, w1 a w2 b c | w1 a c{1,2} | w1 a a{0,1},
+    and the deliberate overlap between the families is kept.  Each (window, k),
+    that is each pair of head and tail lengths, is one contiguous run, and in
+    it equal heads are adjacent.  The two cores of one head and tail are
+    adjacent too: the target window of each is the source window of the other.
     """
-    reps = _g2_rep_words()
-    letters12 = (1, 2)
-    for w1 in reps:
-        for a in letters12:
-            head_base = w1 + (a,)
-            # family (i): w1 a w2 b c core w3 d
-            for w2 in reps:
-                for bc in ((1, 1), (1, 2), (2, 1), (2, 2)):
-                    head = head_base + w2 + bc
-                    for core in _CORES:
-                        k = len(head) + 1
-                        mid = head + core
-                        for w3 in reps:
-                            for d in letters12:
-                                yield "i", mid + w3 + (d,), k
-            # family (ii): w1 a c core w3 d and w1 a c c core w3 d
-            for c in letters12:
-                for reps_c in ((c,), (c, c)):
-                    head = head_base + reps_c
-                    for core in _CORES:
-                        k = len(head) + 1
-                        mid = head + core
-                        for w3 in reps:
-                            for d in letters12:
-                                yield "ii", mid + w3 + (d,), k
-            # family (iii): w1 a core w3 d and w1 a a core w3 d
-            for reps_a in ((), (a,)):
-                head = head_base + reps_a
-                for core in _CORES:
-                    k = len(head) + 1
-                    mid = head + core
-                    for w3 in reps:
-                        for d in letters12:
-                            yield "iii", mid + w3 + (d,), k
+    reps, ab = _g2_rep_words(), (1, 2)
+    heads = [("i", w1 + (a,) + w2 + bc) for w1, a, w2, bc in product(reps, ab, reps, product(ab, repeat=2))]
+    heads += [("ii", w1 + (a,) + (c,) * r) for w1, a, c, r in product(reps, ab, ab, (1, 2))]
+    heads += [("iii", w1 + (a,) * r) for w1, a, r in product(reps, ab, (1, 2))]
+    heads.sort(key=lambda item: (len(item[1]), item[1]))
+    tails = sorted((w3 + (d,) for w3 in reps for d in ab), key=len)
+    for _, same_head in groupby(heads, key=lambda item: len(item[1])):
+        same_head = list(same_head)
+        for _, same_tail in groupby(tails, key=len):
+            for (fam, head), tail, core in product(same_head, same_tail, _CORES):
+                yield fam, head + core + tail, len(head) + 1
 
 
-def _zeta_holds(build, letters: tuple[int, ...], k: int) -> bool:
-    """Whether the 6-move recipe at k carries the window of ``letters`` to its swap.
+def _stack_verdicts(datum: CartanDatum, words: list[tuple[int, ...]], k: int) -> list[tuple | None]:
+    """Certify words of one length with the 6-move recipe at one k.
 
-    ``build`` maps a word to its window arrays (Lambda, B).
+    For each word, None when the ten mutations at k + _ZETA_OFFSETS and the
+    relabelling by sigma carry its window (Lambda and B) to the window of the
+    swapped word, else the first differing entry as (matrix, u, v, got, want).
     """
-    lam, b = build(letters)
+    s = len(words[0])
+    targets = [swap_block(w, "six", k) for w in words]
+    # each window is built once; in a full run every target is also a source
+    index = {w: n for n, w in enumerate(dict.fromkeys(words + targets))}
+    windows = np.empty((len(index), 2, s, s), dtype=np.int64)  # (Lambda, B) of each
+    for n, w in enumerate(index):
+        windows[n, 0], windows[n, 1], _ = _lambda_and_b(datum, w)
+    lam, b = windows[: len(words), 0], windows[: len(words), 1]  # index starts with the words
     for off in _ZETA_OFFSETS:
         lam, b = mutate_arrays(lam, b, k + off)
     # sigma relabels positions; entries move by the inverse on rows/columns
-    idx = _sigma_indices(len(letters), k)
-    lam = lam[idx][:, idx]
-    swapped = list(letters)
-    swapped[k - 1 : k + 5] = swapped[k - 1 : k + 5][::-1]
-    target, _ = build(tuple(swapped))
-    return bool(np.array_equal(lam, target))
+    idx = _sigma_indices(s, k)
+    got = np.stack([lam, b], axis=1)[..., idx[:, None], idx]
+    want = windows[[index[w] for w in targets]]
+    verdicts: list[tuple | None] = [None] * len(words)
+    for n in np.flatnonzero((got != want).any(axis=(1, 2, 3))):
+        m, u, v = np.argwhere(got[n] != want[n])[0]
+        verdicts[n] = (("lam", "b")[m], int(u) + 1, int(v) + 1, int(got[n, m, u, v]), int(want[n, m, u, v]))
+    return verdicts
 
 
-def _cert_worker(chunk: list[tuple[str, tuple[int, ...], int]]) -> tuple[dict[str, int], int]:
-    datum = build_cartan("G", 2)
+def _g2_stacks():
+    """Cut g2_sequences into stacks (k, {letters: families}) of one (window, k).
 
-    # Each target window is the source of a configuration 24 items later, so
-    # a small cache local to the chunk halves the builds.  The arrays are
-    # shared between callers and therefore read-only.
-    @lru_cache(maxsize=64)
-    def build(letters: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        lam, b, _ = _lambda_and_b(datum, letters)
-        lam.setflags(write=False)
-        b.setflags(write=False)
-        return lam, b
-
-    counts: dict[str, int] = {}
-    bad = 0
-    for fam, letters, k in chunk:
-        counts[fam] = counts.get(fam, 0) + 1
-        if not _zeta_holds(build, letters, k):
-            bad += 1
-    return counts, bad
+    A stack ends where the (window, k) changes, or where the head changes once
+    it holds _STACK_ENTRIES matrix entries.  The copies of a configuration
+    share their head, so each distinct configuration lands in one stack.
+    """
+    stack, prev = {}, None
+    for fam, letters, k in g2_sequences():
+        at = (len(letters), k, letters[: k - 1])
+        if stack and (at[:2] != prev[:2] or (at != prev and len(stack) * at[0] ** 2 >= _STACK_ENTRIES)):
+            yield prev[1], stack
+            stack = {}
+        stack.setdefault(letters, []).append(fam)
+        prev = at
+    if stack:
+        yield prev[1], stack
 
 
-_CHUNK_SIZE = 2000
+def _certify_stack(item: tuple[int, dict[tuple[int, ...], list[str]]]) -> tuple[Counter, int, list[CertWitness]]:
+    """Family counts, mismatches counted with multiplicity and witnesses of a stack."""
+    k, families = item
+    words = list(families)
+    bad, witnesses = 0, []
+    for w, verdict in zip(words, _stack_verdicts(build_cartan("G", 2), words, k)):
+        if verdict:
+            bad += len(families[w])
+            witnesses += [CertWitness(fam, w, k, *verdict) for fam in dict.fromkeys(families[w])]
+    return Counter(fam for fams in families.values() for fam in fams), bad, witnesses[:_MAX_WITNESSES]
 
 
 def g2_exhaustive_certify(jobs: int | None = None) -> CertReport:
     """Run the full 6-move certification over all 62,208 local sequences."""
     start = time.monotonic()
-    # chunks are cut as they are consumed, so no more than one chunk of
-    # configurations is held at a time when jobs <= 1
-    items = g2_sequences()
-    chunks = iter(lambda: list(islice(items, _CHUNK_SIZE)), [])
-    counts: dict[str, int] = {}
-    mismatches = 0
-    if jobs is None:
-        jobs = min(8, os.cpu_count() or 1)
-    if jobs <= 1:
-        results = list(map(_cert_worker, chunks))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cert_worker, chunks))
-    for c, bad in results:
-        mismatches += bad
-        for f, v in c.items():
-            counts[f] = counts.get(f, 0) + v
+    jobs = min(8, os.cpu_count() or 1) if jobs is None else jobs
+    counts: Counter[str] = Counter()
+    mismatches, witnesses = 0, []
+    # stacks are cut and their results folded as they come, so no more than
+    # one stack of configurations is held at a time when jobs <= 1
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for c, bad, w in (pool.map if pool else map)(_certify_stack, _g2_stacks()):
+            counts.update(c)
+            mismatches += bad
+            witnesses += w[: _MAX_WITNESSES - len(witnesses)]
     elapsed = int(1000 * (time.monotonic() - start))
-    return CertReport(total=sum(counts.values()), mismatches=mismatches, elapsed_ms=elapsed, families=counts)
+    return CertReport(sum(counts.values()), mismatches, elapsed, dict(counts), tuple(witnesses))

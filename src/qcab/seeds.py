@@ -118,25 +118,40 @@ def check_compatible(pair: CompatiblePair) -> bool:
     return True
 
 
+def _amax(a: np.ndarray) -> int:
+    """max |a| as a Python int; the unsigned view reads |-2**63| as 2**63."""
+    return int(np.abs(a).view(np.uint64).max())
+
+
 def mutate_arrays(lam: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """BZ mutation mu_k(Lambda, B) = (E^T Lambda E, E B F) at position k (1-based).
 
-    Works on plain arrays and returns new ones; the inputs are not written to
-    and k is not checked against the frozen set.
+    Works on plain arrays of shape (..., s, s), mutating every pair of a stack
+    at the same k, and returns new ones; the inputs are not written to and k is
+    not checked against the frozen set.  Raises SeedError unless
+    s max|Lambda| max|b| and max|b| (max|b| + 1) are below 2**63.
     """
+    # These bound every partial sum below, for skew-symmetric Lambda: column
+    # k of Lambda' sums s terms Lambda_uv e_v with |e_v| <= max(|b_vk|, 1),
+    # and b'_uv adds at most one b_uk b_kv to b_uv.
+    mb = _amax(b)
+    if lam.shape[-1] * _amax(lam) * max(mb, 1) >= 2**63 or mb * (mb + 1) >= 2**63:
+        raise SeedError(f"mutation at {k} would overflow int64")
     kk = k - 1
-    col = b[:, kk]
-    row = b[kk, :]
-    # E differs from the identity in column k only.
+    col = b[..., :, kk]
+    row = b[..., kk, :]
+    # E differs from the identity in column k only, so Lambda E differs from
+    # Lambda in column k, and the skew-symmetric E^T Lambda E in row k as well.
     e = pos(-col)
-    e[kk] = -1
+    e[..., kk] = -1
     lam2 = lam.copy()
-    lam2[:, kk] = lam @ e
-    lam2[kk, :] = e @ lam2
+    lam2[..., :, kk] = (lam @ e[..., :, None])[..., 0]
+    lam2[..., kk, :] = -lam2[..., :, kk]
+    lam2[..., kk, kk] = 0
     # B' via the scalar rule b'_uv = b_uv + sgn(b_uk) [b_uk b_kv]_+ (equal to E B F).
-    b2 = b + np.sign(col)[:, None] * pos(np.outer(col, row))
-    b2[kk, :] = -row
-    b2[:, kk] = -col
+    b2 = b + np.sign(col)[..., :, None] * pos(col[..., :, None] * row[..., None, :])
+    b2[..., kk, :] = -row
+    b2[..., :, kk] = -col
     return lam2, b2
 
 

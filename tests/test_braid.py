@@ -1,20 +1,27 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from qcab import braid
 from qcab.braid import (
+    _ZETA_OFFSETS,
     BraidError,
     IndexSequence,
     _lambda_and_b,
-    _zeta_holds,
+    _stack_verdicts,
     alternating,
     apply_move_to_sequence,
     b_infinite_entry,
     build_seed,
     detect_move,
     forward_shift_seed,
+    g2_exhaustive_certify,
     g2_sequences,
     lambda_closed_form,
     min_window,
@@ -24,7 +31,8 @@ from qcab.braid import (
     verify_move_on_seed,
 )
 from qcab.cartan import build_cartan
-from qcab.seeds import check_compatible, mutate_pair, permute_pair
+from qcab.cli import main
+from qcab.seeds import check_compatible, mutate_pair, permute_pair, transpositions
 
 G2_LAMBDA_8 = np.array(
     [
@@ -270,26 +278,125 @@ def test_forward_shift():
         assert pair == target
 
 
+# SHA-256 of the sorted enumeration, one "family letters k" line per item
+G2_ENUMERATION_SHA256 = "22681a25ca9961a76261576169358fad5090a0b17ea05bb9c0953a818792405d"
+
+
+def _run_key(item):
+    return len(item[1]), item[2]
+
+
 def test_g2_enumeration_count():
-    counts = {}
-    total = 0
-    for fam, _, _ in g2_sequences():
-        counts[fam] = counts.get(fam, 0) + 1
-        total += 1
-    assert total == 62208
-    assert counts == {"i": 55296, "ii": 4608, "iii": 2304}
+    items = list(g2_sequences())
+    assert len(items) == 62208
+    assert Counter(fam for fam, _, _ in items) == {"i": 55296, "ii": 4608, "iii": 2304}
+    # each (window, k) is one contiguous run, and the two cores of one head
+    # and tail are adjacent, each the other's 6-move swap
+    runs = [key for key, _ in itertools.groupby(items, key=_run_key)]
+    assert len(runs) == len(set(runs))
+    for (_, w1, k1), (_, w2, k2) in zip(items[::2], items[1::2]):
+        assert k1 == k2 and w2 == swap_block(w1, "six", k1)
+    # the same multiset of configurations as the ungrouped enumeration
+    text = "\n".join(f"{fam} {','.join(map(str, letters))} {k}" for fam, letters, k in sorted(items))
+    assert hashlib.sha256(text.encode()).hexdigest() == G2_ENUMERATION_SHA256
+    # the certifier's stacks hold each distinct configuration once, with its
+    # family multiplicity, and one (window, k) each
+    stacks = list(braid._g2_stacks())
+    configs = [(k, w) for k, families in stacks for w in families]
+    assert len(configs) == len(set(configs)) == 32352
+    assert sum(len(f) for _, families in stacks for f in families.values()) == 62208
+    assert all(len({len(w) for w in families}) == 1 for _, families in stacks)
 
 
-def test_g2_certifier_sample():
+# The 6-move recipe with four more steps at k - 1 and k: they cancel only where
+# b_{k-1,k} = 0 after the recipe, so about half of the configurations fail.
+PLANTED_OFFSETS = _ZETA_OFFSETS + (-1, 0, -1, 0)
+
+
+def _six_move(d, letters, k, offsets):
+    """Relabelled and target windows {"lam": ..., "b": ...} by the public path:
+    build_seed, mutate_pair per offset, permute_pair."""
+    s = len(letters)
+    pair = build_seed(IndexSequence(d, letters), s)
+    for off in offsets:
+        pair = mutate_pair(pair, k + off)
+    target = build_seed(IndexSequence(d, swap_block(letters, "six", k)), s)
+    sigma = transpositions(k, k + 2, k + 4)
+    if all((u in pair.frozen) == (v in pair.frozen) for u, v in sigma.items()):
+        pair = permute_pair(pair, sigma)
+        got = {"lam": pair.lam, "b": pair.b}
+    else:
+        # permute_pair keeps the frozen set, and sigma moves it where the tail
+        # holds only one of the letters at k + 4 and k + 5: relabel by indexing
+        idx = np.array([sigma.get(u, u) - 1 for u in range(1, s + 1)])
+        got = {"lam": pair.lam[np.ix_(idx, idx)], "b": pair.b[np.ix_(idx, idx)]}
+    return got, {"lam": target.lam, "b": target.b}
+
+
+@pytest.mark.parametrize("offsets", [_ZETA_OFFSETS, PLANTED_OFFSETS], ids=["recipe", "planted"])
+def test_g2_certifier_sample(monkeypatch, offsets):
+    """Stacked verdicts agree with the public path, configuration by configuration."""
+    monkeypatch.setattr(braid, "_ZETA_OFFSETS", offsets)
     d = build_cartan("G", 2)
     rng = random.Random(9)
-    items = list(itertools.islice(g2_sequences(), 0, None, 97))
-    sample = rng.sample(items, 120)
+    sample = rng.sample(list(itertools.islice(g2_sequences(), 0, None, 97)), 120)
+    stacked = {}
+    for (_, k), run in itertools.groupby(sorted(sample, key=_run_key), key=_run_key):
+        words = list(dict.fromkeys(letters for _, letters, _ in run))
+        for w, verdict in zip(words, _stack_verdicts(d, words, k)):
+            stacked[w, k] = verdict is None
+    public = {}
+    for _, letters, k in sample:
+        got, want = _six_move(d, letters, k, offsets)
+        public[letters, k] = all(np.array_equal(got[m], want[m]) for m in ("lam", "b"))
+    assert stacked == public
+    assert set(public.values()) == ({True} if offsets == _ZETA_OFFSETS else {True, False})
 
-    def build(letters):
-        return _lambda_and_b(d, letters)[:2]
 
-    assert all(_zeta_holds(build, letters, k) for _, letters, k in sample)
+def test_g2_certifier_names_witnesses(monkeypatch, tmp_path):
+    head = list(itertools.islice(g2_sequences(), 600))
+    monkeypatch.setattr(braid, "g2_sequences", lambda: iter(head))
+    monkeypatch.setattr(braid, "_ZETA_OFFSETS", PLANTED_OFFSETS)
+    report = g2_exhaustive_certify(jobs=1)
+    d = build_cartan("G", 2)
+    holds = {}
+    for _, letters, k in head:
+        if (letters, k) not in holds:
+            got, want = _six_move(d, letters, k, PLANTED_OFFSETS)
+            holds[letters, k] = all(np.array_equal(got[m], want[m]) for m in ("lam", "b"))
+    # every copy of a failing configuration counts
+    assert report.total == 600 and report.mismatches == sum(not holds[w, k] for _, w, k in head) > 0
+    assert len(report.witnesses) == 5
+    for fam, letters, k, matrix, u, v, got, want in report.witnesses:
+        assert (fam, letters, k) in head
+        public, target = _six_move(d, letters, k, PLANTED_OFFSETS)
+        # the first differing entry, Lambda before B, each in row-major order
+        diffs = [(m, np.argwhere(public[m] != target[m])) for m in ("lam", "b")]
+        assert (matrix, u - 1, v - 1) == next((m, *at[0]) for m, at in diffs if len(at))
+        assert (got, want) == (public[matrix][u - 1, v - 1], target[matrix][u - 1, v - 1])
+    assert dataclasses.replace(g2_exhaustive_certify(jobs=2), elapsed_ms=0) == dataclasses.replace(report, elapsed_ms=0)
+
+    out = tmp_path / "cert.json"
+    assert main(["g2-cert", "--jobs", "1", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["mismatches"] == report.mismatches
+    assert doc["witnesses"] == [{**w._asdict(), "letters": list(w.letters)} for w in report.witnesses]
+
+
+def test_g2_certifier_compares_b(monkeypatch):
+    """A fault in B alone, at an entry (s, 1) that no mutation reads, is a mismatch."""
+    mutate = braid.mutate_arrays
+
+    def mutate_and_bump(lam, b, k):
+        lam, b = mutate(lam, b, k)
+        b[..., -1, 0] += 1
+        return lam, b
+
+    monkeypatch.setattr(braid, "mutate_arrays", mutate_and_bump)
+    items = list(itertools.islice(g2_sequences(), 4))
+    (s, k), = {_run_key(item) for item in items}
+    verdicts = _stack_verdicts(build_cartan("G", 2), [letters for _, letters, _ in items], k)
+    assert all(v[:3] == ("b", s, 1) and v[3] - v[4] == len(_ZETA_OFFSETS) for v in verdicts)
 
 
 def test_appendix_orders_equivalent_on_window_14():

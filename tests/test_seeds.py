@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qcab.braid import IndexSequence, build_seed
+from qcab.braid import IndexSequence, alternating, build_seed, unfold
 from qcab.cartan import build_cartan
 from qcab.seeds import (
     SeedError,
     check_compatible,
     make_pair,
+    mutate_arrays,
     mutate_pair,
     permute_pair,
     quiver_from_matrix,
@@ -166,6 +168,69 @@ def test_mutation_walks_match_quiver_oracle(code, letters, window, picks):
         assert np.array_equal(quiver_to_matrix(q), pair.b), (code, letters, k)
         assert check_compatible(pair)
         assert mutate_pair(pair, k) == prev
+
+
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_stacked_mutation_is_slicewise(n, s, data):
+    """mutate_arrays on an (n, s, s) stack equals n calls on its slices, whose
+    Lambda part is E^T Lambda E, and writes to no input."""
+    entries = hnp.arrays(np.int64, (n, s, s), elements=st.integers(-9, 9))
+    a, b = data.draw(entries), data.draw(entries)
+    k = data.draw(st.integers(1, s))
+    lam = a - np.swapaxes(a, 1, 2)
+    lam.setflags(write=False)
+    b.setflags(write=False)
+    lam2, b2 = mutate_arrays(lam, b, k)
+    for i in range(n):
+        one_lam, one_b = mutate_arrays(lam[i], b[i], k)
+        assert np.array_equal(lam2[i], one_lam) and np.array_equal(b2[i], one_b)
+        e = np.eye(s, dtype=np.int64)
+        e[:, k - 1] = np.maximum(-b[i, :, k - 1], 0)
+        e[k - 1, k - 1] = -1
+        assert np.array_equal(one_lam, e.T @ lam[i] @ e)
+
+
+def test_mutation_raises_before_int64_overflow():
+    """The walk that always takes the mutation giving the largest |b| leaves
+    int64 at its 13th step; it must raise there, not return a wrapped pair."""
+    pair = build_seed(unfold(alternating(build_cartan("G", 2)), 22), 14)
+    last = None
+    with pytest.raises(SeedError, match="overflow int64"):
+        for _ in range(13):
+            grown = {u: mutate_pair(pair, u) for u in sorted(pair.exchangeable - {last})}
+            last = max(grown, key=lambda u: np.abs(grown[u].b).max())
+            pair = grown[last]
+            assert check_compatible(pair)
+
+
+@pytest.mark.parametrize("m", [3037000499, 3037000500])
+def test_mutation_bound_is_sharp_on_b(m):
+    """b'_23 = b_23 + b_21 b_13 = m + m**2 with every |b| <= m: exact while
+    m (m + 1) < 2**63, raised from the first m where it is not."""
+    lam = np.zeros((3, 3), dtype=np.int64)
+    b = np.zeros((3, 3), dtype=np.int64)
+    b[1, 0] = b[0, 2] = b[1, 2] = m
+    if m * (m + 1) < 2**63:
+        assert mutate_arrays(lam, b, 1)[1][1, 2] == m * (m + 1)
+    else:
+        with pytest.raises(SeedError, match="overflow int64"):
+            mutate_arrays(lam, b, 1)
+
+
+def test_mutation_bound_counts_the_window_and_int64_min():
+    """(Lambda e)_2 = x m + x m overflows although each term fits, and an entry
+    -2**63, whose numpy absolute value wraps, counts as 2**63."""
+    lam = np.zeros((4, 4), dtype=np.int64)
+    lam[1, 2:] = 2**31
+    lam[2:, 1] = -(2**31)
+    b = np.zeros((4, 4), dtype=np.int64)
+    b[1:, 0] = -(2**31)
+    with pytest.raises(SeedError, match="overflow int64"):
+        mutate_arrays(lam, b, 1)
+    b = np.zeros((4, 4), dtype=np.int64)
+    b[0, 1], b[1, 0] = 1, -(2**63)
+    with pytest.raises(SeedError, match="overflow int64"):
+        mutate_arrays(np.zeros((4, 4), dtype=np.int64), b, 1)
 
 
 def test_quiver_mutate_isolated_vertex():
