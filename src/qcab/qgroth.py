@@ -16,15 +16,7 @@ from .braid import IndexSequence, build_seed
 from .cartan import CartanDatum, build_cartan, parity_function, validate_height_function
 from .commutative import LaurentPoly, RationalX
 from .seeds import mutate_pair
-from .torus import (
-    QCoeff,
-    TorusError,
-    _split_coeff,
-    _split_terms,
-    _parse_factor,
-    qcoeff_from_text,
-    qcoeff_to_text,
-)
+from .torus import QCoeff, QLaurent, _convolve_into, _parse_terms, qcoeff_to_text
 
 HatIndex = tuple[int, int]  # (node, level)
 ExpKey = tuple[tuple[HatIndex, int], ...]  # sorted ((i,p), exponent) pairs
@@ -127,6 +119,10 @@ class XTorus:
     def datum(self) -> CartanDatum:
         return self.tc.datum
 
+    def __eq__(self, other: object) -> bool:
+        """The pairing depends on the Cartan datum alone, so that is the torus."""
+        return isinstance(other, XTorus) and self.datum == other.datum
+
     def pairing(self, a: HatIndex, b: HatIndex) -> int:
         key = (a, b)
         if key not in self._pairs:
@@ -145,18 +141,24 @@ def _normkey(exps: dict[HatIndex, int]) -> ExpKey:
     return tuple(sorted(((u, e) for u, e in exps.items() if e), key=lambda t: (t[0][1], t[0][0])))
 
 
-@dataclass(eq=False)
-class XElement:
-    """A torus element in the bar-invariant commutative-monomial basis."""
+def _check_generator(datum: CartanDatum, i: int, p: int) -> None:
+    """Raise unless (i, p) indexes a torus generator: a node at a level of its parity."""
+    if not 1 <= i <= datum.rank:
+        raise QGrothError(f"node {i} outside 1..{datum.rank}")
+    if (p - parity_function(datum)[i]) % 2:
+        raise QGrothError(f"level {p} does not match the parity of node {i}")
 
-    ambient: XTorus
-    terms: dict[ExpKey, QCoeff] = field(default_factory=dict)
 
-    # -- constructors ---------------------------------------------------
+class XElement(QLaurent):
+    """An (i,p)-torus element in the bar-invariant commutative-monomial basis.
 
-    @staticmethod
-    def zero(ambient: XTorus) -> "XElement":
-        return XElement(ambient, {})
+    ``QLaurent`` over an ``XTorus`` (``ambient``) with sparse ``ExpKey`` keys:
+    the linear structure, bar and equality are inherited.
+    """
+
+    @property
+    def ambient(self) -> XTorus:
+        return self.torus
 
     @staticmethod
     def monomial(ambient: XTorus, exps: dict[HatIndex, int], coeff: QCoeff | None = None) -> "XElement":
@@ -166,61 +168,34 @@ class XElement:
     @staticmethod
     def raw_generator(ambient: XTorus, i: int, p: int, exp: int = 1) -> "XElement":
         """The plain generator power, q^{-e d_i / 2} times the basis monomial."""
+        _check_generator(ambient.datum, i, p)
         d = ambient.datum.d(i)
         return XElement.monomial(ambient, {(i, p): exp}, QCoeff.q_power(-exp * d))
 
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other: "XElement") -> "XElement":
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            s = out.get(a, QCoeff()) + c
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
-        return XElement(self.ambient, out)
-
-    def __neg__(self) -> "XElement":
-        return XElement(self.ambient, {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other: "XElement") -> "XElement":
-        return self + (-other)
-
-    def scale(self, c: QCoeff) -> "XElement":
-        if not c:
-            return XElement.zero(self.ambient)
-        return XElement(self.ambient, {a: cc * c for a, cc in self.terms.items()})
-
     def __mul__(self, other: "XElement") -> "XElement":
-        out: dict[ExpKey, QCoeff] = {}
+        self._same(other)
         amb = self.ambient
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                twist = amb.pairing_vec(a, b)  # q^{twist/2}
-                merged: dict[HatIndex, int] = dict(a)
+        right = [(b, c.terms.items()) for b, c in other.terms.items()]
+        acc: dict[ExpKey, QCoeff] = {}
+        for a, c in self.terms.items():
+            ca = c.terms.items()
+            for b, cb in right:
+                merged = dict(a)
                 for u, e in b:
                     merged[u] = merged.get(u, 0) + e
                 key = _normkey(merged)
-                add = (ca * cb).shift(twist)
-                s = out.get(key, QCoeff()) + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return XElement(amb, out)
-
-    def bar(self) -> "XElement":
-        return XElement(self.ambient, {a: c.bar() for a, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, XElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+                out = acc.get(key)
+                if out is None:
+                    out = acc[key] = QCoeff()
+                _convolve_into(out.terms, ca, cb, amb.pairing_vec(a, b))  # X^a X^b = q^{<a,b>/2} X^{a+b}
+        # The coefficients are summed in place, so no second copy of a large
+        # product is held; the few with cancelled entries are rebuilt.
+        for key in [k for k, c in acc.items() if 0 in c.terms.values()]:
+            if c := QCoeff(acc[key].terms):
+                acc[key] = c
+            else:
+                del acc[key]
+        return XElement(amb, acc)
 
     # -- structure maps ---------------------------------------------------
 
@@ -266,8 +241,8 @@ class XElement:
 
 def kr_monomial(ambient: XTorus, i: int, p: int, s: int) -> XElement:
     """The commutative monomial on the parity ladder of node i from p to s."""
-    eps = parity_function(ambient.datum)
-    if (p - eps[i]) % 2 or (s - p) % 2:
+    _check_generator(ambient.datum, i, p)
+    if (s - p) % 2:
         raise QGrothError("levels must match the node parity")
     if p > s:
         raise QGrothError("empty ladder: need p <= s")
@@ -442,15 +417,10 @@ def xelement_to_text(x: XElement) -> str:
 
 def xelement_from_text(ambient: XTorus, text: str) -> XElement:
     out = XElement.zero(ambient)
-    for term in _split_terms(text):
-        coeff_text, mono_text = _split_coeff(term)
-        acc = XElement.monomial(ambient, {}, qcoeff_from_text(coeff_text))
-        if mono_text:
-            for factor in mono_text.split("*"):
-                idx, exp = _parse_factor(factor)
-                if len(idx) != 2:
-                    raise TorusError(f"need X[i,p] indices, got {factor!r}")
-                acc = acc * XElement.raw_generator(ambient, idx[0], idx[1], exp)
+    for coeff, factors in _parse_terms(text, "X", 2):
+        acc = XElement.monomial(ambient, {}, coeff)
+        for (i, p), exp in factors:
+            acc = acc * XElement.raw_generator(ambient, i, p, exp)
         out = out + acc
     return out
 

@@ -164,17 +164,16 @@ def mutate_pair(pair: CompatiblePair, k: int) -> CompatiblePair:
 
 
 def permute_pair(pair: CompatiblePair, perm: dict[int, int]) -> CompatiblePair:
-    """Relabel positions by a permutation that preserves the frozen set.
+    """Relabel positions by a permutation of the window.
 
     ``perm`` maps old position -> new position; unspecified points are fixed.
+    Every row, column and label moves with it, so the exchangeable and the
+    frozen sets of the result are the images of the pair's own.
     """
     s = pair.size
     full = {u: perm.get(u, u) for u in range(1, s + 1)}
     if sorted(full.values()) != list(range(1, s + 1)):
         raise SeedError("not a permutation of the window")
-    for u in pair.frozen:
-        if full[u] not in pair.frozen:
-            raise SeedError("permutation must preserve the frozen set")
     inv = {v: u for u, v in full.items()}
     idx = np.array([inv[v] - 1 for v in range(1, s + 1)])
     lam = pair.lam[np.ix_(idx, idx)].copy()

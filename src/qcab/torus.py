@@ -152,18 +152,18 @@ def qcoeff_from_text(text: str) -> QCoeff:
             chunk = chunk[1:]
         if "*" in chunk:
             num, chunk = chunk.split("*", 1)
-            coeff *= int(num)
+            coeff *= _int(num, text)
         if chunk.startswith("q"):
             rest = chunk[1:]
             if not rest:
                 k = 2
             elif rest.startswith("^"):
                 rest = rest[1:]
-                k = int(rest[:-2]) if rest.endswith("/2") else 2 * int(rest)
+                k = _int(rest[:-2], text) if rest.endswith("/2") else 2 * _int(rest, text)
             else:
                 raise TorusError(f"bad coefficient chunk {chunk!r}")
         else:
-            coeff *= int(chunk)
+            coeff *= _int(chunk, text)
             k = 0
         out[k] = out.get(k, 0) + coeff
     return QCoeff(out)
@@ -175,24 +175,32 @@ def qcoeff_from_text(text: str) -> QCoeff:
 
 @dataclass(frozen=True)
 class QLaurent:
-    """An element of the based quantum torus attached to a window Lambda."""
+    """An element of a based quantum torus, X^a X^b = q^{<a,b>/2} X^{a+b}.
 
-    lam: np.ndarray  # ambient skew pairing, (s, s)
+    ``torus`` holds the skew pairing.  Here it is the matrix Lambda of a
+    window and the exponent keys are dense tuples; ``qgroth.XElement`` keeps
+    an ``XTorus`` there, with sparse keys.  The linear structure, the bar
+    involution and equality below serve both.
+    """
+
+    torus: np.ndarray  # Lambda, (s, s); an XTorus for XElement
     terms: dict[tuple[int, ...], QCoeff] = field(default_factory=dict)
+
+    @property
+    def lam(self) -> np.ndarray:
+        return self.torus
 
     @property
     def size(self) -> int:
         return self.lam.shape[0]
 
     def _same(self, other: "QLaurent") -> None:
-        if self.lam is not other.lam and (
-            self.lam.shape != other.lam.shape or not np.array_equal(self.lam, other.lam)
-        ):
+        if not _same_torus(self.torus, other.torus):
             raise TorusError("mismatched ambient tori")
 
-    @staticmethod
-    def zero(lam: np.ndarray) -> "QLaurent":
-        return QLaurent(lam, {})
+    @classmethod
+    def zero(cls, torus) -> "QLaurent":
+        return cls(torus, {})
 
     @staticmethod
     def monomial(lam: np.ndarray, a: tuple[int, ...], coeff: QCoeff | None = None) -> "QLaurent":
@@ -214,18 +222,18 @@ class QLaurent:
                 out[a] = s
             else:
                 out.pop(a, None)
-        return QLaurent(self.lam, out)
+        return type(self)(self.torus, out)
 
     def __neg__(self) -> "QLaurent":
-        return QLaurent(self.lam, {a: -c for a, c in self.terms.items()})
+        return type(self)(self.torus, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         return self + (-other)
 
     def scale(self, c: QCoeff) -> "QLaurent":
         if not c:
-            return QLaurent.zero(self.lam)
-        return QLaurent(self.lam, {a: cc * c for a, cc in self.terms.items()})
+            return self.zero(self.torus)
+        return type(self)(self.torus, {a: cc * c for a, cc in self.terms.items()})
 
     def __mul__(self, other: "QLaurent") -> "QLaurent":
         self._same(other)
@@ -254,15 +262,15 @@ class QLaurent:
         return out
 
     def bar(self) -> "QLaurent":
-        return QLaurent(self.lam, {a: c.bar() for a, c in self.terms.items()})
+        return type(self)(self.torus, {a: c.bar() for a, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QLaurent):
             return NotImplemented
-        return np.array_equal(self.lam, other.lam) and self.terms == other.terms
+        return _same_torus(self.torus, other.torus) and self.terms == other.terms
 
     def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.lam.tobytes(), tuple(sorted(self.terms))))
+        return hash(frozenset(self.terms))
 
     @property
     def is_zero(self) -> bool:
@@ -270,6 +278,15 @@ class QLaurent:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QLaurent({qlaurent_to_text(self)})"
+
+
+def _same_torus(t, u) -> bool:
+    """One torus: the same object, equal Lambdas, or XTori over one Cartan datum."""
+    if t is u:
+        return True
+    if isinstance(t, np.ndarray):
+        return isinstance(u, np.ndarray) and t.shape == u.shape and np.array_equal(t, u)
+    return not isinstance(u, np.ndarray) and t == u
 
 
 def normal_monomial(lam: np.ndarray, a: tuple[int, ...]) -> QLaurent:
@@ -545,17 +562,26 @@ def qlaurent_to_text(x: QLaurent) -> str:
 def qlaurent_from_text(lam: np.ndarray, text: str) -> QLaurent:
     out = QLaurent.zero(lam)
     s = lam.shape[0]
+    for coeff, factors in _parse_terms(text, "Z", 1):
+        a = [0] * s
+        for (u,), exp in factors:
+            if not 1 <= u <= s:
+                raise TorusError(f"index {u} outside window")
+            a[u - 1] += exp
+        out = out + QLaurent.monomial(lam, tuple(a), coeff)
+    return out
+
+
+def _parse_terms(text: str, label: str, arity: int):
+    """Each term of "(coeff) L[..]^e*L[..] + ..." as (coefficient, [(index, exponent), ...]).
+
+    Every factor must be ``label[...]`` with ``arity`` integer indices;
+    anything else raises TorusError.
+    """
     for term in _split_terms(text):
         coeff_text, mono_text = _split_coeff(term)
-        a = [0] * s
-        if mono_text:
-            for factor in mono_text.split("*"):
-                name, exp = _parse_factor(factor)
-                if not 1 <= name[0] <= s:
-                    raise TorusError(f"index {name[0]} outside window")
-                a[name[0] - 1] += exp
-        out = out + QLaurent.monomial(lam, tuple(a), qcoeff_from_text(coeff_text))
-    return out
+        factors = mono_text.split("*") if mono_text else []
+        yield qcoeff_from_text(coeff_text), [_parse_factor(f, label, arity) for f in factors]
 
 
 def _split_terms(text: str) -> list[str]:
@@ -594,15 +620,16 @@ def _split_coeff(term: str) -> tuple[str, str]:
     raise TorusError(f"unbalanced parentheses in {term!r}")
 
 
-def _parse_factor(factor: str) -> tuple[tuple[int, ...], int]:
-    factor = factor.strip()
-    if "^" in factor:
-        base, exp_text = factor.rsplit("^", 1)
-        exp = int(exp_text)
-    else:
-        base, exp = factor, 1
-    if "[" not in base or not base.endswith("]"):
-        raise TorusError(f"bad monomial factor {factor!r}")
-    inside = base[base.index("[") + 1 : -1]
-    idx = tuple(int(t) for t in inside.split(","))
-    return idx, exp
+def _parse_factor(factor: str, label: str, arity: int) -> tuple[tuple[int, ...], int]:
+    base, caret, exp_text = factor.strip().partition("^")
+    inside = base[len(label) + 1 : -1].split(",")
+    if not (base.startswith(label + "[") and base.endswith("]")) or len(inside) != arity:
+        raise TorusError(f"bad monomial factor {factor!r}: expected {label}[{','.join('n' * arity)}]")
+    return tuple(_int(t, factor) for t in inside), _int(exp_text, factor) if caret else 1
+
+
+def _int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise TorusError(f"bad integer {text!r} in {where!r}") from None

@@ -96,6 +96,17 @@ def test_builder_matches_case_table():
                 assert b[u - 1, v - 1] == want
 
 
+def test_builder_rejects_weights_off_the_root_lattice(monkeypatch):
+    """pi_i - w_u pi_i must be a root-lattice vector; a corrupted alpha-table breaks that."""
+    d = build_cartan("A", 2)
+    alpha, off, dvec, den = braid._weyl_tables(d)
+    assert den == 3  # C^-1 has thirds, so the check is live
+    bad = ((alpha[0][0] + 1, *alpha[0][1:]), *alpha[1:])
+    monkeypatch.setattr(braid, "_weyl_tables", lambda datum: (bad, off, dvec, den))
+    with pytest.raises(BraidError, match="outside the root lattice"):
+        _lambda_and_b(d, (1, 2, 1))
+
+
 def test_lambda_closed_form_extension():
     # the closed form also covers v < u < v^+, beyond the defining triangle;
     # it is the independent reference for the window builder
@@ -314,23 +325,14 @@ PLANTED_OFFSETS = _ZETA_OFFSETS + (-1, 0, -1, 0)
 
 
 def _six_move(d, letters, k, offsets):
-    """Relabelled and target windows {"lam": ..., "b": ...} by the public path:
-    build_seed, mutate_pair per offset, permute_pair."""
+    """The relabelled and the target pair by the public path: build_seed,
+    mutate_pair per offset, permute_pair."""
     s = len(letters)
     pair = build_seed(IndexSequence(d, letters), s)
     for off in offsets:
         pair = mutate_pair(pair, k + off)
     target = build_seed(IndexSequence(d, swap_block(letters, "six", k)), s)
-    sigma = transpositions(k, k + 2, k + 4)
-    if all((u in pair.frozen) == (v in pair.frozen) for u, v in sigma.items()):
-        pair = permute_pair(pair, sigma)
-        got = {"lam": pair.lam, "b": pair.b}
-    else:
-        # permute_pair keeps the frozen set, and sigma moves it where the tail
-        # holds only one of the letters at k + 4 and k + 5: relabel by indexing
-        idx = np.array([sigma.get(u, u) - 1 for u in range(1, s + 1)])
-        got = {"lam": pair.lam[np.ix_(idx, idx)], "b": pair.b[np.ix_(idx, idx)]}
-    return got, {"lam": target.lam, "b": target.b}
+    return permute_pair(pair, transpositions(k, k + 2, k + 4)), target
 
 
 def _certifier_sample(monkeypatch, offsets):
@@ -348,7 +350,7 @@ def _certifier_sample(monkeypatch, offsets):
     public = {}
     for _, letters, k in sample:
         got, want = _six_move(d, letters, k, offsets)
-        public[letters, k] = all(np.array_equal(got[m], want[m]) for m in ("lam", "b"))
+        public[letters, k] = got == want
     return stacked, public
 
 
@@ -376,7 +378,7 @@ def test_g2_certifier_names_witnesses(monkeypatch, tmp_path):
     for _, letters, k in head:
         if (letters, k) not in holds:
             got, want = _six_move(d, letters, k, PLANTED_OFFSETS)
-            holds[letters, k] = all(np.array_equal(got[m], want[m]) for m in ("lam", "b"))
+            holds[letters, k] = got == want
     # every copy of a failing configuration counts
     assert report.total == 600 and report.mismatches == sum(not holds[w, k] for _, w, k in head) > 0
     assert len(report.witnesses) == 5
@@ -384,9 +386,9 @@ def test_g2_certifier_names_witnesses(monkeypatch, tmp_path):
         assert (fam, letters, k) in head
         public, target = _six_move(d, letters, k, PLANTED_OFFSETS)
         # the first differing entry, Lambda before B, each in row-major order
-        diffs = [(m, np.argwhere(public[m] != target[m])) for m in ("lam", "b")]
+        diffs = [(m, np.argwhere(getattr(public, m) != getattr(target, m))) for m in ("lam", "b")]
         assert (matrix, u - 1, v - 1) == next((m, *at[0]) for m, at in diffs if len(at))
-        assert (got, want) == (public[matrix][u - 1, v - 1], target[matrix][u - 1, v - 1])
+        assert (got, want) == (getattr(public, matrix)[u - 1, v - 1], getattr(target, matrix)[u - 1, v - 1])
     assert dataclasses.replace(g2_exhaustive_certify(jobs=2), elapsed_ms=0) == dataclasses.replace(report, elapsed_ms=0)
 
     out = tmp_path / "cert.json"

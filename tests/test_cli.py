@@ -137,3 +137,29 @@ def test_check_fq_usage_errors(capsys, args, named):
     assert main(["check-fq", fixture, "--type", "B3", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+B4_FQ = ["--type", "B4", "--i", "1", "--p", "0", "--s", "0"]
+
+
+@pytest.mark.parametrize(
+    "extra, args, named",
+    [
+        (" + (1) X[9,0]", B4_FQ, "node 9 outside 1..4"),
+        (" + (1) X[0,0]", B4_FQ, "node 0 outside"),  # d(0) would wrap to the last node
+        (" + (1) X[-1,0]", B4_FQ, "node -1 outside"),
+        (" + (1) X[1,1]", B4_FQ, "parity of node 1"),
+        (" + (1)) X[1,0]", B4_FQ, "') X[1,0]': expected X[n,n]"),
+        (" + (1) Q[1,0]", B4_FQ, "'Q[1,0]': expected X[n,n]"),
+        (" + (1) X[1]", B4_FQ, "'X[1]': expected X[n,n]"),
+        (" + (q^x) X[1,0]", B4_FQ, "bad integer 'x'"),
+        ("", ["--type", "B4", "--i", "9", "--p", "0", "--s", "0"], "node 9 outside 1..4"),
+    ],
+    ids=["node9", "node0", "node-1", "parity", "paren", "label", "arity", "coeff", "flag-i9"],
+)
+def test_check_fq_rejects_bad_fixture_text(tmp_path, capsys, extra, args, named):
+    path = tmp_path / "fixture.txt"
+    path.write_text((FIXTURES / "b4_fundamental_x10.txt").read_text().strip() + extra)
+    assert main(["check-fq", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err

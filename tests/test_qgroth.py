@@ -1,7 +1,11 @@
+import operator
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcab.cartan import build_cartan, parity_function
 from qcab.commutative import CommutativeError, LaurentPoly, RationalX
@@ -21,7 +25,9 @@ from qcab.qgroth import (
     xelement_to_text,
     z_xi,
 )
-from qcab.torus import QCoeff
+from qcab.torus import QCoeff, QLaurent, TorusError
+
+from test_torus import _EDITS, edit_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,6 +174,79 @@ def test_xelement_text_round_trip():
     amb = ambient("B3")
     x = xelement_from_text(amb, (FIXTURES / "b3_truncated_simple.txt").read_text().strip())
     assert xelement_from_text(amb, xelement_to_text(x)) == x
+
+
+B2 = ambient("B2")
+# B2 generators (1, even level) and (2, odd level), near level 0, so terms collide
+_hats = st.tuples(st.sampled_from([1, 2]), st.integers(-2, 2)).map(lambda t: (t[0], t[0] - 1 + 2 * t[1]))
+_coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), min_size=1, max_size=3)
+
+
+@st.composite
+def xelements(draw):
+    x = XElement.zero(B2)
+    for exps, c in draw(st.lists(st.tuples(st.dictionaries(_hats, st.integers(-2, 2), max_size=3), _coeffs), max_size=4)):
+        x = x + XElement.monomial(B2, exps, QCoeff(c))
+    return x
+
+
+@given(xelements())
+def test_xelement_text_round_trip_random(x):
+    assert xelement_from_text(B2, xelement_to_text(x)) == x
+
+
+def _naive_xproduct(x, y):
+    """The product summed one term pair at a time, through XElement addition."""
+    out = XElement.zero(B2)
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            exps = dict(a)
+            for u, e in b:
+                exps[u] = exps.get(u, 0) + e
+            out = out + XElement.monomial(B2, exps, (ca * cb).shift(B2.pairing_vec(a, b)))
+    return out
+
+
+@given(xelements(), xelements())
+def test_xelement_product_matches_termwise_sum(x, y):
+    p = x * y
+    assert p == _naive_xproduct(x, y)
+    assert all(c.terms and all(c.terms.values()) for c in p.terms.values())
+
+
+def test_xelement_product_drops_cancelled_terms():
+    a, b = XElement.raw_generator(B2, 1, 0), XElement.raw_generator(B2, 2, 1)
+    ((key, ab),) = (a * b).terms.items()
+    ((_, ba),) = (b * a).terms.items()
+    # weight a so that its product with b cancels b times a exactly
+    p = (a + b) * (b - a.scale(ab * ba.q_power_inverse()))
+    assert key not in p.terms and len(p.terms) == 2
+
+
+@given(xelements(), _EDITS)
+def test_malformed_xelement_text_raises_module_errors(x, edit):
+    try:
+        xelement_from_text(B2, edit_text(xelement_to_text(x), edit))
+    except (TorusError, QGrothError):
+        pass
+
+
+def test_tori_compare_by_cartan_datum():
+    x = XElement.raw_generator(B2, 1, 0)
+    fresh = XElement(ambient("B2"), x.terms)  # a second XTorus over one datum
+    assert fresh == x and (fresh + x).terms == x.scale(QCoeff.integer(2)).terms
+    assert fresh * x == x * x
+    other = XElement(ambient("C2"), x.terms)
+    assert other != x
+    for op in (operator.add, operator.mul):
+        with pytest.raises(TorusError, match="mismatched ambient tori"):
+            op(other, x)
+    window = QLaurent(np.zeros((1, 1), dtype=np.int64), {(1,): QCoeff.one()})
+    assert window != x and x != window
+    with pytest.raises(TorusError, match="mismatched ambient tori"):
+        window + x
+    with pytest.raises(TorusError, match="mismatched ambient tori"):
+        x + window
 
 
 # ----------------------------------------------------------------------

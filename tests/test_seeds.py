@@ -126,8 +126,13 @@ def test_permute_pair():
     relabeled = permute_pair(seed, perm)
     assert check_compatible(relabeled)
     assert permute_pair(relabeled, perm) == seed
+    # a frozen point moves into the window with its rows, columns and label
+    moved = permute_pair(seed, {5: 1, 1: 5})
+    assert moved.frozen == {1, 6} and moved.diag == (seed.diag[4], *seed.diag[1:4], seed.diag[0], seed.diag[5])
+    assert check_compatible(moved) and moved.lam[0, 1] == seed.lam[4, 1] and moved.b[1, 0] == seed.b[1, 4]
+    assert permute_pair(moved, {5: 1, 1: 5}) == seed
     with pytest.raises(SeedError):
-        permute_pair(seed, {5: 1, 1: 5})  # moves a frozen point into the window
+        permute_pair(seed, {1: 2})  # not a permutation
 
 
 def test_quiver_round_trip_and_mutation_oracle():

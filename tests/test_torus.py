@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qcab.torus import (
     NotPointedError,
     QCoeff,
     QLaurent,
+    TorusError,
     degree_of_pointed,
     divide_right_exact,
     leading_term,
@@ -363,9 +365,43 @@ def test_equal_degree_equal_monomial_rank2():
         assert len(seen) > pair.size
 
 
-def test_text_round_trip():
-    lam = small_lam()
-    rng = random.Random(3)
-    for _ in range(25):
-        x = random_qlaurent(rng, lam)
-        assert qlaurent_from_text(lam, qlaurent_to_text(x)) == x
+@given(qlaurents())
+def test_text_round_trip(x):
+    assert qlaurent_from_text(small_lam(), qlaurent_to_text(x)) == x
+
+
+# One character of a canonical text deleted, replaced or inserted.
+_EDITS = st.tuples(st.integers(0, 200), st.sampled_from(["", *"()[]^*+-,/ qXZ0123"]), st.sampled_from([0, 1]))
+
+
+def edit_text(text, edit):
+    at, ch, cut = edit
+    at %= len(text)
+    return text[:at] + ch + text[at + cut :]
+
+
+@given(qlaurents(), _EDITS)
+def test_malformed_text_raises_torus_error(x, edit):
+    try:
+        qlaurent_from_text(small_lam(), edit_text(qlaurent_to_text(x), edit))
+    except TorusError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("(1) Z[1,2]", "'Z[1,2]': expected Z[n]"),
+        ("(1) X[1]", "'X[1]': expected Z[n]"),
+        ("(1)) Z[1]", "') Z[1]': expected Z[n]"),
+        ("(1 Z[1]", "unbalanced parentheses"),
+        ("(1) Z[4]", "index 4 outside window"),
+        ("(1) Z[0]", "index 0 outside window"),
+        ("(q^x) Z[1]", "bad integer 'x'"),
+        ("(2*) Z[1]", "bad integer ''"),
+        ("(1) Z[1]^", "bad integer ''"),
+    ],
+)
+def test_text_parser_names_the_bad_part(text, named):
+    with pytest.raises(TorusError, match=re.escape(named)):
+        qlaurent_from_text(small_lam(), text)
