@@ -45,6 +45,7 @@ from .torus import (
     NotPointedError,
     QCoeff,
     QLaurent,
+    WindowTorus,
     degree_of_pointed,
     divide_right_exact,
     mutate_state,

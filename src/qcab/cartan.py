@@ -102,9 +102,6 @@ class CartanDatum:
         al = tuple(1 if k == j - 1 else 0 for k in range(self.rank))
         return Weight(wt, al)
 
-    def zero_weight(self) -> Weight:
-        return Weight((0,) * self.rank, (0,) * self.rank)
-
     def weight_from_alpha(self, coeffs: tuple[int, ...]) -> Weight:
         wt = tuple(
             sum(self.cartan[i][j] * coeffs[j] for j in range(self.rank))

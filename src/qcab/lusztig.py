@@ -19,10 +19,6 @@ class LusztigError(ValueError):
     pass
 
 
-def _word_seq(seq: IndexSequence) -> tuple[int, ...]:
-    return seq.letters
-
-
 def deg_of_c(c: CParam, word: IndexSequence) -> GVector:
     """g = sum_u c_u (e_u - e_{u^-}), with e_0 understood as zero."""
     if any(x < 0 for x in c):

@@ -16,7 +16,7 @@ from .braid import IndexSequence, build_seed
 from .cartan import CartanDatum, build_cartan, parity_function, validate_height_function
 from .commutative import LaurentPoly, RationalX
 from .seeds import mutate_pair
-from .torus import QCoeff, QLaurent, _convolve_into, _parse_terms, qcoeff_to_text
+from .torus import QCoeff, QLaurent, _parse_terms, qcoeff_to_text
 
 HatIndex = tuple[int, int]  # (node, level)
 ExpKey = tuple[tuple[HatIndex, int], ...]  # sorted ((i,p), exponent) pairs
@@ -31,51 +31,38 @@ class QGrothError(ValueError):
 
 
 class TCartan:
-    """Cached Laurent coefficients of the inverse t-deformed Cartan matrix.
+    """Laurent coefficients of the inverse t-deformed Cartan matrix, as a periodic table.
 
     With M(t) = t * C(t) (an integer polynomial matrix with M(0) = 1), the
     series inverse follows the recurrence s_m = -C_off s_{m-1} - s_{m-2}, and
-    the cached coefficient b(i, j, u) equals d_i * (s_{u-1})_{i,j}.
+    the coefficient b(i, j, u) equals d_i * (s_{u-1})_{i,j}.  The recurrence
+    is second order, so s_{2h} = 1 and s_{2h+1} = s_1 make the series periodic
+    with period 2h (h the Coxeter number).  Both equalities are checked when
+    the table is built, and every u >= 1 is read at (u - 1) mod 2h.  ``umax``
+    only sizes the table, which has at least 2h + 2 terms.
     """
 
     def __init__(self, datum: CartanDatum, umax: int | None = None):
         self.datum = datum
-        self.umax = umax if umax is not None else 2 * datum.coxeter_number + 2
-        self._series: list[list[list[int]]] = []
-        self._extend(self.umax)
-
-    def _extend(self, umax: int) -> None:
-        n = self.datum.rank
-        c_off = [
-            [self.datum.cartan[i][j] if i != j else 0 for j in range(n)] for i in range(n)
-        ]
-        s = self._series
-        if not s:
-            s.append([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-        while len(s) <= umax:
-            m = len(s)
-            prev = s[m - 1]
-            prev2 = s[m - 2] if m >= 2 else None
-            new = [
-                [
-                    -sum(c_off[i][t] * prev[t][j] for t in range(n))
-                    - (prev2[i][j] if prev2 is not None else 0)
-                    for j in range(n)
-                ]
+        self.period = 2 * datum.coxeter_number
+        n = datum.rank
+        c_off = [[datum.cartan[i][j] if i != j else 0 for j in range(n)] for i in range(n)]
+        s = [[[int(i == j) for j in range(n)] for i in range(n)], [[-v for v in row] for row in c_off]]
+        while len(s) < max(umax or 0, self.period + 2):
+            prev, prev2 = s[-1], s[-2]
+            s.append([
+                [-sum(c_off[i][t] * prev[t][j] for t in range(n)) - prev2[i][j] for j in range(n)]
                 for i in range(n)
-            ]
-            s.append(new)
-        self.umax = max(self.umax, umax)
+            ])
+        if s[self.period] != s[0] or s[self.period + 1] != s[1]:
+            raise QGrothError(f"the inverse series of {datum.family}{datum.rank} is not periodic with period 2h")
+        self._series = s
 
-    def tilde_b(self, i: int, j: int, u: int, *, extend: bool = True) -> int:
+    def tilde_b(self, i: int, j: int, u: int) -> int:
         """The coefficient of t^u in the (i, j) entry of the inverse matrix."""
         if u <= 0:
             return 0
-        if u - 1 >= len(self._series):
-            if not extend:
-                raise QGrothError(f"coefficient cache ends below u={u}")
-            self._extend(u + 8)
-        return self.datum.d(i) * self._series[u - 1][i - 1][j - 1]
+        return self.datum.d(i) * self._series[(u - 1) % self.period][i - 1][j - 1]
 
     def check_vanishing(self, umax: int = 50) -> bool:
         """Conditions: b(i,j,u) = 0 when u <= d(i,j) or u = d(i,j) mod 2."""
@@ -93,9 +80,7 @@ class TCartan:
 def npairing(tc: TCartan, a: HatIndex, b: HatIndex) -> int:
     """The skew commutation exponent between torus generators at a and b."""
     (i, p), (j, s) = a, b
-    eps = parity_function(tc.datum)
-    if (p - eps[i]) % 2 or (s - eps[j]) % 2:
-        raise QGrothError(f"parity violation at {a} or {b}")
+    _check_generator(tc.datum, a, b)
     return (
         tc.tilde_b(i, j, p - s - 1)
         - tc.tilde_b(i, j, s - p - 1)
@@ -108,12 +93,20 @@ def npairing(tc: TCartan, a: HatIndex, b: HatIndex) -> int:
 # torus elements
 
 
+def _normkey(exps: dict[HatIndex, int]) -> ExpKey:
+    return tuple(sorted(((u, e) for u, e in exps.items() if e), key=lambda t: (t[0][1], t[0][0])))
+
+
 @dataclass
 class XTorus:
-    """Ambient data: pairing cache and bar weights for the (i,p) torus."""
+    """The (i,p) torus: its pairing cache and the torus protocol of ``QLaurent``.
+
+    Exponents are sparse ``ExpKey`` tuples; ``row(b)`` is ``b`` and the twist is ``pairing_vec``.
+    """
 
     tc: TCartan
     _pairs: dict[tuple[HatIndex, HatIndex], int] = field(default_factory=dict)
+    one = ()
 
     @property
     def datum(self) -> CartanDatum:
@@ -136,66 +129,49 @@ class XTorus:
             ea * eb * self.pairing(ua, ub) for ua, ea in a for ub, eb in b
         )
 
+    key = staticmethod(_normkey)
 
-def _normkey(exps: dict[HatIndex, int]) -> ExpKey:
-    return tuple(sorted(((u, e) for u, e in exps.items() if e), key=lambda t: (t[0][1], t[0][0])))
+    @staticmethod
+    def row(b: ExpKey) -> ExpKey:
+        return b
+
+    def twist(self, a: ExpKey, b: ExpKey) -> int:
+        return self.pairing_vec(a, b)  # looked up by name, so a wrapped pairing_vec sees products
+
+    @staticmethod
+    def join(a: ExpKey, b: ExpKey) -> ExpKey:
+        merged = dict(a)
+        for u, e in b:
+            merged[u] = merged.get(u, 0) + e
+        return _normkey(merged)
 
 
-def _check_generator(datum: CartanDatum, i: int, p: int) -> None:
-    """Raise unless (i, p) indexes a torus generator: a node at a level of its parity."""
-    if not 1 <= i <= datum.rank:
-        raise QGrothError(f"node {i} outside 1..{datum.rank}")
-    if (p - parity_function(datum)[i]) % 2:
-        raise QGrothError(f"level {p} does not match the parity of node {i}")
+def _check_generator(datum: CartanDatum, *hats: HatIndex) -> None:
+    """Raise unless each (i, p) indexes a torus generator: a node at a level of its parity."""
+    eps = parity_function(datum)
+    for i, p in hats:
+        if not 1 <= i <= datum.rank:
+            raise QGrothError(f"node {i} outside 1..{datum.rank}")
+        if (p - eps[i]) % 2:
+            raise QGrothError(f"level {p} does not match the parity of node {i}")
 
 
 class XElement(QLaurent):
     """An (i,p)-torus element in the bar-invariant commutative-monomial basis.
 
-    ``QLaurent`` over an ``XTorus`` (``ambient``) with sparse ``ExpKey`` keys:
-    the linear structure, bar and equality are inherited.
+    ``QLaurent`` over an ``XTorus`` (``torus``) with sparse ``ExpKey`` keys:
+    the linear structure, the product, powers, bar and equality are inherited,
+    and ``monomial`` takes a ``{(i, p): exponent}`` dict.
     """
 
-    @property
-    def ambient(self) -> XTorus:
-        return self.torus
-
-    @staticmethod
-    def monomial(ambient: XTorus, exps: dict[HatIndex, int], coeff: QCoeff | None = None) -> "XElement":
-        c = QCoeff.one() if coeff is None else coeff
-        return XElement(ambient, {_normkey(exps): c} if c else {})
+    __mul__ = QLaurent.__mul__  # an attribute of its own, so a benchmark can trace XElement products apart
 
     @staticmethod
     def raw_generator(ambient: XTorus, i: int, p: int, exp: int = 1) -> "XElement":
         """The plain generator power, q^{-e d_i / 2} times the basis monomial."""
-        _check_generator(ambient.datum, i, p)
+        _check_generator(ambient.datum, (i, p))
         d = ambient.datum.d(i)
         return XElement.monomial(ambient, {(i, p): exp}, QCoeff.q_power(-exp * d))
-
-    def __mul__(self, other: "XElement") -> "XElement":
-        self._same(other)
-        amb = self.ambient
-        right = [(b, c.terms.items()) for b, c in other.terms.items()]
-        acc: dict[ExpKey, QCoeff] = {}
-        for a, c in self.terms.items():
-            ca = c.terms.items()
-            for b, cb in right:
-                merged = dict(a)
-                for u, e in b:
-                    merged[u] = merged.get(u, 0) + e
-                key = _normkey(merged)
-                out = acc.get(key)
-                if out is None:
-                    out = acc[key] = QCoeff()
-                _convolve_into(out.terms, ca, cb, amb.pairing_vec(a, b))  # X^a X^b = q^{<a,b>/2} X^{a+b}
-        # The coefficients are summed in place, so no second copy of a large
-        # product is held; the few with cancelled entries are rebuilt.
-        for key in [k for k, c in acc.items() if 0 in c.terms.values()]:
-            if c := QCoeff(acc[key].terms):
-                acc[key] = c
-            else:
-                del acc[key]
-        return XElement(amb, acc)
 
     # -- structure maps ---------------------------------------------------
 
@@ -205,7 +181,7 @@ class XElement(QLaurent):
             for a, c in self.terms.items()
             if all(p <= xi[i] for (i, p), _ in a)
         }
-        return XElement(self.ambient, out)
+        return XElement(self.torus, out)
 
     def relabel(self, f) -> "XElement":
         out: dict[ExpKey, QCoeff] = {}
@@ -214,14 +190,14 @@ class XElement(QLaurent):
             if key in out:
                 raise QGrothError("relabelling collides")  # pragma: no cover
             out[key] = c
-        return XElement(self.ambient, out)
+        return XElement(self.torus, out)
 
     def dq_shift(self, direction: int = 1) -> "XElement":
         """The automorphism sending (i, p) to (i*, p +- h)."""
         if direction not in (1, -1):
             raise QGrothError("direction must be +1 or -1")
-        h = self.ambient.datum.coxeter_number
-        star = self.ambient.datum.star_of
+        h = self.torus.datum.coxeter_number
+        star = self.torus.datum.star_of
         return self.relabel(lambda u: (star(u[0]), u[1] + direction * h))
 
     def tr_shift(self, r: int) -> "XElement":
@@ -241,7 +217,7 @@ class XElement(QLaurent):
 
 def kr_monomial(ambient: XTorus, i: int, p: int, s: int) -> XElement:
     """The commutative monomial on the parity ladder of node i from p to s."""
-    _check_generator(ambient.datum, i, p)
+    _check_generator(ambient.datum, (i, p))
     if (s - p) % 2:
         raise QGrothError("levels must match the node parity")
     if p > s:
@@ -330,12 +306,12 @@ def verify_fq_fixture(x: XElement, i: int, p: int, s: int) -> dict[str, bool]:
     unique anti-dominant partner one Coxeter number up, support range with an
     interior factor, bar-invariance and positivity.
     """
-    datum = x.ambient.datum
+    datum = x.torus.datum
     h = datum.coxeter_number
     report: dict[str, bool] = {}
 
     dominant = [a for a in x.terms if _is_dominant(a)]
-    want_dom = next(iter(kr_monomial(x.ambient, i, p, s).terms))
+    want_dom = next(iter(kr_monomial(x.torus, i, p, s).terms))
     report["dominant"] = (
         len(dominant) == 1
         and dominant[0] == want_dom
@@ -403,10 +379,10 @@ def xelement_to_text(x: XElement) -> str:
     parts = []
     for a in sorted(x.terms, key=lambda k: tuple((u[1], u[0], e) for u, e in k)):
         # X^a = q^{gamma/2} * ordered raw product, gamma in half-units
-        gamma = sum(e * x.ambient.datum.d(u[0]) for u, e in a)
+        gamma = sum(e * x.torus.datum.d(u[0]) for u, e in a)
         for t1 in range(len(a)):
             for t2 in range(t1 + 1, len(a)):
-                gamma -= a[t1][1] * a[t2][1] * x.ambient.pairing(a[t1][0], a[t2][0])
+                gamma -= a[t1][1] * a[t2][1] * x.torus.pairing(a[t1][0], a[t2][0])
         coeff = x.terms[a].shift(gamma)
         mono = "*".join(
             f"X[{u[0]},{u[1]}]" + (f"^{e}" if e != 1 else "") for u, e in a

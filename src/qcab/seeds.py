@@ -52,9 +52,6 @@ class CompatiblePair:
     def lam_entry(self, u: int, v: int) -> int:
         return int(self.lam[u - 1, v - 1])
 
-    def copy_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lam.copy(), self.b.copy()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompatiblePair):
             return NotImplemented

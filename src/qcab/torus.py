@@ -9,8 +9,8 @@ live in Z[q^{+-1/2}], with q-exponents kept as integers counting half-units.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import add, mul, sub
 
 import numpy as np
@@ -170,48 +170,92 @@ def qcoeff_from_text(text: str) -> QCoeff:
 
 
 # ----------------------------------------------------------------------
-# Laurent elements of T(Lambda)
+# the window torus and Laurent elements
+
+
+def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(map(mul, u, v))
+
+
+class WindowTorus:
+    """The quantum torus of a window: Lambda, its rows and order weights 1^T Lambda.
+
+    One object per Lambda, interned by its bytes while in use, so tori compare
+    by identity.  The torus protocol of ``QLaurent``: ``key`` normalizes an
+    exponent, ``row(b)`` is Lambda b, X^a X^b = q^{twist(a, row(b))/2} X^{join(a, b)},
+    and ``one`` is the identity exponent; ``qgroth.XTorus`` offers the same.
+    """
+
+    __slots__ = ("lam", "rows", "weights", "one", "__weakref__")
+    _interned = weakref.WeakValueDictionary()  # (size, bytes of Lambda) -> torus
+
+    def __new__(cls, lam: np.ndarray) -> "WindowTorus":
+        lam = np.asarray(lam, dtype=np.int64)
+        ident = (lam.shape[0], lam.tobytes())
+        self = cls._interned.get(ident)
+        if self is None:
+            self = super().__new__(cls)
+            self.lam = lam = lam.copy()
+            lam.flags.writeable = False
+            self.rows = tuple(map(tuple, lam.tolist()))
+            self.weights = tuple(map(sum, zip(*self.rows)))
+            self.one = (0,) * lam.shape[0]
+            cls._interned[ident] = self
+        return self
+
+    @staticmethod
+    def key(a) -> tuple[int, ...]:
+        return tuple(int(x) for x in a)
+
+    def row(self, b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(_dot(r, b) for r in self.rows)
+
+    twist = staticmethod(_dot)
+
+    @staticmethod
+    def join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(add, a, b))
+
+
+def _torus(torus):
+    """The torus object; a bare Lambda, accepted by the constructors, becomes its WindowTorus."""
+    return WindowTorus(torus) if isinstance(torus, np.ndarray) else torus
 
 
 @dataclass(frozen=True)
 class QLaurent:
     """An element of a based quantum torus, X^a X^b = q^{<a,b>/2} X^{a+b}.
 
-    ``torus`` holds the skew pairing.  Here it is the matrix Lambda of a
-    window and the exponent keys are dense tuples; ``qgroth.XElement`` keeps
-    an ``XTorus`` there, with sparse keys.  The linear structure, the bar
-    involution and equality below serve both.
+    ``torus`` is a torus object: a ``WindowTorus`` with dense tuple keys here,
+    an ``XTorus`` with sparse keys for ``qgroth.XElement``.  Everything below
+    (sums, the product, powers, bar and equality) goes through the torus
+    protocol, so it serves both.  The constructors also take a bare Lambda.
     """
 
-    torus: np.ndarray  # Lambda, (s, s); an XTorus for XElement
-    terms: dict[tuple[int, ...], QCoeff] = field(default_factory=dict)
-
-    @property
-    def lam(self) -> np.ndarray:
-        return self.torus
-
-    @property
-    def size(self) -> int:
-        return self.lam.shape[0]
+    torus: WindowTorus  # an XTorus for XElement
+    terms: dict[tuple, QCoeff] = field(default_factory=dict)
 
     def _same(self, other: "QLaurent") -> None:
-        if not _same_torus(self.torus, other.torus):
+        if not (self.torus is other.torus or self.torus == other.torus):
             raise TorusError("mismatched ambient tori")
 
     @classmethod
     def zero(cls, torus) -> "QLaurent":
-        return cls(torus, {})
+        return cls(_torus(torus), {})
 
-    @staticmethod
-    def monomial(lam: np.ndarray, a: tuple[int, ...], coeff: QCoeff | None = None) -> "QLaurent":
+    @classmethod
+    def monomial(cls, torus, a, coeff: QCoeff | None = None) -> "QLaurent":
+        torus = _torus(torus)
         c = QCoeff.one() if coeff is None else coeff
-        return QLaurent(lam, {tuple(int(x) for x in a): c} if c else {})
+        return cls(torus, {torus.key(a): c} if c else {})
 
-    @staticmethod
-    def generator(lam: np.ndarray, u: int, exp: int = 1) -> "QLaurent":
-        a = [0] * lam.shape[0]
+    @classmethod
+    def generator(cls, torus, u: int, exp: int = 1) -> "QLaurent":
+        """X_u^exp for the window position u, counted from 1."""
+        torus = _torus(torus)
+        a = list(torus.one)
         a[u - 1] = exp
-        return QLaurent.monomial(lam, tuple(a))
+        return cls.monomial(torus, a)
 
     def __add__(self, other: "QLaurent") -> "QLaurent":
         self._same(other)
@@ -237,26 +281,31 @@ class QLaurent:
 
     def __mul__(self, other: "QLaurent") -> "QLaurent":
         self._same(other)
-        if not self.terms or not other.terms:
-            return QLaurent.zero(self.lam)
-        rows, _ = _tables(self.lam)
-        right = [(b, _apply(rows, b), c.terms.items()) for b, c in other.terms.items()]
-        acc: dict[tuple[int, ...], dict[int, int]] = {}
+        torus = self.torus
+        twist, join = torus.twist, torus.join
+        right = [(b, torus.row(b), c.terms.items()) for b, c in other.terms.items()]
+        acc: dict[tuple, QCoeff] = {}
         for a, c in self.terms.items():
             ca = c.terms.items()
-            for b, lb, cb in right:
-                twist = _dot(a, lb)  # X^a X^b = q^{twist/2} X^{a+b}
-                key = tuple(map(add, a, b))
+            for b, rb, cb in right:
+                key = join(a, b)
                 out = acc.get(key)
                 if out is None:
-                    out = acc[key] = {}
-                _convolve_into(out, ca, cb, twist)
-        return QLaurent(self.lam, {a: c for a, cs in acc.items() if (c := QCoeff(cs))})
+                    out = acc[key] = QCoeff()
+                _convolve_into(out.terms, ca, cb, twist(a, rb))  # X^a X^b = q^{twist/2} X^{a+b}
+        # The coefficients are summed in place, so no second copy of a large
+        # product is held; the few with cancelled entries are rebuilt.
+        for key in [k for k, c in acc.items() if 0 in c.terms.values()]:
+            if c := QCoeff(acc[key].terms):
+                acc[key] = c
+            else:
+                del acc[key]
+        return type(self)(torus, acc)
 
     def __pow__(self, n: int) -> "QLaurent":
         if n < 0:
             raise TorusError("negative powers only exist for monomials")
-        out = QLaurent.monomial(self.lam, (0,) * self.size)
+        out = type(self)(self.torus, {self.torus.one: QCoeff.one()})
         for _ in range(n):
             out = out * self
         return out
@@ -267,7 +316,8 @@ class QLaurent:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QLaurent):
             return NotImplemented
-        return _same_torus(self.torus, other.torus) and self.terms == other.terms
+        t, u = self.torus, other.torus
+        return (t is u or t == u) and self.terms == other.terms
 
     def __hash__(self) -> int:  # pragma: no cover
         return hash(frozenset(self.terms))
@@ -280,15 +330,6 @@ class QLaurent:
         return f"QLaurent({qlaurent_to_text(self)})"
 
 
-def _same_torus(t, u) -> bool:
-    """One torus: the same object, equal Lambdas, or XTori over one Cartan datum."""
-    if t is u:
-        return True
-    if isinstance(t, np.ndarray):
-        return isinstance(u, np.ndarray) and t.shape == u.shape and np.array_equal(t, u)
-    return not isinstance(u, np.ndarray) and t == u
-
-
 def normal_monomial(lam: np.ndarray, a: tuple[int, ...]) -> QLaurent:
     """The bar-invariant normalized monomial Z^a."""
     return QLaurent.monomial(lam, a)
@@ -296,29 +337,6 @@ def normal_monomial(lam: np.ndarray, a: tuple[int, ...]) -> QLaurent:
 
 # ----------------------------------------------------------------------
 # term orders, pointedness and exact division
-
-
-_Rows = tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=64)
-def _tables_of(s: int, dtype: str, raw: bytes) -> tuple[_Rows, tuple[int, ...]]:
-    rows = np.frombuffer(raw, dtype=dtype).reshape(s, s).tolist()
-    return tuple(map(tuple, rows)), tuple(map(sum, zip(*rows)))
-
-
-def _tables(lam: np.ndarray) -> tuple[_Rows, tuple[int, ...]]:
-    """The rows of Lambda and the order weights 1^T Lambda, as Python ints, once per torus."""
-    return _tables_of(lam.shape[0], lam.dtype.str, lam.tobytes())
-
-
-def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    return sum(map(mul, u, v))
-
-
-def _apply(rows: _Rows, b: tuple[int, ...]) -> tuple[int, ...]:
-    """Lambda b, so that the twist of X^a X^b is a . (Lambda b)."""
-    return tuple(_dot(row, b) for row in rows)
 
 
 def _convolve_into(acc: dict[int, int], ca, cb, shift: int) -> None:
@@ -338,7 +356,7 @@ def _leading_exp(terms: dict[tuple[int, ...], QCoeff], weights: tuple[int, ...])
 def leading_term(x: QLaurent) -> tuple[tuple[int, ...], QCoeff]:
     if x.is_zero:
         raise TorusError("zero element has no leading term")
-    a = _leading_exp(x.terms, _tables(x.lam)[1])
+    a = _leading_exp(x.terms, x.torus.weights)
     return a, x.terms[a]
 
 
@@ -360,19 +378,19 @@ def divide_right_exact(
     x._same(d)
     if d.is_zero:
         raise TorusError("division by zero")
-    rows, weights = _tables(x.lam)
+    torus = x.torus
     ld_exp, ld_coeff = leading_term(d)
     ((ld_k, ld_v),) = ld_coeff.q_power_inverse().terms.items()
-    ld_row = _apply(rows, ld_exp)
+    ld_row = torus.row(ld_exp)
     # The terms of -d below its leading one, each with Lambda b for the twist.
     tail = [
-        (b, _apply(rows, b), [(k, -v) for k, v in c.terms.items()])
+        (b, torus.row(b), [(k, -v) for k, v in c.terms.items()])
         for b, c in d.terms.items()
         if b != ld_exp
     ]
 
     def entry(a: tuple[int, ...]):  # heapq is a min-heap: negate weight and exponent
-        return -_dot(weights, a), tuple(-v for v in a), a
+        return -_dot(torus.weights, a), tuple(-v for v in a), a
 
     rem = {a: dict(c.terms) for a, c in x.terms.items()}
     heap = [entry(a) for a in rem]
@@ -415,7 +433,7 @@ def divide_right_exact(
             f"right division did not terminate: nonzero remainder after {steps} steps, "
             f"leading term ({qcoeff_to_text(QCoeff(rem[m]))}) {_monomial_text(m) or '1'}"
         )
-    return QLaurent(x.lam, out)
+    return QLaurent(torus, out)
 
 
 def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
@@ -424,9 +442,12 @@ def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
     Verifies x = q^{a/2} Z^g + sum_n p_n Z^{g + B n} over n >= 0 supported on
     the exchangeable positions, and that the lead coefficient is a q-power.
     """
+    torus = WindowTorus(pair.lam)
+    if x.torus is not torus:
+        raise TorusError("mismatched ambient tori")
     if x.is_zero:
         raise NotPointedError("zero element is not pointed")
-    g = _leading_exp(x.terms, _tables(pair.lam)[1])
+    g = _leading_exp(x.terms, torus.weights)
     if not x.terms[g].is_q_power():
         raise NotPointedError("lead coefficient is not a q-power")
     rest = [m for m in x.terms if m != g]
@@ -473,8 +494,8 @@ class ClusterState:
 
     @staticmethod
     def from_pair(pair: CompatiblePair) -> "ClusterState":
-        lam = pair.lam
-        gens = tuple(QLaurent.generator(lam, u) for u in range(1, pair.size + 1))
+        torus = WindowTorus(pair.lam)
+        gens = tuple(QLaurent.generator(torus, u) for u in range(1, pair.size + 1))
         return ClusterState(pair, pair, gens, (), (pair,))
 
 
@@ -485,7 +506,8 @@ def _expand_current_monomial(state: ClusterState, expvec: np.ndarray) -> QLauren
     for u in range(state.current.size):
         for v in range(u + 1, state.current.size):
             twist += int(expvec[u]) * int(expvec[v]) * int(lam_cur[u, v])
-    out = QLaurent.monomial(state.initial.lam, (0,) * state.initial.size, QCoeff.q_power(-twist))
+    torus = state.variables[0].torus
+    out = QLaurent(torus, {torus.one: QCoeff.q_power(-twist)})
     for u in range(state.current.size):
         for _ in range(int(expvec[u])):
             out = out * state.variables[u]
@@ -503,7 +525,7 @@ def mutate_state(state: ClusterState, k: int) -> ClusterState:
     m2 = pos(-col)
     ek = np.zeros(cur.size, dtype=np.int64)
     ek[k - 1] = 1
-    num = QLaurent.zero(state.initial.lam)
+    num = QLaurent.zero(state.variables[k - 1].torus)
     for mvec in (m1, m2):
         twist = int(mvec @ cur.lam @ ek)  # Z^{m - e_k} = q^{twist/2} Z^m Z_k^{-1}
         num = num + _expand_current_monomial(state, mvec).scale(QCoeff.q_power(twist))
@@ -561,14 +583,14 @@ def qlaurent_to_text(x: QLaurent) -> str:
 
 def qlaurent_from_text(lam: np.ndarray, text: str) -> QLaurent:
     out = QLaurent.zero(lam)
-    s = lam.shape[0]
+    s = len(out.torus.one)
     for coeff, factors in _parse_terms(text, "Z", 1):
         a = [0] * s
         for (u,), exp in factors:
             if not 1 <= u <= s:
                 raise TorusError(f"index {u} outside window")
             a[u - 1] += exp
-        out = out + QLaurent.monomial(lam, tuple(a), coeff)
+        out = out + QLaurent.monomial(out.torus, a, coeff)
     return out
 
 

@@ -79,6 +79,22 @@ def test_usage_error_exit_code(capsys):
     assert main(["npair", "--type", "B2", "--i", "1", "--p", "1", "--j", "1", "--s", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "ij, named",
+    [
+        (("9", "0", "1", "0"), "node 9"),  # a node past the rank
+        (("1", "1", "1", "0"), "level 1"),  # a level of the wrong parity
+        (("1", "0", "0", "1"), "node 0"),
+        (("1", "0", "2", "0"), "level 0"),
+    ],
+)
+def test_npair_rejects_bad_generators(capsys, ij, named):
+    i, p, j, s = ij
+    assert main(["npair", "--type", "B2", "--i", i, "--p", p, "--j", j, "--s", s]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
 def test_bad_fixture_fails(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     text = (FIXTURES / "b4_fundamental_x10.txt").read_text().replace("(q^-1 + q)", "(q^-1 - q)", 1)

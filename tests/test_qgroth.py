@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import random
 from pathlib import Path
@@ -14,6 +15,7 @@ from qcab.qgroth import (
     TCartan,
     XElement,
     XTorus,
+    _normkey,
     check_kappa,
     compatible_reading,
     kr_monomial,
@@ -25,7 +27,7 @@ from qcab.qgroth import (
     xelement_to_text,
     z_xi,
 )
-from qcab.torus import QCoeff, QLaurent, TorusError
+from qcab.torus import QCoeff, QLaurent, TorusError, WindowTorus
 
 from test_torus import _EDITS, edit_text
 
@@ -47,11 +49,21 @@ def test_vanishing_conditions_small():
         assert TCartan(d).check_vanishing(30)
 
 
-def test_cache_extension_flag():
-    tc = TCartan(build_cartan("B", 2), umax=4)
-    with pytest.raises(QGrothError):
-        tc.tilde_b(1, 1, 40, extend=False)
-    assert tc.tilde_b(1, 1, 40, extend=True) in (-2, 0, 2)
+def test_periodic_table_matches_recurrence():
+    d = build_cartan("B", 2)
+    tc = TCartan(d, umax=4)
+    # the recurrence s_m = -C_off s_{m-1} - s_{m-2}, run directly to u = 40
+    c_off = np.array(d.cartan) - 2 * np.eye(2, dtype=int)
+    series = [np.eye(2, dtype=int), -c_off]
+    while len(series) < 40:
+        series.append(-c_off @ series[-1] - series[-2])
+    for u in range(1, 41):
+        for i in (1, 2):
+            for j in (1, 2):
+                assert tc.tilde_b(i, j, u) == d.d(i) * series[u - 1][i - 1, j - 1]
+    assert len(tc._series) <= 2 * d.coxeter_number + 2
+    with pytest.raises(QGrothError, match="not periodic"):
+        TCartan(dataclasses.replace(d, coxeter_number=3))  # a wrong period is refused
 
 
 def test_npairing_antisymmetry_and_parity():
@@ -241,12 +253,42 @@ def test_tori_compare_by_cartan_datum():
     for op in (operator.add, operator.mul):
         with pytest.raises(TorusError, match="mismatched ambient tori"):
             op(other, x)
-    window = QLaurent(np.zeros((1, 1), dtype=np.int64), {(1,): QCoeff.one()})
+    window = QLaurent.generator(np.zeros((1, 1), dtype=np.int64), 1)
     assert window != x and x != window
     with pytest.raises(TorusError, match="mismatched ambient tori"):
         window + x
     with pytest.raises(TorusError, match="mismatched ambient tori"):
         x + window
+
+
+def test_xelement_matches_window_torus():
+    """XElements on a fixed list of hat indices, embedded in the window torus of their pairing."""
+    hats = [(1, -2), (2, -1), (1, 0), (2, 1), (1, 2)]
+    lam = np.array([[B2.pairing(u, v) for v in hats] for u in hats], dtype=np.int64)
+    rng = random.Random(5)
+
+    def embed(x):
+        return QLaurent(WindowTorus(lam), {tuple(dict(a).get(u, 0) for u in hats): c for a, c in x.terms.items()})
+
+    def restrict(w):
+        return XElement(B2, {_normkey(dict(zip(hats, a))): c for a, c in w.terms.items()})
+
+    def random_x():
+        x = XElement.zero(B2)
+        for _ in range(rng.randint(1, 3)):
+            exps = {u: rng.randint(-2, 2) for u in rng.sample(hats, rng.randint(0, 3))}
+            c = QCoeff({rng.randint(-3, 3): rng.choice([-2, -1, 1, 2]) for _ in range(2)})
+            x = x + XElement.monomial(B2, exps, c)
+        return x
+
+    assert XElement.__mul__ is QLaurent.__mul__
+    for _ in range(30):
+        x, y = random_x(), random_x()
+        assert embed(x * y) == embed(x) * embed(y)
+        assert restrict(embed(x) * embed(y)) == x * y
+        assert embed(x.bar()) == embed(x).bar()
+        assert embed(x**3) == embed(x) ** 3
+        assert x**3 == x * x * x and isinstance(x**3, XElement)
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_check_compatible_vacuous_and_perturbed():
 
     seed = build_seed(alternating(build_cartan("B", 2)), 6)
     assert check_compatible(seed)
-    lam2, b2 = seed.copy_arrays()
+    lam2, b2 = np.array(seed.lam), np.array(seed.b)
     lam2[0, 1] += 1
     lam2[1, 0] -= 1
     assert not check_compatible(make_pair(lam2, b2, seed.exchangeable, seed.diag))

@@ -133,12 +133,13 @@ def assert_canonical(x):
 
 def _naive_product(x, y):
     """The product summed one term pair at a time, with numpy twists."""
-    out = QLaurent.zero(x.lam)
+    lam = x.torus.lam
+    out = QLaurent.zero(lam)
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            twist = int(np.array(a) @ x.lam @ np.array(b))
+            twist = int(np.array(a) @ lam @ np.array(b))
             key = tuple(u + v for u, v in zip(a, b))
-            out = out + QLaurent.monomial(x.lam, key, (ca * cb).shift(twist))
+            out = out + QLaurent.monomial(lam, key, (ca * cb).shift(twist))
     return out
 
 
@@ -190,7 +191,7 @@ def test_division_inverts_product(x, d, k, sign):
 
 def _naive_division_trace(x, d, max_steps=None):
     """Steps and largest remainder of leading-term division by whole products."""
-    lam = x.lam
+    lam = x.torus.lam
     lead, lead_coeff = leading_term(d)
     rem, steps, peak = x, 0, len(x.terms)
     while not rem.is_zero and steps != max_steps:
@@ -279,6 +280,17 @@ def test_not_pointed_detection():
     y = QLaurent.generator(lam, 1).scale(QCoeff({0: 2}))
     with pytest.raises(NotPointedError):
         degree_of_pointed(y, pair)
+
+
+def test_degree_of_pointed_checks_its_torus():
+    pair = b2_pair()
+    foreign = -pair.lam  # same size, another torus
+    lone = QLaurent.generator(foreign, 1)  # pointed, but over another Lambda
+    summed = lone + QLaurent.generator(foreign, 2)
+    for x in (lone, summed):
+        with pytest.raises(TorusError, match="mismatched ambient tori"):
+            degree_of_pointed(x, pair)
+    assert degree_of_pointed(QLaurent.generator(np.array(pair.lam), 1), pair) == (1, 0, 0, 0)
 
 
 def _commutative_specialization(state):
