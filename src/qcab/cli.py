@@ -7,7 +7,6 @@ errors.  All numeric I/O is exact integers or half-integers in decimal.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import braid, gvectors, lusztig, qgroth, seeds
@@ -200,8 +199,7 @@ def _dispatch(args) -> int:
 
     if args.command == "npair":
         datum = parse_type(args.type)
-        umax = os.environ.get("QCAB_UMAX")
-        tc = qgroth.TCartan(datum, int(umax)) if umax else qgroth.TCartan(datum)
+        tc = qgroth.TCartan(datum)
         print(qgroth.npairing(tc, (args.i, args.p), (args.j, args.s)))
         return 0
 
@@ -213,8 +211,7 @@ def _dispatch(args) -> int:
         elif None in (args.i, args.p, args.s):
             raise ValueError("check-fq: give --i, --p and --s, or --xi with --dominant")
         datum = parse_type(args.type)
-        umax = os.environ.get("QCAB_UMAX")
-        tc = qgroth.TCartan(datum, int(umax)) if umax else qgroth.TCartan(datum)
+        tc = qgroth.TCartan(datum)
         ambient = qgroth.XTorus(tc)
         with open(args.fixture, encoding="utf-8") as fh:
             x = qgroth.xelement_from_text(ambient, fh.read().strip())
@@ -235,10 +232,8 @@ def _dispatch(args) -> int:
 
     if args.command == "check-kappa":
         datum = parse_type(args.type)
-        umax = os.environ.get("QCAB_UMAX")
-        tc = qgroth.TCartan(datum, int(umax)) if umax else None
         xi = _parse_xi(args.xi) if args.xi else _default_xi(datum)
-        ok = qgroth.check_kappa(datum, xi, args.window, tc=tc)
+        ok = qgroth.check_kappa(datum, xi, args.window)
         print("kappa comparison: " + ("ok" if ok else "MISMATCH"))
         return 0 if ok else 1
 

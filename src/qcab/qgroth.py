@@ -37,9 +37,9 @@ class TCartan:
     series inverse follows the recurrence s_m = -C_off s_{m-1} - s_{m-2}, and
     the coefficient b(i, j, u) equals d_i * (s_{u-1})_{i,j}.  The recurrence
     is second order, so s_{2h} = 1 and s_{2h+1} = s_1 make the series periodic
-    with period 2h (h the Coxeter number).  Both equalities are checked when
-    the table is built, and every u >= 1 is read at (u - 1) mod 2h.  ``umax``
-    only sizes the table, which has at least 2h + 2 terms.
+    with period 2h (h the Coxeter number).  The table holds exactly 2h + 2
+    terms, both equalities are checked when it is built, and every u >= 1 is
+    read at (u - 1) mod 2h.  ``umax`` is accepted and ignored.
     """
 
     def __init__(self, datum: CartanDatum, umax: int | None = None):
@@ -48,7 +48,7 @@ class TCartan:
         n = datum.rank
         c_off = [[datum.cartan[i][j] if i != j else 0 for j in range(n)] for i in range(n)]
         s = [[[int(i == j) for j in range(n)] for i in range(n)], [[-v for v in row] for row in c_off]]
-        while len(s) < max(umax or 0, self.period + 2):
+        while len(s) < self.period + 2:
             prev, prev2 = s[-1], s[-2]
             s.append([
                 [-sum(c_off[i][t] * prev[t][j] for t in range(n)) - prev2[i][j] for j in range(n)]
@@ -117,12 +117,11 @@ class XTorus:
         return isinstance(other, XTorus) and self.datum == other.datum
 
     def pairing(self, a: HatIndex, b: HatIndex) -> int:
-        key = (a, b)
-        if key not in self._pairs:
-            v = npairing(self.tc, a, b)
-            self._pairs[key] = v
+        v = self._pairs.get((a, b))
+        if v is None:
+            v = self._pairs[(a, b)] = npairing(self.tc, a, b)
             self._pairs[(b, a)] = -v
-        return self._pairs[key]
+        return v
 
     def pairing_vec(self, a: ExpKey, b: ExpKey) -> int:
         return sum(
@@ -217,9 +216,7 @@ class XElement(QLaurent):
 
 def kr_monomial(ambient: XTorus, i: int, p: int, s: int) -> XElement:
     """The commutative monomial on the parity ladder of node i from p to s."""
-    _check_generator(ambient.datum, (i, p))
-    if (s - p) % 2:
-        raise QGrothError("levels must match the node parity")
+    _check_generator(ambient.datum, (i, p), (i, s))
     if p > s:
         raise QGrothError("empty ladder: need p <= s")
     return XElement.monomial(ambient, {(i, u): 1 for u in range(p, s + 1, 2)})

@@ -203,6 +203,9 @@ class WindowTorus:
             cls._interned[ident] = self
         return self
 
+    def __reduce__(self):
+        return (WindowTorus, (self.lam,))  # a copy or unpickled torus goes back through the interning
+
     @staticmethod
     def key(a) -> tuple[int, ...]:
         return tuple(int(x) for x in a)
@@ -253,6 +256,8 @@ class QLaurent:
     def generator(cls, torus, u: int, exp: int = 1) -> "QLaurent":
         """X_u^exp for the window position u, counted from 1."""
         torus = _torus(torus)
+        if not isinstance(torus, WindowTorus):
+            raise TorusError("generator takes a window torus; use XElement.raw_generator on the (i,p) torus")
         a = list(torus.one)
         a[u - 1] = exp
         return cls.monomial(torus, a)

@@ -1,5 +1,6 @@
 import dataclasses
 import operator
+import pickle
 import random
 from pathlib import Path
 
@@ -51,7 +52,7 @@ def test_vanishing_conditions_small():
 
 def test_periodic_table_matches_recurrence():
     d = build_cartan("B", 2)
-    tc = TCartan(d, umax=4)
+    tc = TCartan(d, umax=100)  # umax is ignored: the table holds one period and two terms
     # the recurrence s_m = -C_off s_{m-1} - s_{m-2}, run directly to u = 40
     c_off = np.array(d.cartan) - 2 * np.eye(2, dtype=int)
     series = [np.eye(2, dtype=int), -c_off]
@@ -61,7 +62,7 @@ def test_periodic_table_matches_recurrence():
         for i in (1, 2):
             for j in (1, 2):
                 assert tc.tilde_b(i, j, u) == d.d(i) * series[u - 1][i - 1, j - 1]
-    assert len(tc._series) <= 2 * d.coxeter_number + 2
+    assert len(tc._series) == 2 * d.coxeter_number + 2
     with pytest.raises(QGrothError, match="not periodic"):
         TCartan(dataclasses.replace(d, coxeter_number=3))  # a wrong period is refused
 
@@ -91,6 +92,8 @@ def test_kr_monomials_and_ladders():
         kr_monomial(amb, 1, 2, 0)
     with pytest.raises(QGrothError):
         kr_monomial(amb, 1, 1, 3)
+    with pytest.raises(QGrothError, match="level 1 does not match"):
+        kr_monomial(amb, 1, 0, 1)  # the ladder's top must match the node parity too
     prod = m * m
     assert prod.bar() == prod  # commutative monomial powers stay bar-fixed
 
@@ -253,6 +256,9 @@ def test_tori_compare_by_cartan_datum():
     for op in (operator.add, operator.mul):
         with pytest.raises(TorusError, match="mismatched ambient tori"):
             op(other, x)
+    assert pickle.loads(pickle.dumps(x)) == x
+    with pytest.raises(TorusError, match="window torus"):
+        XElement.generator(B2, 1)  # (i,p) generators are built by raw_generator
     window = QLaurent.generator(np.zeros((1, 1), dtype=np.int64), 1)
     assert window != x and x != window
     with pytest.raises(TorusError, match="mismatched ambient tori"):

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import re
 
@@ -73,6 +75,16 @@ def random_qlaurent(rng, lam, n_terms=3, span=2):
         coeff = QCoeff({rng.randrange(-3, 4): rng.randrange(-2, 3) or 1})
         x = x + QLaurent.monomial(lam, a, coeff)
     return x
+
+
+def test_pickle_and_copy_keep_the_interned_torus():
+    x = random_qlaurent(random.Random(3), small_lam())
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and y.torus is x.torus
+    state = mutate_state(ClusterState.from_pair(b2_pair()), 1)
+    clone = copy.deepcopy(state)
+    assert clone.variables == state.variables
+    assert all(v.torus is state.variables[0].torus for v in clone.variables)
 
 
 def test_multiplication_associative_random():
