@@ -203,6 +203,8 @@ def _lambda_and_b(
 
 def build_seed(seq: IndexSequence, s: int) -> CompatiblePair:
     """The compatible pair (Lambda^{i,s}, B^{i,s}) on the window [1, s]."""
+    if s < 1:
+        raise BraidError(f"window {s} is below 1")
     letters = seq.prefix(s)
     horizon: tuple[int, ...] | None = None
     if seq.periodic:

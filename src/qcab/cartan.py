@@ -8,9 +8,12 @@ basis as well.  Every bilinear-form value produced here is an exact integer.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 FAMILIES = "ABCDEFG"
 
@@ -89,6 +92,10 @@ class CartanDatum:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CartanDatum({self.family}{self.rank})"
+
+    def __hash__(self) -> int:
+        # The type determines every field; the generated hash would walk all roots on each cache lookup.
+        return hash((self.family, self.rank))
 
     # -- weights ------------------------------------------------------
 
@@ -195,20 +202,10 @@ def _minimal_symmetrizer(c: list[list[int]]) -> list[int]:
                     todo.append(j)
                 elif d[j] != dj:
                     raise CartanError("matrix is not symmetrizable")
-    lcm_den = 1
-    for x in d:
-        lcm_den = lcm_den * x.denominator // _gcd(lcm_den, x.denominator)
-    vals = [int(x * lcm_den) for x in d]
-    g = 0
-    for v in vals:
-        g = _gcd(g, v)
+    den = math.lcm(*(x.denominator for x in d))
+    vals = [int(x * den) for x in d]
+    g = math.gcd(*vals)
     return [v // g for v in vals]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _distance_table(c: list[list[int]]) -> list[list[int]]:
@@ -418,6 +415,8 @@ def validate_height_function(datum: CartanDatum, xi: dict[int, int]) -> None:
                 raise CartanError(f"heights at adjacent nodes {i},{j} must differ by 1")
 
 
-def parity_function(datum: CartanDatum) -> dict[int, int]:
-    """The fixed parity eps_i = d(i, 1) mod 2 used for (i, p) index sets."""
-    return {i: datum.dist(i, 1) % 2 for i in range(1, datum.rank + 1)}
+@lru_cache(maxsize=None)
+def parity_function(datum: CartanDatum) -> Mapping[int, int]:
+    """The fixed parity eps_i = d(i, 1) mod 2 used for (i, p) index sets, built
+    once per datum; callers share the read-only mapping."""
+    return MappingProxyType({i: datum.dist(i, 1) % 2 for i in range(1, datum.rank + 1)})

@@ -44,12 +44,18 @@ class CompatiblePair:
     def frozen(self) -> frozenset[int]:
         return frozenset(range(1, self.size + 1)) - self.exchangeable
 
+    def _check_entry(self, u: int, v: int) -> None:
+        if not 1 <= u <= self.size >= v >= 1:
+            raise SeedError(f"entry ({u},{v}) outside the window 1..{self.size}")
+
     def b_entry(self, u: int, v: int) -> int:
+        self._check_entry(u, v)
         if v not in self.exchangeable:
             raise SeedError(f"column {v} is frozen")
         return int(self.b[u - 1, v - 1])
 
     def lam_entry(self, u: int, v: int) -> int:
+        self._check_entry(u, v)
         return int(self.lam[u - 1, v - 1])
 
     def __eq__(self, other: object) -> bool:

@@ -15,7 +15,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .seeds import CompatiblePair, mutate_pair, pos
+from .seeds import CompatiblePair, mutate_pair
 
 
 class TorusError(ValueError):
@@ -259,6 +259,8 @@ class QLaurent:
         if not isinstance(torus, WindowTorus):
             raise TorusError("generator takes a window torus; use XElement.raw_generator on the (i,p) torus")
         a = list(torus.one)
+        if not 1 <= u <= len(a):
+            raise TorusError(f"position {u} outside the window 1..{len(a)}")
         a[u - 1] = exp
         return cls.monomial(torus, a)
 
@@ -446,6 +448,8 @@ def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
 
     Verifies x = q^{a/2} Z^g + sum_n p_n Z^{g + B n} over n >= 0 supported on
     the exchangeable positions, and that the lead coefficient is a q-power.
+    By compatibility, (Lambda B n)_u = -2 d_u n_u at exchangeable u, which
+    gives n from Lambda (m - g).
     """
     torus = WindowTorus(pair.lam)
     if x.torus is not torus:
@@ -455,32 +459,32 @@ def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
     g = _leading_exp(x.terms, torus.weights)
     if not x.terms[g].is_q_power():
         raise NotPointedError("lead coefficient is not a q-power")
-    rest = [m for m in x.terms if m != g]
-    if not rest:
-        return g
-    diffs = np.array(rest) - np.array(g)  # (T, s)
-    w = diffs @ pair.lam.T  # rows are Lambda (m - g)
-    scale = np.array([2 * d for d in pair.diag])
-    n = np.zeros_like(diffs)
-    ex_idx = np.array([u - 1 for u in sorted(pair.exchangeable)])
-    if ex_idx.size:
-        vals = -w[:, ex_idx]
-        if np.any(vals % scale[ex_idx]) or np.any(vals < 0):
+    cols = pair.b.T.tolist()
+    # (row u of Lambda, 2 d_u, column u of B) for each exchangeable u
+    checks = [(torus.rows[u - 1], 2 * pair.diag[u - 1], cols[u - 1]) for u in sorted(pair.exchangeable)]
+    for m in x.terms:
+        if m == g:
+            continue
+        diff = tuple(map(sub, m, g))
+        bn = torus.one
+        for row, d2, col in checks:
+            n, r = divmod(-_dot(row, diff), d2)
+            if r or n < 0:
+                raise NotPointedError("an exponent is not of the form g + B n")
+            if n:
+                bn = tuple(v + n * c for v, c in zip(bn, col))
+        if bn != diff:
             raise NotPointedError("an exponent is not of the form g + B n")
-        n[:, ex_idx] = vals // scale[ex_idx]
-    if not np.array_equal(n @ pair.b.T, diffs):
-        raise NotPointedError("an exponent is not of the form g + B n")
     return g
 
 
-def gvector_mutate(g_prime: tuple[int, ...], k: int, b_mutated: np.ndarray) -> tuple[int, ...]:
-    """Degree transport along one mutation, using the mutated matrix entries."""
+def gvector_mutate(g_prime: tuple[int, ...], k: int, col: list[int]) -> tuple[int, ...]:
+    """Degree transport along one mutation; ``col`` is column k of the mutated B."""
     gk = g_prime[k - 1]
-    col = b_mutated[:, k - 1]
-    adj = pos(col) if gk >= 0 else pos(-col)
-    out = np.array(g_prime) + gk * adj
+    sign = 1 if gk >= 0 else -1
+    out = [g + gk * max(sign * c, 0) for g, c in zip(g_prime, col)]
     out[k - 1] = -gk
-    return tuple(int(v) for v in out)
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -491,74 +495,62 @@ def gvector_mutate(g_prime: tuple[int, ...], k: int, b_mutated: np.ndarray) -> t
 class ClusterState:
     """A seed reached by mutations, with variables kept in the initial torus."""
 
-    initial: CompatiblePair
-    current: CompatiblePair
     variables: tuple[QLaurent, ...]
     history: tuple[int, ...]
-    pair_chain: tuple[CompatiblePair, ...]  # seeds after each step, len(history)+1
+    pair_chain: tuple[CompatiblePair, ...]  # the seed before the first step and after each
+
+    @property
+    def initial(self) -> CompatiblePair:
+        return self.pair_chain[0]
+
+    @property
+    def current(self) -> CompatiblePair:
+        return self.pair_chain[-1]
 
     @staticmethod
     def from_pair(pair: CompatiblePair) -> "ClusterState":
         torus = WindowTorus(pair.lam)
-        gens = tuple(QLaurent.generator(torus, u) for u in range(1, pair.size + 1))
-        return ClusterState(pair, pair, gens, (), (pair,))
-
-
-def _expand_current_monomial(state: ClusterState, expvec: np.ndarray) -> QLaurent:
-    """The image in the initial torus of the current-seed monomial Z^expvec."""
-    lam_cur = state.current.lam
-    twist = 0
-    for u in range(state.current.size):
-        for v in range(u + 1, state.current.size):
-            twist += int(expvec[u]) * int(expvec[v]) * int(lam_cur[u, v])
-    torus = state.variables[0].torus
-    out = QLaurent(torus, {torus.one: QCoeff.q_power(-twist)})
-    for u in range(state.current.size):
-        for _ in range(int(expvec[u])):
-            out = out * state.variables[u]
-    return out
+        return ClusterState(tuple(QLaurent.generator(torus, u) for u in range(1, pair.size + 1)), (), (pair,))
 
 
 def mutate_state(state: ClusterState, k: int) -> ClusterState:
-    """Exchange at k; the new variable is (M' + M'') right-divided by the old."""
+    """Exchange at k; the new variable is (M' + M'') right-divided by the old.
+
+    Z^{m - e_k} = q^{shift/2} X_1^{m_1} ... X_s^{m_s} X_k^{-1} for m = [+-b_k]_+, the current
+    variables X and shift = m Lambda e_k - sum_{u<v} m_u m_v lambda_uv in the current seed.
+    """
     cur = state.current
     if k not in cur.exchangeable:
-        raise TorusError(f"position {k} is frozen")
-    col = cur.b[:, k - 1].copy()
+        raise TorusError(f"position {k} is frozen or out of range")
+    lam = cur.lam.tolist()
+    col = cur.b[:, k - 1].tolist()
     col[k - 1] = 0
-    m1 = pos(col)
-    m2 = pos(-col)
-    ek = np.zeros(cur.size, dtype=np.int64)
-    ek[k - 1] = 1
-    num = QLaurent.zero(state.variables[k - 1].torus)
-    for mvec in (m1, m2):
-        twist = int(mvec @ cur.lam @ ek)  # Z^{m - e_k} = q^{twist/2} Z^m Z_k^{-1}
-        num = num + _expand_current_monomial(state, mvec).scale(QCoeff.q_power(twist))
-    new_var = divide_right_exact(num, state.variables[k - 1])
-    nxt = mutate_pair(cur, k)
+    old = state.variables[k - 1]
+    num = QLaurent.zero(old.torus)
+    for sign in (1, -1):
+        m = [(u, sign * b) for u, b in enumerate(col) if sign * b > 0]  # the support of m, ascending
+        shift = sum(mu * lam[u][k - 1] for u, mu in m)
+        shift -= sum(mu * mv * lam[u][v] for i, (u, mu) in enumerate(m) for v, mv in m[i + 1 :])
+        term = QLaurent(old.torus, {old.torus.one: QCoeff.q_power(shift)})
+        for u, mu in m:
+            for _ in range(mu):
+                term = term * state.variables[u]
+        num = num + term
     variables = list(state.variables)
-    variables[k - 1] = new_var
-    return ClusterState(
-        state.initial,
-        nxt,
-        tuple(variables),
-        state.history + (k,),
-        state.pair_chain + (nxt,),
-    )
+    variables[k - 1] = divide_right_exact(num, old)
+    return ClusterState(tuple(variables), state.history + (k,), state.pair_chain + (mutate_pair(cur, k),))
 
 
 def predicted_degree(state: ClusterState, position: int) -> tuple[int, ...]:
     """Initial-seed degree of a current variable via the stepwise degree rule."""
-    born = 0
-    for t in range(len(state.history), 0, -1):
-        if state.history[t - 1] == position:
-            born = t
-            break
-    g = tuple(
-        1 if u == position else 0 for u in range(1, state.initial.size + 1)
-    )
+    s = state.initial.size
+    if not 1 <= position <= s:
+        raise TorusError(f"position {position} outside the window 1..{s}")
+    born = max((t for t, k in enumerate(state.history, 1) if k == position), default=0)
+    g = tuple(1 if u == position else 0 for u in range(1, s + 1))
     for t in range(born, 0, -1):
-        g = gvector_mutate(g, state.history[t - 1], state.pair_chain[t].b)
+        k = state.history[t - 1]
+        g = gvector_mutate(g, k, state.pair_chain[t].b[:, k - 1].tolist())
     return g
 
 

@@ -75,6 +75,20 @@ def test_check_kappa(capsys):
     assert code == 0 and "ok" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seed", "--type", "B2", "--seq", "alt", "--window", "0"],
+        ["check-kappa", "--type", "B2", "--window", "0"],
+        ["check-kappa", "--type", "B2", "--window", "-2"],
+    ],
+)
+def test_window_below_one_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: window") and "below 1" in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["npair", "--type", "B2", "--i", "1", "--p", "1", "--j", "1", "--s", "0"]) == 2
 

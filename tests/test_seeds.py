@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ def test_make_pair_leaves_caller_arrays_writable():
     assert not pair.lam.flags.writeable and not pair.b.flags.writeable
     lam[0, 1] = 5  # the pair keeps its own copy
     assert pair.lam_entry(1, 2) == 0
+
+
+@pytest.mark.parametrize("entry", ["lam_entry", "b_entry"])
+@pytest.mark.parametrize("u, v", [(0, 1), (1, 0), (-1, 2), (5, 1), (1, 5)])
+def test_pair_entries_reject_positions_outside_the_window(entry, u, v):
+    pair = build_seed(alternating(build_cartan("B", 2)), 4)
+    with pytest.raises(SeedError, match=re.escape(f"entry ({u},{v}) outside the window 1..4")):
+        getattr(pair, entry)(u, v)
 
 
 def test_check_compatible_vacuous_and_perturbed():

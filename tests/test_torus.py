@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qcab.braid import alternating, build_seed
 from qcab.cartan import build_cartan, parse_type
 from qcab.commutative import LaurentPoly, RationalX
+from qcab.seeds import mutate_pair
 from qcab.torus import (
     ClusterState,
     DivisionRemainderError,
@@ -286,12 +287,31 @@ def test_mutation_involution_restores_variables():
 def test_not_pointed_detection():
     pair = b2_pair()
     lam = pair.lam
-    x = QLaurent.generator(lam, 1) + QLaurent.generator(lam, 2)
-    with pytest.raises(NotPointedError):
-        degree_of_pointed(x, pair)
-    y = QLaurent.generator(lam, 1).scale(QCoeff({0: 2}))
-    with pytest.raises(NotPointedError):
-        degree_of_pointed(y, pair)
+    one = normal_monomial(lam, (0, 0, 0, 0))
+    # B e_1 = (0, 2, -1, 0) and B e_2 = (-1, 0, 1, -1) on this seed.
+    assert degree_of_pointed(one + normal_monomial(lam, (0, 2, -1, 0)), pair) == (0, 0, 0, 0)
+    planted = [
+        QLaurent.generator(lam, 1) + QLaurent.generator(lam, 2),
+        QLaurent.generator(lam, 1).scale(QCoeff({0: 2})),  # lead coefficient 2
+        one + normal_monomial(lam, (1, 2, -2, 1)),  # B (e_1 - e_2): n has a negative entry
+        one + QLaurent.generator(lam, 4, -1),  # Lambda (m - g) gives n = 0, but B n != m - g
+    ]
+    for x in planted:
+        with pytest.raises(NotPointedError):
+            degree_of_pointed(x, pair)
+
+
+@pytest.mark.parametrize("u", [0, -1, 5])
+def test_generator_rejects_positions_outside_the_window(u):
+    with pytest.raises(TorusError, match=f"position {u} outside the window 1..4"):
+        QLaurent.generator(b2_pair().lam, u)
+
+
+@pytest.mark.parametrize("u", [0, 5, -2])
+def test_predicted_degree_rejects_positions_outside_the_window(u):
+    state = mutate_state(ClusterState.from_pair(b2_pair()), 1)
+    with pytest.raises(TorusError, match=f"position {u} outside the window 1..4"):
+        predicted_degree(state, u)
 
 
 def test_degree_of_pointed_checks_its_torus():
@@ -342,18 +362,25 @@ def _at_q1(x):
     return out
 
 
-def test_q1_specialization_matches_commutative_fractions():
-    rng = random.Random(23)
-    pair = b2_pair()
-    st0 = ClusterState.from_pair(pair)
-    for _ in range(6):
-        state = st0
-        for _ in range(rng.randrange(2, 7)):
-            state = mutate_state(state, rng.choice(sorted(state.current.exchangeable)))
+WALK_SEEDS = {("B2", 4): 6, ("G2", 6): 4}  # (type, window): longest walk drawn
+
+
+@given(st.data())
+def test_q1_specialization_matches_commutative_fractions(data):
+    """Along a drawn exchange walk, every step agrees with the q = 1 fraction
+    walk, the stepwise degree rule and a seed-only replay of its history."""
+    code, window = data.draw(st.sampled_from(sorted(WALK_SEEDS)))
+    pair = build_seed(alternating(parse_type(code)), window)
+    walk = data.draw(st.lists(st.sampled_from(sorted(pair.exchangeable)), max_size=WALK_SEEDS[(code, window)]))
+    state, replay = ClusterState.from_pair(pair), pair
+    for k in walk:
+        state, replay = mutate_state(state, k), mutate_pair(replay, k)
+        assert state.initial == pair and state.current == replay
         oracle = _commutative_specialization(state)
-        for u in range(pair.size):
-            got = RationalX.from_poly(_at_q1(state.variables[u]))
-            assert got == oracle[u]
+        for u in range(1, pair.size + 1):
+            x = state.variables[u - 1]
+            assert RationalX.from_poly(_at_q1(x)) == oracle[u - 1]
+            assert degree_of_pointed(x, pair) == predicted_degree(state, u)
 
 
 def test_b2_ladder_path_positive_laurent():
