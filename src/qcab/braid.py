@@ -10,20 +10,18 @@ on seeds by short mutation sequences followed by a relabelling.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby, product
 from typing import NamedTuple
 
 import numpy as np
 
-from .cartan import CartanDatum, _cartan_inverse, build_cartan
+from .cartan import CartanDatum, WeylWalk, bilinear, build_cartan, is_reduced, weyl_act
 from .seeds import (
     CompatiblePair,
     _adopt_pair,
@@ -55,13 +53,9 @@ class IndexSequence:
         for a in self.letters:
             if not 1 <= a <= self.datum.rank:
                 raise BraidError(f"letter {a} out of range")
-        if self.periodic:
-            from .cartan import is_reduced
-
-            if len(self.letters) != self.datum.longest_length or not is_reduced(
-                self.datum, self.letters
-            ):
-                raise BraidError("periodic sequences need a reduced longest word")
+        longest = len(self.letters) == self.datum.longest_length
+        if self.periodic and not (longest and is_reduced(self.datum, self.letters)):
+            raise BraidError("periodic sequences need a reduced longest word")
 
     def letter(self, k: int) -> int:
         if k < 1:
@@ -110,26 +104,6 @@ def alternating(datum: CartanDatum) -> IndexSequence:
 # seed construction
 
 
-@lru_cache(maxsize=None)
-def _weyl_tables(datum: CartanDatum):
-    """Per-datum constants of the window builder.
-
-    ``alpha[j]`` is column j of den * C^{-1}: the alpha-coordinates of the
-    fundamental weight pi_j, scaled to integers by ``den``.  ``off[i]`` lists
-    (j, c_ji) for the nonzero off-diagonal entries in column i of the Cartan
-    matrix, which is all that right multiplication by s_i reads.
-    """
-    n = datum.rank
-    inv = _cartan_inverse(datum)
-    den = math.lcm(*(x.denominator for row in inv for x in row))
-    alpha = tuple(tuple(int(inv[a][j] * den) for a in range(n)) for j in range(n))
-    off = tuple(
-        tuple((j, datum.cartan[j][i]) for j in range(n) if j != i and datum.cartan[j][i])
-        for i in range(n)
-    )
-    return alpha, off, datum.symmetrizer, den
-
-
 def _lambda_and_b(
     datum: CartanDatum, letters: tuple[int, ...], horizon: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -140,8 +114,7 @@ def _lambda_and_b(
     """
     s = len(letters)
     full = letters if horizon is None else letters + tuple(horizon)
-    alpha, off, dvec, den = _weyl_tables(datum)
-    n = datum.rank
+    n, off = datum.rank, datum.coupling
 
     # u^+ computed in the extended sequence; len(full) + 1 when there is none
     nxt = [len(full) + 1] * (len(full) + 1)
@@ -150,25 +123,16 @@ def _lambda_and_b(
         nxt[k] = seen.get(full[k - 1], len(full) + 1)
         seen[full[k - 1]] = k
 
-    # Column j of the cumulative Weyl matrix w_u = s_{i_1} ... s_{i_u} holds
-    # w_u pi_j twice: in pi-coordinates, then in den-scaled alpha-coordinates.
-    # Right multiplication by s_i replaces column i by -col_i - sum_j c_ji col_j.
-    cols = [[int(a == j) for a in range(n)] + list(alpha[j]) for j in range(n)]
-    hist = []  # w_u pi_{i_u} for u = 1, ..., s
+    # x_u = pi_i - w_u pi_i in simple-root coordinates, for i = i_u and
+    # w_u = s_{i_1} ... s_{i_u}; pi_i + w_u pi_i = 2 pi_i - x_u has the
+    # pi-coordinates 2 e_i - C x_u
+    step, hist = WeylWalk(datum).step, []
     for i in letters:
-        col = [-x for x in cols[i - 1]]
-        for j, cji in off[i - 1]:
-            col = [x - cji * y for x, y in zip(col, cols[j])]
-        cols[i - 1] = col
-        hist += col
-    w = np.array(hist, dtype=np.int64).reshape(s, 2 * n)
-    at = np.array(letters, dtype=np.intp) - 1
-    x = np.array(alpha, dtype=np.int64).reshape(n, n)[at] - w[:, n:]  # den * (pi_i - w_u pi_i)
-    if den != 1 and (x % den).any():
-        raise BraidError("weight unexpectedly outside the root lattice")
-    plus = w[:, :n]  # pi-coordinates of w_u pi_i, then of pi_i + w_u pi_i
-    plus[np.arange(s), at] += 1
-    grid = (x // den * np.array(dvec, dtype=np.int64)) @ plus.T
+        hist += step(i)
+    x = np.array(hist, dtype=np.int64).reshape(s, n)
+    plus = x @ -np.array(datum.cartan, dtype=np.int64).T
+    plus[np.arange(s), np.array(letters, dtype=np.intp) - 1] += 2
+    grid = (x * np.array(datum.symmetrizer, dtype=np.int64)) @ plus.T
     lam = np.triu(grid, 1)
     lam = lam - lam.T
 
@@ -236,8 +200,6 @@ def b_infinite_entry(seq: IndexSequence, u: int, v: int, limit: int | None = Non
 
 def lambda_closed_form(seq: IndexSequence, u: int, v: int) -> int:
     """Lambda_{u,v} from the bilinear pairing, valid whenever u < v^+."""
-    from .cartan import bilinear, weyl_act
-
     datum = seq.datum
     iu, iv = seq.letter(u), seq.letter(v)
     wu = weyl_act(datum, tuple(seq.letter(t) for t in range(1, u + 1)), datum.fundamental_weight(iu))

@@ -53,10 +53,6 @@ class Weight:
         al = None if self.alpha is None else tuple(c * a for a in self.alpha)
         return Weight(tuple(c * a for a in self.wt), al)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.wt)
-
 
 @dataclass(frozen=True)
 class CartanDatum:
@@ -68,6 +64,8 @@ class CartanDatum:
     symmetrizer: tuple[int, ...]  # minimal positive d_i with d_i c_ij = d_j c_ji
     coxeter_number: int
     distance: tuple[tuple[int, ...], ...]  # edge distance d(i,j) in the diagram
+    # coupling[i-1]: the pairs (k-1, c_ki) with k != i and c_ki != 0
+    coupling: tuple[tuple[tuple[int, int], ...], ...]
     star: tuple[int, ...]  # Dynkin involution, star[i-1] = i*
     positive_roots: tuple[tuple[int, ...], ...]  # alpha-basis coordinates
     w0_word: tuple[int, ...]
@@ -261,27 +259,16 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
         symmetrizer=tuple(d),
         coxeter_number=h,
         distance=tuple(tuple(row) for row in _distance_table(c)),
+        coupling=tuple(tuple((k, c[k][i]) for k in range(n) if k != i and c[k][i]) for i in range(n)),
         star=(0,) * rank,  # placeholder, replaced below
         positive_roots=tuple(pos),
         w0_word=(),
     )
-    w0 = _longest_word_greedy(datum)
-    star = []
-    for i in range(1, rank + 1):
-        img = weyl_act(datum, w0, datum.simple_root(i))
-        neg = tuple(-a for a in img.alpha)  # type: ignore[arg-type]
-        try:
-            j = 1 + [tuple(r) for r in _simple_tuples(rank)].index(neg)
-        except ValueError as exc:  # pragma: no cover - internal consistency
-            raise CartanError("w0 does not permute the simple roots") from exc
-        star.append(j)
-    object.__setattr__(datum, "star", tuple(star))
+    w0, walk = _ascending_word(datum)
+    star = tuple(walk.root(i).index(-1) + 1 for i in range(1, n + 1))  # w0(alpha_i) = -alpha_{i*}
+    object.__setattr__(datum, "star", star)
     object.__setattr__(datum, "w0_word", w0)
     return datum
-
-
-def _simple_tuples(n: int) -> list[tuple[int, ...]]:
-    return [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
 
 
 def parse_type(code: str) -> CartanDatum:
@@ -336,15 +323,51 @@ def bilinear(datum: CartanDatum, x: Weight, y: Weight) -> int:
     )
 
 
+class WeylWalk:
+    """w = s_{i_1} ... s_{i_u} of a word read letter by letter, held as the
+    integer vectors y_j = pi_j - w pi_j (j = 1..n) in simple-root coordinates.
+
+    Appending s_i changes only y_i, by the root w(alpha_i) = alpha_i -
+    sum_k c_ki y_k; l(w s_i) > l(w) exactly when that root is positive
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).
+    """
+
+    __slots__ = ("y", "_coupling")
+
+    def __init__(self, datum: CartanDatum) -> None:
+        self.y = [[0] * datum.rank for _ in range(datum.rank)]
+        self._coupling = datum.coupling
+
+    def _next(self, i: int) -> list[int]:
+        """y_i of w s_i: e_i - y_i - sum_{k != i} c_ki y_k."""
+        y = self.y
+        out = [-a for a in y[i - 1]]
+        out[i - 1] += 1
+        for k, cki in self._coupling[i - 1]:
+            out = [a - cki * b for a, b in zip(out, y[k])]
+        return out
+
+    def root(self, i: int) -> list[int]:
+        """w(alpha_i) in simple-root coordinates."""
+        return [a - b for a, b in zip(self._next(i), self.y[i - 1])]
+
+    def step(self, i: int) -> list[int]:
+        """Append s_i to w and return the new y_i = pi_i - w s_i pi_i."""
+        self.y[i - 1] = self._next(i)
+        return self.y[i - 1]
+
+
 def beta_sequence(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> list[Weight]:
     """beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}); requires a reduced word."""
     word = tuple(word)
-    betas = []
-    for k in range(len(word)):
-        b = weyl_act(datum, word[:k], datum.simple_root(word[k]))
-        if any(a < 0 for a in b.alpha):  # type: ignore[union-attr]
-            raise CartanError(f"word {word} is not reduced (position {k + 1})")
-        betas.append(b)
+    walk, betas = WeylWalk(datum), []
+    for k, i in enumerate(word, 1):
+        datum._check_node(i)
+        yi = walk.y[i - 1]
+        b = tuple(a - c for a, c in zip(walk.step(i), yi))
+        if any(a < 0 for a in b):
+            raise CartanError(f"word {word} is not reduced (position {k})")
+        betas.append(datum.weight_from_alpha(b))
     return betas
 
 
@@ -356,18 +379,27 @@ def is_reduced(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> bool:
     return True
 
 
-def _longest_word_greedy(datum: CartanDatum) -> tuple[int, ...]:
-    # Push a dominant regular weight to the antidominant chamber.
-    cur = Weight(tuple(1 for _ in range(datum.rank)))
-    word: list[int] = []
-    while True:
-        for i in range(1, datum.rank + 1):
-            if cur.wt[i - 1] > 0:
-                cur = datum.reflect(i, cur)
-                word.append(i)
-                break
-        else:
-            return tuple(word)
+def _ascending_word(datum: CartanDatum, xi: dict[int, int] | None = None) -> tuple[tuple[int, ...], WeylWalk]:
+    """A reduced word for w0 and its walk: append the first candidate letter
+    i with w(alpha_i) > 0 until there is none.  The candidates are the nodes
+    1..n or, with heights ``xi``, the sources of the successively reflected
+    quiver by larger height, then smaller node; a letter lowers its height by 2.
+    """
+    walk, word = WeylWalk(datum), []
+    nodes = range(1, datum.rank + 1)
+    for _ in range(datum.longest_length):  # no reduced word is longer
+        candidates = nodes
+        if xi is not None:
+            sources = (i for i in nodes if all(xi[i] > xi[k + 1] for k, _ in datum.coupling[i - 1]))
+            candidates = sorted(sources, key=lambda i: (-xi[i], i))
+        i = next((i for i in candidates if any(a > 0 for a in walk.root(i))), 0)
+        if not i:
+            break
+        walk.step(i)
+        word.append(i)
+        if xi is not None:
+            xi[i] -= 2
+    return tuple(word), walk
 
 
 def longest_word(
@@ -381,26 +413,8 @@ def longest_word(
     """
     if adapted_to is None:
         return datum.w0_word
-    xi = dict(adapted_to)
-    length = datum.longest_length
-    word: list[int] = []
-    for _ in range(length):
-        sources = [
-            i
-            for i in range(1, datum.rank + 1)
-            if all(xi[i] > xi[j] for j in range(1, datum.rank + 1) if j != i and datum.c(i, j) < 0)
-        ]
-        # pick the source keeping the word reduced (always exists for a valid
-        # height function); prefer larger height then smaller index
-        sources.sort(key=lambda i: (-xi[i], i))
-        for i in sources:
-            if is_reduced(datum, word + [i]):
-                word.append(i)
-                xi[i] -= 2
-                break
-        else:  # pragma: no cover - cannot happen for valid height functions
-            raise CartanError("no adapted reduced word exists")
-    return tuple(word)
+    validate_height_function(datum, adapted_to)
+    return _ascending_word(datum, dict(adapted_to))[0]
 
 
 def validate_height_function(datum: CartanDatum, xi: dict[int, int]) -> None:
@@ -410,9 +424,9 @@ def validate_height_function(datum: CartanDatum, xi: dict[int, int]) -> None:
             raise CartanError(f"height function misses node {i}")
         if (xi[i] - eps[i]) % 2 != 0:
             raise CartanError(f"height parity mismatch at node {i}")
-        for j in range(i + 1, datum.rank + 1):
-            if datum.c(i, j) < 0 and abs(xi[i] - xi[j]) != 1:
-                raise CartanError(f"heights at adjacent nodes {i},{j} must differ by 1")
+        for j in range(1, i):
+            if datum.c(j, i) < 0 and abs(xi[j] - xi[i]) != 1:
+                raise CartanError(f"heights at adjacent nodes {j},{i} must differ by 1")
 
 
 @lru_cache(maxsize=None)

@@ -31,8 +31,17 @@ def _set(g: GVector, u: int, val: int) -> None:
         g.pop(u, None)
 
 
+def _check_positions(g: GVector, seq: IndexSequence) -> None:
+    """Raise BraidError unless every position of g lies in seq (from 1 on)."""
+    top = float("inf") if seq.periodic else len(seq.letters)
+    for u in g:
+        if not 1 <= u <= top:
+            raise BraidError(f"degree position {u} is not a position of the sequence")
+
+
 def gmap_apply(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> GVector:
     """Transport a degree vector along the move from seq_src to its target."""
+    _check_positions(g_src, seq_src)
     if move.kind == "shift":
         # degrees on the shifted sequence map to the sequence with the head
         # letter restored: position 1 absorbs minus the head-letter p-sum
@@ -113,6 +122,7 @@ def gmap_apply(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> GVect
 
 def cone_contains(g: GVector, seq: IndexSequence) -> bool:
     """Whether every same-letter tail partial sum of g is non-negative."""
+    _check_positions(g, seq)
     if not g:
         return True
     top = max(g)
@@ -146,6 +156,7 @@ def psum_delta(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> dict[
     Only configurations covered by a closed-form table are accepted; others
     raise, since the general boundary behaviour has no stated table.
     """
+    _check_positions(g_src, seq_src)
     datum = seq_src.datum
     deltas = {node: 0 for node in range(1, datum.rank + 1)}
     if move.kind == "two":

@@ -343,15 +343,27 @@ def _json_ints(values, what: str) -> list[int]:
 
 def pair_from_json(text: str) -> tuple[CompatiblePair, dict]:
     """Read a seed file, checking its keys, that its numbers are integers, its
-    triplet indices and compatibility."""
-    doc = json.loads(text)
+    window, frozen positions and triplet indices, and compatibility."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SeedError(f"seed file is not valid JSON: {exc}") from None
     missing = [key for key in ("window", "lambda", "b") if not isinstance(doc, dict) or key not in doc]
     if missing:
         raise SeedError(f"seed file lacks {', '.join(missing)}")
+    if not isinstance(doc.get("type", ""), str):
+        raise SeedError(f"type {doc['type']!r} is not a string")
+    _json_ints(doc.get("sequence", []), "sequence")
     s = _json_int(doc["window"], "window")
     if not isinstance(doc["lambda"], list) or not isinstance(doc["b"], list):
         raise SeedError("lambda and b must be lists")
-    lam = np.array([_json_ints(row, "lambda row") for row in doc["lambda"]], dtype=np.int64)
+    rows = [_json_ints(row, "lambda row") for row in doc["lambda"]]
+    if len(rows) != s or any(len(row) != s for row in rows):
+        raise SeedError(f"lambda is not a {s} x {s} matrix for window {s}")
+    frozen = set(_json_ints(doc.get("frozen", []), "frozen"))
+    if any(not 1 <= v <= s for v in frozen):
+        raise SeedError(f"frozen positions {sorted(frozen)} outside the window 1..{s}")
+    lam = np.array(rows, dtype=np.int64)
     b = np.zeros((s, s), dtype=np.int64)
     for entry in doc["b"]:
         triplet = _json_ints(entry, "b triplet")
@@ -361,7 +373,6 @@ def pair_from_json(text: str) -> tuple[CompatiblePair, dict]:
         if not (1 <= u <= s and 1 <= v <= s):
             raise SeedError(f"b entry ({u},{v}) outside the window 1..{s}")
         b[u - 1, v - 1] = val
-    frozen = set(_json_ints(doc.get("frozen", []), "frozen"))
     ex = set(range(1, s + 1)) - frozen
     diag = tuple(_json_ints(doc.get("diag", [1] * s), "diag"))
     pair = _adopt_pair(lam, b, ex, diag)

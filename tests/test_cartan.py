@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcab.cartan import (
     CartanError,
+    WeylWalk,
     beta_sequence,
     bilinear,
     build_cartan,
@@ -15,10 +18,10 @@ from qcab.cartan import (
 )
 
 ALL_TYPES = (
-    [("A", n) for n in range(1, 9)]
-    + [("B", n) for n in range(2, 9)]
-    + [("C", n) for n in range(2, 9)]
-    + [("D", n) for n in range(4, 9)]
+    [("A", n) for n in range(1, 11)]
+    + [("B", n) for n in range(2, 11)]
+    + [("C", n) for n in range(2, 11)]
+    + [("D", n) for n in range(4, 11)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
 
@@ -90,11 +93,44 @@ def test_weyl_act_defining_relation():
 
 def test_w0_star():
     for code, star in (("A3", (3, 2, 1)), ("D5", (1, 2, 3, 5, 4)), ("E6", (6, 2, 5, 4, 3, 1)), ("B4", (1, 2, 3, 4))):
-        d = parse_type(code)
-        assert d.star == star
+        assert parse_type(code).star == star
+    for fam, n in ALL_TYPES:
+        d = build_cartan(fam, n)
         for i in range(1, d.rank + 1):
             img = weyl_act(d, d.w0_word, d.fundamental_weight(i))
             assert img.wt == tuple(-x for x in d.fundamental_weight(d.star_of(i)).wt)
+
+
+@pytest.mark.parametrize("fam,n", ALL_TYPES)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_weyl_walk_matches_weyl_act(fam, n, data):
+    """The walk against the reflection reference, on words that need not be
+    reduced: y_j = pi_j - w pi_j for every j after each letter, the root of
+    the letter is w(alpha_i) before it, and reducedness is the per-prefix rule."""
+    d = build_cartan(fam, n)
+    word = data.draw(st.lists(st.integers(1, n), max_size=min(2 * d.longest_length, 24)))
+    walk = WeylWalk(d)
+    first_descent = None
+    for u, i in enumerate(word, 1):
+        beta = list(weyl_act(d, word[: u - 1], d.simple_root(i)).alpha)
+        if first_descent is None and min(beta) < 0:
+            first_descent = u
+        assert walk.root(i) == beta
+        before = walk.y[i - 1]
+        after = walk.step(i)
+        assert [a - b for a, b in zip(after, before)] == beta
+        for j in range(1, n + 1):
+            pi = d.fundamental_weight(j)
+            assert walk.y[j - 1] == list(d.to_alpha(pi - weyl_act(d, word[:u], pi)).alpha)
+    assert is_reduced(d, word) == (first_descent is None)
+    if first_descent is None:
+        assert [b.alpha for b in beta_sequence(d, word)] == [
+            weyl_act(d, word[:k], d.simple_root(i)).alpha for k, i in enumerate(word)
+        ]
+    else:
+        with pytest.raises(CartanError, match=f"position {first_descent}\\)"):
+            beta_sequence(d, word)
 
 
 def test_weyl_act_b2_example():
@@ -150,21 +186,42 @@ def test_is_reduced():
     a2 = build_cartan("A", 2)
     assert is_reduced(a2, (1, 2, 1))
     assert not is_reduced(a2, (1, 2, 1, 2))
+    assert not is_reduced(a2, (1, 3))
+    with pytest.raises(CartanError, match="node 0"):
+        beta_sequence(a2, (0,))
 
 
 def test_longest_word_adapted():
-    d = build_cartan("B", 3)
-    xi = {1: 0, 2: -1, 3: 0}
-    word = longest_word(d, xi)
-    assert len(word) == d.longest_length
-    assert is_reduced(d, word)
-    # each letter is a source of the successively reflected quiver
-    heights = dict(xi)
-    for i in word:
-        for j in range(1, 4):
-            if j != i and d.c(i, j) < 0:
-                assert heights[i] > heights[j]
-        heights[i] -= 2
+    rng = random.Random(8)
+    cases = [(build_cartan("B", 3), {1: 0, 2: -1, 3: 0})]
+    for fam, n in ALL_TYPES:
+        d = build_cartan(fam, n)
+        for _ in range(2):
+            # node 1 even, adjacent nodes one apart: a height function
+            xi, todo = {1: 2 * rng.randint(-2, 2)}, [1]
+            while todo:
+                i = todo.pop()
+                for j in range(1, n + 1):
+                    if j not in xi and d.c(i, j) < 0:
+                        xi[j] = xi[i] + rng.choice((-1, 1))
+                        todo.append(j)
+            cases.append((d, xi))
+    for d, xi in cases:
+        word = longest_word(d, xi)
+        assert len(word) == d.longest_length
+        assert is_reduced(d, word)
+        # each letter is a source of the successively reflected quiver
+        heights = dict(xi)
+        for i in word:
+            for j in range(1, d.rank + 1):
+                if j != i and d.c(i, j) < 0:
+                    assert heights[i] > heights[j]
+            heights[i] -= 2
+    b3 = build_cartan("B", 3)
+    with pytest.raises(CartanError, match="misses node 2"):
+        longest_word(b3, {1: 0})
+    with pytest.raises(CartanError, match="parity mismatch at node 2"):
+        longest_word(b3, {1: 0, 2: 0, 3: 0})
 
 
 def test_parity_function():

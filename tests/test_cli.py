@@ -47,6 +47,14 @@ def test_g_map_fixture(capsys):
     assert out.strip() == "1:1,4:-1,6:1"
 
 
+@pytest.mark.parametrize("g", ["0:1", "99:1", "2:1,-3:1"])
+def test_g_map_rejects_positions_outside_the_sequence(capsys, g):
+    argv = ["g-map", "--move", "6", "--k", "1", "--type", "G2", "--seq", "2,1,2,1,2,1,2,1,2,1,2,1", "--g", g]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: degree position")
+
+
 def test_c_map_fixture(capsys):
     code, out = run(
         capsys, "c-map", "--move", "6", "--k", "1", "--type", "G2",
@@ -73,6 +81,11 @@ def test_check_fq(capsys):
 def test_check_kappa(capsys):
     code, out = run(capsys, "check-kappa", "--type", "B2", "--window", "8", "--xi", "1:0,2:1")
     assert code == 0 and "ok" in out
+
+
+def test_check_kappa_rejects_partial_height_function(capsys):
+    assert main(["check-kappa", "--type", "B3", "--window", "4", "--xi", "1:0"]) == 2
+    assert capsys.readouterr().err.startswith("error: height function misses node 2")
 
 
 @pytest.mark.parametrize(
@@ -141,6 +154,15 @@ GOOD_SEED = {"window": 2, "lambda": [[0, 1], [-1, 0]], "b": [[2, 1, -2]], "froze
         {"diag": [1.9, 1]},
         {"lambda": 7},
         {"lambda": [[0, 2**70], [-(2**70), 0]]},  # past int64
+        {"sequence": 5},
+        {"sequence": [1, "2"]},
+        {"type": 5},
+        {"window": -1},
+        {"window": 3},  # more positions than Lambda rows
+        {"lambda": [[0, 1], [-1]]},  # ragged
+        {"lambda": [[0, 1, 0], [-1, 0, 0]]},  # not square
+        {"frozen": [99]},
+        {"frozen": [0, 2]},
     ],
 )
 def test_mutate_rejects_bad_seed_file(tmp_path, capsys, change):
@@ -150,6 +172,26 @@ def test_mutate_rejects_bad_seed_file(tmp_path, capsys, change):
     assert main(["mutate", str(path), "--at", "1"]) == 2
     path.write_text(json.dumps(GOOD_SEED))
     assert main(["mutate", str(path), "--at", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"window": 2,', "not valid JSON"),
+        (json.dumps({**GOOD_SEED, "sequence": 5}), "sequence 5 is not a list"),
+        (json.dumps({**GOOD_SEED, "window": -1}), "lambda is not a -1 x -1 matrix"),
+        (json.dumps({**GOOD_SEED, "lambda": [[0, 1], [-1]]}), "lambda is not a 2 x 2 matrix"),
+        (json.dumps({**GOOD_SEED, "lambda": []}), "lambda is not a 2 x 2 matrix"),  # before B is allocated
+        (json.dumps({**GOOD_SEED, "frozen": [99]}), "frozen positions [99] outside the window 1..2"),
+    ],
+    ids=["json", "sequence", "window", "ragged", "no-rows", "frozen"],
+)
+def test_mutate_names_the_bad_seed_file_part(tmp_path, capsys, text, named):
+    path = tmp_path / "seed.json"
+    path.write_text(text)
+    assert main(["mutate", str(path), "--at", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
 
 
 @pytest.mark.parametrize(

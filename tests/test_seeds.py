@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +15,8 @@ from qcab.seeds import (
     make_pair,
     mutate_arrays,
     mutate_pair,
+    pair_from_json,
+    pair_to_json,
     permute_pair,
     quiver_from_matrix,
     quiver_mutate,
@@ -277,3 +279,24 @@ def test_quiver_local_double_arrow_block():
         unfold(seq, 20).__class__(d, swap_block(seq.letters, "four", k)), s
     )
     assert np.array_equal(relabeled.b, target.b)
+
+
+_B2 = alternating(build_cartan("B", 2))
+_SEED_PAIR = build_seed(_B2, 6)
+_SEED_TEXT = pair_to_json(_SEED_PAIR, "B2", list(_B2.prefix(6)))
+
+
+def test_seed_file_round_trip():
+    pair, doc = pair_from_json(_SEED_TEXT)
+    assert pair == _SEED_PAIR and doc["type"] == "B2" and doc["sequence"] == list(_B2.prefix(6))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, len(_SEED_TEXT) - 1), st.sampled_from(["", *'{}[],:"-0129.e tx']), st.sampled_from([0, 1]))
+def test_corrupted_seed_file_raises_seed_error(at, ch, cut):
+    """One character deleted, replaced or inserted: a compatible pair or SeedError, nothing else."""
+    try:
+        pair, _ = pair_from_json(_SEED_TEXT[:at] + ch + _SEED_TEXT[at + cut :])
+    except SeedError:
+        return
+    assert check_compatible(pair)
