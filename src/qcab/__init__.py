@@ -35,6 +35,7 @@ from .braid import (
     detect_move,
     forward_shift_seed,
     g2_exhaustive_certify,
+    move_witness,
     shift_move,
     unfold,
     verify_move_on_seed,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -24,10 +24,10 @@ import numpy as np
 from .cartan import CartanDatum, WeylWalk, bilinear, build_cartan, is_reduced, weyl_act
 from .seeds import (
     CompatiblePair,
+    SeedError,
     _adopt_pair,
     mutate_arrays,
     mutate_pair,
-    permute_pair,
     transpositions,
 )
 
@@ -73,7 +73,9 @@ class IndexSequence:
         return base
 
     def prefix(self, s: int) -> tuple[int, ...]:
-        return tuple(self.letter(k) for k in range(1, s + 1))
+        # from a list: tuple() of a generator grows by resizing, and in hot
+        # loops those resizes leave the small-object heap fragmented
+        return tuple([self.letter(k) for k in range(1, s + 1)])
 
     def uplus(self, k: int, limit: int) -> int:
         """Next position > k with the same letter, or limit + 1."""
@@ -83,9 +85,9 @@ class IndexSequence:
                 return v
         return limit + 1
 
-    def uminus(self, k: int, letter: int | None = None) -> int:
-        """Previous position < k carrying ``letter`` (default i_k), or 0."""
-        a = self.letter(k) if letter is None else letter
+    def uminus(self, k: int) -> int:
+        """Previous position < k with the same letter, or 0."""
+        a = self.letter(k)
         for v in range(k - 1, 0, -1):
             if self.letter(v) == a:
                 return v
@@ -213,7 +215,17 @@ def lambda_closed_form(seq: IndexSequence, u: int, v: int) -> int:
 # braid moves
 
 
-MOVE_SPAN = {"two": 2, "three": 3, "four": 4, "six": 6, "shift": 0}
+# The move of two distinct letters a, b at position k, keyed by the c-product
+# c_ab c_ba: its kind, its span of alternating letters a, b, a, ..., the
+# mutations at k + offset and the transpositions (k + t, k + t + 1) of sigma.
+MoveRecipe = namedtuple("MoveRecipe", "kind span mutations swaps")
+MOVES = {
+    0: MoveRecipe("two", 2, (), (0,)),
+    1: MoveRecipe("three", 3, (0,), (1,)),
+    2: MoveRecipe("four", 4, (0, 1, 0), (0, 2)),
+    3: MoveRecipe("six", 6, (0, 1, 2, 0, 3, 1, 0, 2, 3, 0), (0, 2, 4)),
+}
+MOVE_SPAN = {recipe.kind: recipe.span for recipe in MOVES.values()} | {"shift": 0}
 
 
 @dataclass(frozen=True)
@@ -235,28 +247,17 @@ class BraidMove:
 
 
 def detect_move(seq: IndexSequence, k: int) -> BraidMove:
-    """Classify the braid move available at position k, if any."""
-    datum = seq.datum
+    """The braid move available at position k, from its row of MOVES."""
     a, b = seq.letter(k), seq.letter(k + 1)
     if a == b:
         raise BraidError(f"no move at {k}: repeated letter")
-    p = datum.c(a, b) * datum.c(b, a)
-    if p == 0:
-        return BraidMove("two", k, (), ((k, k + 1),))
-    if p == 1:
-        if seq.letter(k + 2) != a:
-            raise BraidError(f"no 3-move at {k}")
-        return BraidMove("three", k, (k,), ((k + 1, k + 2),))
-    if p == 2:
-        if seq.prefix(k + 3)[k - 1 : k + 3] != (a, b, a, b):
-            raise BraidError(f"no 4-move at {k}")
-        return BraidMove("four", k, (k, k + 1, k), ((k, k + 1), (k + 2, k + 3)))
-    if p == 3:
-        if seq.prefix(k + 5)[k - 1 : k + 5] != (a, b, a, b, a, b):
-            raise BraidError(f"no 6-move at {k}")
-        muts = (k, k + 1, k + 2, k, k + 3, k + 1, k, k + 2, k + 3, k)
-        return BraidMove("six", k, muts, ((k, k + 1), (k + 2, k + 3), (k + 4, k + 5)))
-    raise BraidError(f"no move at {k}: c-product {p}")  # pragma: no cover
+    p = seq.datum.c(a, b) * seq.datum.c(b, a)
+    if p not in MOVES:
+        raise BraidError(f"no move at {k}: c-product {p}")  # pragma: no cover
+    kind, span, mutations, swaps = MOVES[p]
+    if [seq.letter(k + t) for t in range(span)] != [(a, b)[t % 2] for t in range(span)]:
+        raise BraidError(f"no {span}-move at {k}")
+    return BraidMove(kind, k, tuple(k + m for m in mutations), tuple((k + t, k + t + 1) for t in swaps))
 
 
 def shift_move(seq: IndexSequence) -> BraidMove:
@@ -296,12 +297,13 @@ def min_window(move: BraidMove, seq: IndexSequence) -> int:
     return move.k + move.span - 1 + ell + 2
 
 
-def verify_move_on_seed(seq: IndexSequence, move: BraidMove, s: int) -> bool:
-    """Check mutations + relabelling against the directly built target seed.
+def move_witness(seq: IndexSequence, move: BraidMove, s: int) -> tuple | None:
+    """None when the move's mutations and relabelling carry the window [1, s]
+    of seq to the window of the swapped sequence, else the first differing
+    entry (matrix, u, v, got, want), Lambda before B, each row-major.
 
-    The move is applied once (a single local swap): periodic sequences are
-    unfolded far enough beyond the window that the frozen/coupling structure
-    at the window edge is unambiguous on both sides.
+    Periodic sequences are unfolded far enough beyond the window that the
+    frozen/coupling structure at the window edge is the same on both sides.
     """
     if move.kind == "shift":
         raise BraidError("use forward_shift_seed for shifts")
@@ -309,12 +311,12 @@ def verify_move_on_seed(seq: IndexSequence, move: BraidMove, s: int) -> bool:
         raise BraidError(f"window {s} too small; need at least {min_window(move, seq)}")
     horizon = s + seq.datum.longest_length + move.span + 2
     src = unfold(seq, horizon) if seq.periodic else seq
-    pair = build_seed(src, s)
-    for m in move.mutations:
-        pair = mutate_pair(pair, m)
-    pair = permute_pair(pair, move.perm_map())
-    tgt = IndexSequence(src.datum, swap_block(src.letters, move.kind, move.k))
-    return pair == build_seed(tgt, s)
+    return _stack_verdicts(seq.datum, [src.prefix(s)], move, src.letters[s:])[0]
+
+
+def verify_move_on_seed(seq: IndexSequence, move: BraidMove, s: int) -> bool:
+    """Whether the move certifies on the window [1, s]; see move_witness."""
+    return move_witness(seq, move, s) is None
 
 
 def forward_shift_seed(
@@ -403,18 +405,10 @@ def _g2_rep_words() -> list[tuple[int, ...]]:
 
 
 _CORES = ((1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1))
-_ZETA_OFFSETS = (0, 1, 2, 0, 3, 1, 0, 2, 3, 0)
 _MAX_WITNESSES = 5
 # Matrix entries in one (N, s, s) stack: enough to amortise numpy's call
 # overhead, few enough that each int64 stack array stays near 64 KB.
 _STACK_ENTRIES = 2**13
-
-
-def _sigma_indices(s: int, k: int) -> np.ndarray:
-    idx = np.arange(s)
-    for t in (k - 1, k + 1, k + 3):
-        idx[t], idx[t + 1] = idx[t + 1], idx[t]
-    return idx
 
 
 def g2_sequences():
@@ -440,25 +434,35 @@ def g2_sequences():
                 yield fam, head + core + tail, len(head) + 1
 
 
-def _stack_verdicts(datum: CartanDatum, words: list[tuple[int, ...]], k: int) -> list[tuple | None]:
-    """Certify words of one length with the 6-move recipe at one k.
+def _stack_verdicts(
+    datum: CartanDatum, words: list[tuple[int, ...]], move: BraidMove, horizon: tuple[int, ...] = ()
+) -> list[tuple | None]:
+    """Certify the move on distinct windows of one length, all followed by horizon.
 
-    For each word, None when the ten mutations at k + _ZETA_OFFSETS and the
-    relabelling by sigma carry its window (Lambda and B) to the window of the
-    swapped word, else the first differing entry as (matrix, u, v, got, want).
+    For each word, None when the mutations of the move and its relabelling
+    carry the word's window (Lambda and B) to the window of the swapped word,
+    else the first differing entry as (matrix, u, v, got, want).  Raises
+    SeedError, as mutate_pair does, when a mutation position is frozen in a
+    source window.
     """
     s = len(words[0])
-    targets = [swap_block(w, "six", k) for w in words]
-    # each window is built once; in a full run every target is also a source
+    targets = [swap_block(w, move.kind, move.k) for w in words]
+    # each window is built once; in a full G2 run every target is also a source
     index = {w: n for n, w in enumerate(dict.fromkeys(words + targets))}
     windows = np.empty((len(index), 2, s, s), dtype=np.int64)  # (Lambda, B) of each
     for n, w in enumerate(index):
-        windows[n, 0], windows[n, 1], _ = _lambda_and_b(datum, w)
+        windows[n, 0], windows[n, 1], nxt = _lambda_and_b(datum, w, horizon)
+        if n < len(words):
+            for m in move.mutations:
+                if not 1 <= m <= s or nxt[m] > s:
+                    raise SeedError(f"position {m} is frozen or out of range")
     lam, b = windows[: len(words), 0], windows[: len(words), 1]  # index starts with the words
-    for off in _ZETA_OFFSETS:
-        lam, b = mutate_arrays(lam, b, k + off)
+    for m in move.mutations:
+        lam, b = mutate_arrays(lam, b, m)
     # sigma relabels positions; entries move by the inverse on rows/columns
-    idx = _sigma_indices(s, k)
+    idx = np.arange(s)
+    for u, v in move.perm_map().items():
+        idx[v - 1] = u - 1
     got = np.stack([lam, b], axis=1)[..., idx[:, None], idx]
     want = windows[[index[w] for w in targets]]
     verdicts: list[tuple | None] = [None] * len(words)
@@ -491,8 +495,10 @@ def _certify_stack(item: tuple[int, dict[tuple[int, ...], list[str]]]) -> tuple[
     """Family counts, mismatches counted with multiplicity and witnesses of a stack."""
     k, families = item
     words = list(families)
+    datum = build_cartan("G", 2)
+    move = detect_move(IndexSequence(datum, words[0]), k)
     bad, witnesses = 0, []
-    for w, verdict in zip(words, _stack_verdicts(build_cartan("G", 2), words, k)):
+    for w, verdict in zip(words, _stack_verdicts(datum, words, move)):
         if verdict:
             bad += len(families[w])
             witnesses += [CertWitness(fam, w, k, *verdict) for fam in dict.fromkeys(families[w])]
@@ -500,9 +506,12 @@ def _certify_stack(item: tuple[int, dict[tuple[int, ...], list[str]]]) -> tuple[
 
 
 def g2_exhaustive_certify(jobs: int | None = None) -> CertReport:
-    """Run the full 6-move certification over all 62,208 local sequences."""
+    """Run the full 6-move certification over all 62,208 local sequences, on
+    ``jobs`` processes (default 8), at most one per CPU."""
     start = time.monotonic()
-    jobs = min(8, os.cpu_count() or 1) if jobs is None else jobs
+    if jobs is not None and jobs < 1:
+        raise BraidError(f"jobs must be at least 1, not {jobs}")
+    jobs = min(8 if jobs is None else jobs, os.cpu_count() or 1)
     counts: Counter[str] = Counter()
     mismatches, witnesses = 0, []
     # stacks are cut and their results folded as they come, so no more than

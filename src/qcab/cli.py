@@ -58,9 +58,8 @@ def _move_from_args(seq, kind: str, k: int) -> braid.BraidMove:
     if kind == "shift":
         return braid.shift_move(seq)
     move = braid.detect_move(seq, k)
-    want = {"2": "two", "3": "three", "4": "four", "6": "six"}[kind]
-    if move.kind != want:
-        raise braid.BraidError(f"position {k} carries a {move.kind}-move, not {want}")
+    if str(move.span) != kind:
+        raise braid.BraidError(f"position {k} carries a {move.kind}-move, not a {kind}-move")
     return move
 
 
@@ -162,9 +161,10 @@ def _dispatch(args) -> int:
         datum = parse_type(args.type)
         seq = _parse_seq(datum, args.seq)
         move = braid.detect_move(seq, args.k)
-        ok = braid.verify_move_on_seed(seq, move, args.window)
-        print(f"{move.kind}-move at {args.k} on window {args.window}: " + ("ok" if ok else "MISMATCH"))
-        return 0 if ok else 1
+        witness = braid.move_witness(seq, move, args.window)
+        verdict = "ok" if witness is None else "MISMATCH at {}[{},{}]: got {}, want {}".format(*witness)
+        print(f"{move.kind}-move at {args.k} on window {args.window}: {verdict}")
+        return 0 if witness is None else 1
 
     if args.command == "g2-cert":
         report = braid.g2_exhaustive_certify(jobs=args.jobs)

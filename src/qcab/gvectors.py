@@ -120,22 +120,20 @@ def gmap_apply(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> GVect
 # cones and p-sums
 
 
+def tail_sums(g: GVector, letters: tuple[int, ...]) -> list[int]:
+    """Entry u - 1 is the sum of g over the positions v >= u in 1..len(letters)
+    that carry the letter of u, in one backward pass."""
+    out, acc = [0] * len(letters), {}
+    for u in range(len(letters), 0, -1):
+        a = letters[u - 1]
+        out[u - 1] = acc[a] = acc.get(a, 0) + g.get(u, 0)
+    return out
+
+
 def cone_contains(g: GVector, seq: IndexSequence) -> bool:
     """Whether every same-letter tail partial sum of g is non-negative."""
     _check_positions(g, seq)
-    if not g:
-        return True
-    top = max(g)
-    by_letter: dict[int, list[int]] = {}
-    for u in range(1, top + 1):
-        by_letter.setdefault(seq.letter(u), []).append(u)
-    for positions in by_letter.values():
-        tail = 0
-        for u in reversed(positions):
-            tail += g.get(u, 0)
-            if tail < 0:
-                return False
-    return True
+    return all(t >= 0 for t in tail_sums(g, seq.prefix(max(g, default=0))))
 
 
 def cone_generator(seq: IndexSequence, u: int) -> GVector:

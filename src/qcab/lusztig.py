@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .braid import BraidError, BraidMove, IndexSequence, apply_move_to_sequence
 from .cartan import CartanError, beta_sequence, bilinear
-from .gvectors import GVector, gmap_apply
+from .gvectors import GVector, gmap_apply, tail_sums
 
 CParam = tuple[int, ...]
 
@@ -23,27 +23,22 @@ def deg_of_c(c: CParam, word: IndexSequence) -> GVector:
     """g = sum_u c_u (e_u - e_{u^-}), with e_0 understood as zero."""
     if any(x < 0 for x in c):
         raise LusztigError("parameters must be non-negative")
-    g: GVector = {}
-    for u, cu in enumerate(c, start=1):
-        if cu == 0:
-            continue
-        g[u] = g.get(u, 0) + cu
-        um = word.uminus(u)
-        if um >= 1:
-            g[um] = g.get(um, 0) - cu
-    return {u: v for u, v in g.items() if v}
+    # one forward pass up to the last nonzero entry, which must lie in the word
+    top = max((u for u, cu in enumerate(c, start=1) if cu), default=0)
+    g = [0] * (top + 1)  # g[0] collects the e_0 terms
+    last: dict[int, int] = {}  # letter -> its last position so far
+    for u, (a, cu) in enumerate(zip(word.prefix(top), c), start=1):
+        g[u] += cu
+        g[last.get(a, 0)] -= cu
+        last[a] = u
+    return {u: v for u, v in enumerate(g) if u and v}
 
 
 def c_of_deg(g: GVector, word: IndexSequence) -> CParam:
     """Inverse of deg_of_c: c_u is the same-letter tail sum of g from u."""
     ell = len(word.letters)
-    c = [0] * ell
-    for u in range(1, ell + 1):
-        a = word.letter(u)
-        c[u - 1] = sum(g.get(v, 0) for v in range(u, ell + 1) if word.letter(v) == a)
-        if c[u - 1] < 0:
-            raise LusztigError("degree vector lies outside the parameter cone")
-    if deg_of_c(tuple(c), word) != {u: v for u, v in g.items() if v}:
+    c = tail_sums(g, word.letters)
+    if any(x < 0 for x in c) or any(v and not 1 <= u <= ell for u, v in g.items()):
         raise LusztigError("degree vector lies outside the parameter cone")
     return tuple(c)
 
@@ -71,17 +66,6 @@ def nu(c: CParam, word: IndexSequence) -> int:
 _B2_ROOT_ORDER = ("a1", "a11", "a12", "a2")  # alpha1, alpha1+alpha2, alpha1+2alpha2, alpha2
 
 
-def _local_b2_roots(long_first: bool) -> tuple[str, ...]:
-    """Root labels carried by the four positions of a local 4-move word.
-
-    A doubled-edge block starting with the long letter carries the roots in
-    the reference order; starting with the short letter reverses the list.
-    """
-    if long_first:
-        return _B2_ROOT_ORDER
-    return tuple(reversed(_B2_ROOT_ORDER))
-
-
 def cmap_apply(move: BraidMove, word_src: IndexSequence, c_src: CParam) -> CParam:
     """Transport a parameter vector along the move from word_src to its target."""
     word_src = IndexSequence(word_src.datum, word_src.letters, periodic=False)
@@ -102,9 +86,10 @@ def cmap_apply(move: BraidMove, word_src: IndexSequence, c_src: CParam) -> CPara
     if move.kind == "four":
         datum = word_src.datum
         a, b = word_src.letter(k), word_src.letter(k + 1)
-        long_first = datum.d(a) > datum.d(b)
-        src_roots = _local_b2_roots(long_first)
-        tgt_roots = tuple(reversed(src_roots))
+        # the positions of a doubled-edge block carry the roots in the
+        # reference order when it starts with the long letter, else reversed
+        src_roots = _B2_ROOT_ORDER if datum.d(a) > datum.d(b) else _B2_ROOT_ORDER[::-1]
+        tgt_roots = src_roots[::-1]
         val = dict(zip(src_roots, c_src[k - 1 : k + 3]))
         pi1 = min(
             val["a1"] + val["a11"], val["a1"] + val["a2"], val["a12"] + val["a2"]

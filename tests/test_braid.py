@@ -7,10 +7,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcab import braid
 from qcab.braid import (
-    _ZETA_OFFSETS,
+    MOVE_SPAN,
     BraidError,
     IndexSequence,
     _lambda_and_b,
@@ -25,14 +27,15 @@ from qcab.braid import (
     g2_sequences,
     lambda_closed_form,
     min_window,
+    move_witness,
     shift_move,
     swap_block,
     unfold,
     verify_move_on_seed,
 )
-from qcab.cartan import build_cartan
+from qcab.cartan import build_cartan, longest_word
 from qcab.cli import main
-from qcab.seeds import check_compatible, mutate_pair, permute_pair, transpositions
+from qcab.seeds import SeedError, check_compatible, mutate_pair, permute_pair, transpositions
 
 G2_LAMBDA_8 = np.array(
     [
@@ -157,7 +160,7 @@ def test_detect_and_apply_moves():
     d = build_cartan("B", 2)
     seq = alternating(d)
     mv = detect_move(seq, 1)
-    assert mv.kind == "four" and mv.mutations == (1, 2, 1)
+    assert mv.kind == "four" and mv.mutations == (1, 2, 1) and mv.perm == ((1, 2), (3, 4))
     flipped = apply_move_to_sequence(seq, mv)
     assert flipped.letters == (2, 1, 2, 1)
     # on a periodic word the swap lifts to every period
@@ -167,11 +170,12 @@ def test_detect_and_apply_moves():
     mvg = detect_move(alternating(g), 1)
     assert mvg.kind == "six"
     assert mvg.mutations == (1, 2, 3, 1, 4, 2, 1, 3, 4, 1)
+    assert mvg.perm == ((1, 2), (3, 4), (5, 6))
 
     a = build_cartan("A", 3)
     sa = IndexSequence(a, (1, 3, 2, 1, 2, 3))
-    assert detect_move(sa, 1).kind == "two"
-    assert detect_move(sa, 3).kind == "three"
+    assert detect_move(sa, 1) == braid.BraidMove("two", 1, (), ((1, 2),))
+    assert detect_move(sa, 3) == braid.BraidMove("three", 3, (3,), ((4, 5),))
     assert apply_move_to_sequence(sa, detect_move(sa, 3)).letters == (1, 3, 1, 2, 1, 3)
     with pytest.raises(BraidError):
         detect_move(sa, 4)
@@ -310,42 +314,65 @@ def test_g2_enumeration_count():
 
 # The 6-move recipe with four more steps at k - 1 and k: they cancel only where
 # b_{k-1,k} = 0 after the recipe, so about half of the configurations fail.
-PLANTED_OFFSETS = _ZETA_OFFSETS + (-1, 0, -1, 0)
+SIX_MUTATIONS = braid.MOVES[3].mutations
+PLANTED_OFFSETS = SIX_MUTATIONS + (-1, 0, -1, 0)
 
 
-def _six_move(d, letters, k, offsets):
-    """The relabelled and the target pair by the public path: build_seed,
-    mutate_pair per offset, permute_pair."""
-    s = len(letters)
-    pair = build_seed(IndexSequence(d, letters), s)
-    for off in offsets:
-        pair = mutate_pair(pair, k + off)
-    target = build_seed(IndexSequence(d, swap_block(letters, "six", k)), s)
-    return permute_pair(pair, transpositions(k, k + 2, k + 4)), target
+def _plant_six_move(monkeypatch, offsets):
+    monkeypatch.setitem(braid.MOVES, 3, braid.MOVES[3]._replace(mutations=offsets))
+
+
+def _public_path(seq, move, s):
+    """The relabelled and the target pair on the window [1, s] by the public
+    path: build_seed, mutate_pair per mutation of the move, permute_pair.
+    A periodic word is unfolded as far as move_witness unfolds it."""
+    src = unfold(seq, s + seq.datum.longest_length + move.span + 2) if seq.periodic else seq
+    pair = build_seed(src, s)
+    for m in move.mutations:
+        pair = mutate_pair(pair, m)
+    target = build_seed(IndexSequence(seq.datum, swap_block(src.letters, move.kind, move.k)), s)
+    return permute_pair(pair, move.perm_map()), target
+
+
+def _first_diff(got, want):
+    """The first differing entry (matrix, u, v, got, want) of two pairs, 1-based,
+    Lambda before B, each in row-major order; None when they agree."""
+    for m in ("lam", "b"):
+        at = np.argwhere(getattr(got, m) != getattr(want, m))
+        if len(at):
+            u, v = at[0]
+            return m, int(u) + 1, int(v) + 1, int(getattr(got, m)[u, v]), int(getattr(want, m)[u, v])
+    return None
+
+
+def _g2_public_path(letters, k):
+    seq = IndexSequence(build_cartan("G", 2), letters)
+    return _public_path(seq, detect_move(seq, k), len(letters))
 
 
 def _certifier_sample(monkeypatch, offsets):
     """Stacked verdicts and public-path verdicts on a fixed sample, as
     {(letters, k): holds} each."""
-    monkeypatch.setattr(braid, "_ZETA_OFFSETS", offsets)
+    _plant_six_move(monkeypatch, offsets)
     d = build_cartan("G", 2)
     rng = random.Random(9)
     sample = rng.sample(list(itertools.islice(g2_sequences(), 0, None, 97)), 120)
     stacked = {}
     for (_, k), run in itertools.groupby(sorted(sample, key=_run_key), key=_run_key):
         words = list(dict.fromkeys(letters for _, letters, _ in run))
-        for w, verdict in zip(words, _stack_verdicts(d, words, k)):
+        move = detect_move(IndexSequence(d, words[0]), k)
+        for w, verdict in zip(words, _stack_verdicts(d, words, move)):
             stacked[w, k] = verdict is None
     public = {}
     for _, letters, k in sample:
-        got, want = _six_move(d, letters, k, offsets)
+        got, want = _g2_public_path(letters, k)
         public[letters, k] = got == want
     return stacked, public
 
 
 def test_g2_certifier_sample(monkeypatch):
     """Stacked verdicts agree with the public path, and the recipe holds on every sampled configuration."""
-    stacked, public = _certifier_sample(monkeypatch, _ZETA_OFFSETS)
+    stacked, public = _certifier_sample(monkeypatch, SIX_MUTATIONS)
     assert stacked == public
     assert set(public.values()) == {True}
 
@@ -360,20 +387,19 @@ def test_g2_certifier_sample_planted(monkeypatch):
 def test_g2_certifier_names_witnesses(monkeypatch, tmp_path):
     head = list(itertools.islice(g2_sequences(), 600))
     monkeypatch.setattr(braid, "g2_sequences", lambda: iter(head))
-    monkeypatch.setattr(braid, "_ZETA_OFFSETS", PLANTED_OFFSETS)
+    _plant_six_move(monkeypatch, PLANTED_OFFSETS)
     report = g2_exhaustive_certify(jobs=1)
-    d = build_cartan("G", 2)
     holds = {}
     for _, letters, k in head:
         if (letters, k) not in holds:
-            got, want = _six_move(d, letters, k, PLANTED_OFFSETS)
+            got, want = _g2_public_path(letters, k)
             holds[letters, k] = got == want
     # every copy of a failing configuration counts
     assert report.total == 600 and report.mismatches == sum(not holds[w, k] for _, w, k in head) > 0
     assert len(report.witnesses) == 5
     for fam, letters, k, matrix, u, v, got, want in report.witnesses:
         assert (fam, letters, k) in head
-        public, target = _six_move(d, letters, k, PLANTED_OFFSETS)
+        public, target = _g2_public_path(letters, k)
         # the first differing entry, Lambda before B, each in row-major order
         diffs = [(m, np.argwhere(getattr(public, m) != getattr(target, m))) for m in ("lam", "b")]
         assert (matrix, u - 1, v - 1) == next((m, *at[0]) for m, at in diffs if len(at))
@@ -399,8 +425,112 @@ def test_g2_certifier_compares_b(monkeypatch):
     monkeypatch.setattr(braid, "mutate_arrays", mutate_and_bump)
     items = list(itertools.islice(g2_sequences(), 4))
     (s, k), = {_run_key(item) for item in items}
-    verdicts = _stack_verdicts(build_cartan("G", 2), [letters for _, letters, _ in items], k)
-    assert all(v[:3] == ("b", s, 1) and v[3] - v[4] == len(_ZETA_OFFSETS) for v in verdicts)
+    d = build_cartan("G", 2)
+    words = [letters for _, letters, _ in items]
+    verdicts = _stack_verdicts(d, words, detect_move(IndexSequence(d, words[0]), k))
+    assert all(v[:3] == ("b", s, 1) and v[3] - v[4] == len(SIX_MUTATIONS) for v in verdicts)
+
+
+MOVE_TYPES = ("G2", "B2", "F4", "C3", "B3", "A3")
+
+
+@given(st.data())
+def test_move_certifier_matches_public_path(data):
+    """On every move kind, move_witness and verify_move_on_seed agree with the
+    public path, verdict and first differing entry, on height-adapted words."""
+    code = data.draw(st.sampled_from(MOVE_TYPES))
+    d = build_cartan(code[0], int(code[1]))
+    # a height function: node 1 even, adjacent nodes one apart
+    xi, todo = {1: 2 * data.draw(st.integers(-2, 2))}, [1]
+    while todo:
+        i = todo.pop()
+        for j in range(1, d.rank + 1):
+            if j not in xi and d.c(i, j) < 0:
+                xi[j] = xi[i] + data.draw(st.sampled_from((-1, 1)))
+                todo.append(j)
+    ell = d.longest_length
+    seq = IndexSequence(d, longest_word(d, adapted_to=xi), periodic=True)
+    moves = []
+    for k in range(1, ell + 2):
+        try:
+            moves.append(detect_move(seq, k))
+        except BraidError:
+            pass
+    # the kind first, longest first, so the rarer 3-, 4- and 6-moves are not
+    # drowned by 2-moves; the types too start with those that have 4- and 6-moves
+    kind = data.draw(st.sampled_from(sorted({m.kind for m in moves}, key=MOVE_SPAN.get, reverse=True)))
+    move = data.draw(st.sampled_from([m for m in moves if m.kind == kind]))
+    # planted steps inside the block, all exchangeable, make some moves fail
+    block = st.integers(move.k, move.k + move.span - 1)
+    move = dataclasses.replace(move, mutations=move.mutations + tuple(data.draw(st.lists(block, max_size=2))))
+    s = data.draw(st.integers(min_window(move, seq), min_window(move, seq) + ell))
+    if data.draw(st.booleans()):
+        seq = unfold(seq, data.draw(st.integers(s, s + ell + move.span + 2)))
+    got, want = _public_path(seq, move, s)
+    assert move_witness(seq, move, s) == _first_diff(got, want)
+    assert verify_move_on_seed(seq, move, s) == (got == want)
+
+
+# The 6-move recipe with four more steps at k and k + 1, which fails at k = 1.
+PLANTED_AT_K = SIX_MUTATIONS + (0, 1, 0, 1)
+
+
+def test_verify_move_cli_names_the_witness(monkeypatch, capsys):
+    _plant_six_move(monkeypatch, PLANTED_AT_K)
+    argv = ["verify-move", "--type", "G2", "--seq", "alt", "--k", "1", "--window", "14"]
+    assert main(argv) == 1
+    seq = alternating(build_cartan("G", 2))
+    matrix, u, v, got, want = _first_diff(*_public_path(seq, detect_move(seq, 1), 14))
+    line = f"six-move at 1 on window 14: MISMATCH at {matrix}[{u},{v}]: got {got}, want {want}"
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_frozen_mutation_raises_seed_error():
+    """A hand-built move that mutates a frozen or absent position raises as mutate_pair does."""
+    seq = unfold(alternating(build_cartan("G", 2)), 30)
+    move = detect_move(seq, 1)
+    pair = build_seed(seq, 14)
+    for m in (max(pair.frozen), 0, 15):
+        with pytest.raises(SeedError):
+            mutate_pair(pair, m)
+        bad = dataclasses.replace(move, mutations=move.mutations + (m,))
+        with pytest.raises(SeedError, match=f"position {m} is frozen or out of range"):
+            move_witness(seq, bad, 14)
+        with pytest.raises(SeedError):
+            verify_move_on_seed(seq, bad, 14)
+
+
+def test_g2_jobs_are_bounded(monkeypatch, capsys):
+    """jobs below 1 is a usage error, and the pool never exceeds the CPU count."""
+    with pytest.raises(BraidError):
+        g2_exhaustive_certify(jobs=0)
+    assert main(["g2-cert", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: jobs must be at least 1")
+    workers = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process: it starts no process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    head = list(itertools.islice(g2_sequences(), 40))
+    monkeypatch.setattr(braid, "g2_sequences", lambda: iter(head))
+    monkeypatch.setattr(braid, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(braid.os, "cpu_count", lambda: 3)
+    for jobs in (10**6, None, 3, 2, 1):
+        report = g2_exhaustive_certify(jobs=jobs)
+        assert report.total == 40 and report.mismatches == 0
+    assert workers == [3, 3, 3, 2]  # one job runs in this process
 
 
 def test_appendix_orders_equivalent_on_window_14():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qcab.braid import IndexSequence, apply_move_to_sequence, detect_move, swap_block
+from qcab.braid import BraidError, IndexSequence, apply_move_to_sequence, detect_move, swap_block
 from qcab.cartan import build_cartan
 from qcab.gvectors import cone_generator
 from qcab.lusztig import LusztigError, c_of_deg, cmap_apply, cmap_by_degrees, deg_of_c, nu
@@ -36,6 +36,20 @@ def test_c_of_deg_outside_cone():
     w = word("B2", (1, 2, 1, 2))
     with pytest.raises(LusztigError):
         c_of_deg({1: -1}, w)
+
+
+def test_tail_sum_errors():
+    """Negative tail sums and support outside 1..l leave the cone; a parameter
+    vector running past a non-periodic word is refused."""
+    w = word("B2", (1, 2, 1, 2))
+    assert c_of_deg({3: 1, 1: -1}, w) == (0, 0, 1, 0)
+    for g in ({3: -1, 1: 1}, {5: 1}, {0: 1}, {1: 1, 5: 1}):
+        with pytest.raises(LusztigError, match="outside the parameter cone"):
+            c_of_deg(g, w)
+    assert c_of_deg({5: 0, 2: 1}, w) == (0, 1, 0, 0)
+    with pytest.raises(BraidError, match="position 5 beyond"):
+        deg_of_c((0, 1, 0, 0, 1), w)
+    assert deg_of_c((0, 1, 0, 0, 1), IndexSequence(w.datum, w.letters, periodic=True)) == {2: 1, 5: 1, 3: -1}
 
 
 def test_nu_examples():
