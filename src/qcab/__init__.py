@@ -60,6 +60,7 @@ from .qgroth import (
     XElement,
     XTorus,
     check_kappa,
+    kappa_witness,
     kr_monomial,
     npairing,
     substitute_b2,

@@ -459,12 +459,15 @@ def _stack_verdicts(
     lam, b = windows[: len(words), 0], windows[: len(words), 1]  # index starts with the words
     for m in move.mutations:
         lam, b = mutate_arrays(lam, b, m)
+    want = windows[[index[w] for w in targets]]
+    del windows  # each stack is dropped once the next is built, to keep the peak low
     # sigma relabels positions; entries move by the inverse on rows/columns
     idx = np.arange(s)
     for u, v in move.perm_map().items():
         idx[v - 1] = u - 1
-    got = np.stack([lam, b], axis=1)[..., idx[:, None], idx]
-    want = windows[[index[w] for w in targets]]
+    got = np.stack([lam, b], axis=1)
+    del lam, b
+    got = got[..., idx[:, None], idx]
     verdicts: list[tuple | None] = [None] * len(words)
     for n in np.flatnonzero((got != want).any(axis=(1, 2, 3))):
         m, u, v = np.argwhere(got[n] != want[n])[0]

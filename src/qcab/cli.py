@@ -233,9 +233,10 @@ def _dispatch(args) -> int:
     if args.command == "check-kappa":
         datum = parse_type(args.type)
         xi = _parse_xi(args.xi) if args.xi else _default_xi(datum)
-        ok = qgroth.check_kappa(datum, xi, args.window)
-        print("kappa comparison: " + ("ok" if ok else "MISMATCH"))
-        return 0 if ok else 1
+        witness = qgroth.kappa_witness(datum, xi, args.window)
+        verdict = "ok" if witness is None else "MISMATCH at {}[{},{}]: got {}, want {}".format(*witness)
+        print(f"kappa comparison: {verdict}")
+        return 0 if witness is None else 1
 
     raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
 

@@ -10,6 +10,7 @@ acts on coefficients alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .braid import IndexSequence, build_seed
@@ -253,35 +254,66 @@ def compatible_reading(datum: CartanDatum, xi: dict[int, int], count: int) -> li
     return out[:count]
 
 
-def check_kappa(
-    datum: CartanDatum, xi: dict[int, int], window: int, tc: TCartan | None = None
-) -> bool:
-    """Both halves of the torus comparison on a window of the reading."""
+def _kr_gram_rows(ambient: XTorus, xi: dict[int, int], hats: list[HatIndex]) -> Iterator[list[int]]:
+    """The rows of the Gram matrix pairing_vec(z_u, z_v) of the KR monomials z_xi at ``hats``.
+
+    Each node's entries of ``hats`` must step down by 2 from xi_i, so that the
+    ladder of hats[u] is hats[u] plus the ladder of prev(u), the node's entry
+    before it.  Then R_u = R_prev(u) + P_u sums the pairing P on ``hats`` down
+    the ladder of u, and G_uv = G_u,prev(v) + R_uv sums R_u down the ladder of
+    v: G = E P E^T for the 0/1 ladder matrix E, with one R row kept per node.
+    """
+    n, prev, last = len(hats), [], {}
+    for u, (i, p) in enumerate(hats):
+        top = last.get(i, n)  # prev = n at a ladder's top reads the zero kept at g[n]
+        if p != (xi[i] if top == n else hats[top][1] - 2):
+            raise QGrothError(f"({i}, {p}) does not step down the ladder of node {i} from {xi[i]}")
+        prev.append(top)
+        last[i] = u
+    rows: dict[int, list[int]] = {}
+    for a in hats:
+        r = rows[a[0]] = [x + ambient.pairing(a, b) for x, b in zip(rows.get(a[0], [0] * n), hats)]
+        g = [0] * (n + 1)
+        for v in range(n):
+            g[v] = g[prev[v]] + r[v]
+        yield g[:n]
+
+
+def kappa_witness(datum: CartanDatum, xi: dict[int, int], window: int, tc: TCartan | None = None) -> tuple | None:
+    """None when the torus comparison holds on a window of the reading, else its first mismatch.
+
+    Both halves are compared.  Positions are 1-based, ``got`` is read from the
+    window's seed and ``want`` from the KR monomials z_u = z_xi(pairs[u]):
+    ("lam", u, v, got, want) when Lambda_uv (u < v, row-major) is not the
+    pairing of z_u and z_v, or ("image", u, hat, got, want) when column u of B
+    carries the z's to another monomial than the inverse b-monomial one level
+    below pairs[u], at the lowest differing hat.
+    """
     tc = tc if tc is not None else TCartan(datum)
-    ambient = XTorus(tc)
-    margin = window + 2 * datum.rank + 2
-    pairs = compatible_reading(datum, xi, margin)
-    seq = IndexSequence(datum, tuple(i for i, _ in pairs))
-    seed = build_seed(seq, window)
-    krs = [z_xi(ambient, xi, i, p) for (i, p) in pairs[:window]]
-    kr_exps = [next(iter(k.terms)) for k in krs]
-    for u in range(window):
-        for v in range(u + 1, window):
-            n = ambient.pairing_vec(kr_exps[u], kr_exps[v])
-            if n != seed.lam_entry(u + 1, v + 1):
-                return False
+    pairs = compatible_reading(datum, xi, window + 2 * datum.rank + 2)
+    seed = build_seed(IndexSequence(datum, tuple(i for i, _ in pairs)), window)
+    hats = pairs[:window]
+    for u, gram in enumerate(_kr_gram_rows(XTorus(tc), xi, hats)):
+        for v, got in enumerate(seed.lam[u, u + 1 :].tolist(), u + 1):
+            if got != gram[v]:
+                return ("lam", u + 1, v + 1, got, gram[v])
     for u in sorted(seed.exchangeable):
         image: dict[HatIndex, int] = {}
-        for k in range(1, window + 1):
-            coeff = seed.b_entry(k, u)
+        for (j, s), coeff in zip(hats, seed.b[:, u - 1].tolist()):
             if coeff:
-                for idx, e in kr_exps[k - 1]:
-                    image[idx] = image.get(idx, 0) + coeff * e
+                for t in range(s, xi[j] + 1, 2):  # the ladder of z_xi(j, s)
+                    image[(j, t)] = image.get((j, t), 0) + coeff
         i, p = pairs[u - 1]
         want = {idx: -e for idx, e in b_monomial_exponents(datum, i, p - 1).items()}
-        if {k: v for k, v in image.items() if v} != {k: v for k, v in want.items() if v}:
-            return False
-    return True
+        for hat in sorted(image.keys() | want.keys(), key=lambda h: (h[1], h[0])):
+            if image.get(hat, 0) != want.get(hat, 0):
+                return ("image", u, hat, image.get(hat, 0), want.get(hat, 0))
+    return None
+
+
+def check_kappa(datum: CartanDatum, xi: dict[int, int], window: int, tc: TCartan | None = None) -> bool:
+    """Both halves of the torus comparison on a window of the reading; see kappa_witness."""
+    return kappa_witness(datum, xi, window, tc) is None
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from qcab.cli import main
 
+from test_qgroth import plant
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -81,6 +83,16 @@ def test_check_fq(capsys):
 def test_check_kappa(capsys):
     code, out = run(capsys, "check-kappa", "--type", "B2", "--window", "8", "--xi", "1:0,2:1")
     assert code == 0 and "ok" in out
+
+
+def test_check_kappa_prints_the_witness(capsys, monkeypatch):
+    plant(monkeypatch, "lam", 2, 3)
+    code, out = run(capsys, "check-kappa", "--type", "B2", "--window", "8", "--xi", "1:0,2:1")
+    assert code == 1 and out == "kappa comparison: MISMATCH at lam[2,3]: got 1, want 0\n"
+    monkeypatch.undo()
+    plant(monkeypatch, "b", 5, 3)
+    code, out = run(capsys, "check-kappa", "--type", "B2", "--window", "8", "--xi", "1:0,2:1")
+    assert code == 1 and out == "kappa comparison: MISMATCH at image[3,(2, -3)]: got 0, want -1\n"
 
 
 def test_check_kappa_rejects_partial_height_function(capsys):

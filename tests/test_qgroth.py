@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qcab import qgroth
+from qcab.braid import IndexSequence
 from qcab.cartan import build_cartan, parity_function
 from qcab.commutative import CommutativeError, LaurentPoly, RationalX
 from qcab.qgroth import (
@@ -16,9 +18,12 @@ from qcab.qgroth import (
     TCartan,
     XElement,
     XTorus,
+    _kr_gram_rows,
     _normkey,
+    b_monomial_exponents,
     check_kappa,
     compatible_reading,
+    kappa_witness,
     kr_monomial,
     npairing,
     substitute_b2,
@@ -28,6 +33,7 @@ from qcab.qgroth import (
     xelement_to_text,
     z_xi,
 )
+from qcab.seeds import make_pair
 from qcab.torus import QCoeff, QLaurent, TorusError, WindowTorus
 
 from test_torus import _EDITS, edit_text
@@ -116,6 +122,12 @@ def test_compatible_reading_order():
     assert pairs == [(2, 1), (1, 0), (2, -1), (1, -2), (2, -3), (1, -4)]
 
 
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
 def test_check_kappa_windows():
     for code, xi in (
         ("B2", {1: 0, 2: 1}),
@@ -124,6 +136,78 @@ def test_check_kappa_windows():
     ):
         d = build_cartan(code[0], int(code[1]))
         assert check_kappa(d, xi, 2 * d.longest_length)
+    for code in ALL_TYPES:  # every finite type of rank <= 8, bipartite height function
+        d = build_cartan(code[0], int(code[1:]))
+        assert kappa_witness(d, dict(parity_function(d)), 2 * d.longest_length) is None, code
+
+
+@st.composite
+def height_functions(draw):
+    """A type of rank <= 4 and a height function on it: adjacent heights differ by 1."""
+    code = draw(st.sampled_from(["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]))
+    d = build_cartan(code[0], int(code[1]))
+    xi, todo = {1: 2 * draw(st.integers(-3, 3))}, [1]  # node 1 has even parity
+    while todo:  # Dynkin diagrams are trees: walk out from node 1
+        i = todo.pop()
+        for j in range(1, d.rank + 1):
+            if j not in xi and d.c(i, j) < 0:
+                xi[j] = xi[i] + draw(st.sampled_from([-1, 1]))
+                todo.append(j)
+    return d, xi
+
+
+@given(height_functions())
+def test_kr_gram_recurrence_matches_pairing_vec(case):
+    d, xi = case
+    amb = XTorus(TCartan(d))
+    hats = compatible_reading(d, xi, 2 * d.longest_length)
+    krs = [next(iter(z_xi(amb, xi, i, p).terms)) for i, p in hats]
+    assert list(_kr_gram_rows(amb, xi, hats)) == [[amb.pairing_vec(a, b) for b in krs] for a in krs]
+
+
+def test_kr_gram_needs_nested_ladders():
+    amb, xi = ambient("B2"), {1: 0, 2: 1}
+    for hats in ([(1, -2)], [(2, 1), (1, 0), (1, -4)], [(1, 0), (1, 0)]):
+        with pytest.raises(QGrothError, match="does not step down the ladder"):
+            list(_kr_gram_rows(amb, xi, hats))
+
+
+def plant(monkeypatch, matrix, u, v):
+    """Make qgroth.build_seed add 1 to entry (u, v) of Lambda (and -1 at (v, u)) or of B."""
+    real = qgroth.build_seed
+
+    def build_seed(seq, s):
+        seed = real(seq, s)
+        lam, b = seed.lam.copy(), seed.b.copy()
+        if matrix == "lam":
+            lam[u - 1, v - 1] += 1
+            lam[v - 1, u - 1] -= 1
+        else:
+            b[u - 1, v - 1] += 1
+        return make_pair(lam, b, seed.exchangeable, seed.diag)
+
+    monkeypatch.setattr(qgroth, "build_seed", build_seed)
+    return real
+
+
+def test_kappa_witness_names_a_planted_lambda_entry(monkeypatch):
+    d, xi = build_cartan("B", 3), {1: 0, 2: -1, 3: 0}
+    real = plant(monkeypatch, "lam", 5, 9)
+    pairs = compatible_reading(d, xi, 18 + 2 * d.rank + 2)
+    want = real(IndexSequence(d, tuple(i for i, _ in pairs)), 18).lam_entry(5, 9)
+    assert kappa_witness(d, xi, 18) == ("lam", 5, 9, want + 1, want)
+    assert not check_kappa(d, xi, 18)
+
+
+def test_kappa_witness_names_a_planted_b_entry(monkeypatch):
+    d, xi = build_cartan("B", 3), {1: 0, 2: -1, 3: 0}
+    plant(monkeypatch, "b", 7, 4)  # column 4 is exchangeable; b_74 goes from -1 to 0
+    pairs = compatible_reading(d, xi, 18)
+    i, p = pairs[3]
+    want = -b_monomial_exponents(d, i, p - 1).get(pairs[6], 0)
+    # the image moves on the whole ladder of row 7, whose lowest hat is pairs[6]
+    assert kappa_witness(d, xi, 18) == ("image", 4, pairs[6], want + 1, want)
+    assert not check_kappa(d, xi, 18)
 
 
 def test_truncate_and_shifts():
