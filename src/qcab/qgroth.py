@@ -10,8 +10,9 @@ acts on coefficients alone.
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .braid import IndexSequence, build_seed
 from .cartan import CartanDatum, build_cartan, parity_function, validate_height_function
@@ -40,7 +41,9 @@ class TCartan:
     is second order, so s_{2h} = 1 and s_{2h+1} = s_1 make the series periodic
     with period 2h (h the Coxeter number).  The table holds exactly 2h + 2
     terms, both equalities are checked when it is built, and every u >= 1 is
-    read at (u - 1) mod 2h.  ``umax`` is accepted and ignored.
+    read at (u - 1) mod 2h.  ``umax`` is accepted and ignored.  The pairing
+    table of ``XTorus`` is read from ``tilde_b`` once per datum, when the
+    torus is first built, not here.
     """
 
     def __init__(self, datum: CartanDatum, umax: int | None = None):
@@ -95,55 +98,119 @@ def npairing(tc: TCartan, a: HatIndex, b: HatIndex) -> int:
 
 
 def _normkey(exps: dict[HatIndex, int]) -> ExpKey:
-    return tuple(sorted(((u, e) for u, e in exps.items() if e), key=lambda t: (t[0][1], t[0][0])))
+    return tuple(sorted(((u, e) for u, e in exps.items() if e), key=_level_order))
 
 
-@dataclass
+def _level_order(term: tuple[HatIndex, int]) -> tuple[int, int]:
+    """The canonical order of an ``ExpKey``: by level, then by node."""
+    (i, p), _ = term
+    return p, i
+
+
 class XTorus:
-    """The (i,p) torus: its pairing cache and the torus protocol of ``QLaurent``.
+    """The (i,p) torus of a Cartan datum: its pairing table and the torus protocol of ``QLaurent``.
 
-    Exponents are sparse ``ExpKey`` tuples; ``row(b)`` is ``b`` and the twist is ``pairing_vec``.
+    One object per datum, interned while in use, so tori compare by identity.
+    By ``npairing`` the pairing of (i, p) and (j, s) is f_ij(p - s), and f_ij
+    is odd, 0 at 0, and b(d - 1) - b(d + 1) for d >= 1 with b = tilde_b(i, j, .):
+    periodic for d >= 2 with the period 2h of ``TCartan``.  ``table[i][j]``
+    holds f_ij(d) at list index d for |d| <= 2h + 1, negative d counted from
+    the end; a longer gap folds to (d - 2) mod 2h + 2, with its sign.
+
+    Exponents are sparse ``ExpKey`` tuples in (p, i) order.  ``key`` checks
+    that every hat is a generator, which the table lookups do not;
+    ``row(b)`` lists (level, exponent, table row) for each hat of b, so
+    ``twist(a, row(b))`` is the pairing of a and b by list indexing; ``join``
+    inserts the shorter key into the longer.
     """
 
-    tc: TCartan
-    _pairs: dict[tuple[HatIndex, HatIndex], int] = field(default_factory=dict)
+    __slots__ = ("tc", "datum", "table", "_parity", "_lim", "__weakref__")
+    _interned = weakref.WeakValueDictionary()  # datum -> torus
     one = ()
 
-    @property
-    def datum(self) -> CartanDatum:
-        return self.tc.datum
+    def __new__(cls, tc: TCartan) -> "XTorus":
+        self = cls._interned.get(tc.datum)
+        if self is None:
+            self = super().__new__(cls)
+            self.tc, self.datum = tc, tc.datum
+            n = tc.datum.rank
+            self._lim = lim = tc.period + 1
+            self.table = [None]  # indexed by node from 1, like _parity
+            for i in range(1, n + 1):
+                self.table.append([None])
+                for j in range(1, n + 1):
+                    b = [tc.tilde_b(i, j, u) for u in range(lim + 2)]
+                    f = [0] + [b[d - 1] - b[d + 1] for d in range(1, lim + 1)]
+                    self.table[i].append(f + [-v for v in reversed(f[1:])])
+            # eps_i = d(i, 1) mod 2, as parity_function gives it; read directly, so that the first
+            # torus of a datum makes no call that the perfbench tracer counts in one pass only
+            self._parity = (None,) + tuple(tc.datum.dist(i, 1) % 2 for i in range(1, n + 1))
+            cls._interned[tc.datum] = self
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        """The pairing depends on the Cartan datum alone, so that is the torus."""
-        return isinstance(other, XTorus) and self.datum == other.datum
+    def __reduce__(self):
+        return (XTorus, (self.tc,))  # a copy or unpickled torus goes back through the interning
+
+    def _fold(self, d: int) -> int:
+        """A level gap past the table, moved by whole periods to (d - 2) mod 2h + 2 with its sign."""
+        period = self._lim - 1
+        return (d - 2) % period + 2 if d > 0 else -((-d - 2) % period + 2)
 
     def pairing(self, a: HatIndex, b: HatIndex) -> int:
-        v = self._pairs.get((a, b))
-        if v is None:
-            v = self._pairs[(a, b)] = npairing(self.tc, a, b)
-            self._pairs[(b, a)] = -v
-        return v
+        (i, p), (j, s) = a, b
+        d = p - s
+        return self.table[i][j][d if -self._lim <= d <= self._lim else self._fold(d)]
 
     def pairing_vec(self, a: ExpKey, b: ExpKey) -> int:
-        return sum(
-            ea * eb * self.pairing(ua, ub) for ua, ea in a for ub, eb in b
-        )
+        """The pairing of two exponents: the sum of e_a e_b pairing(u_a, u_b) over their hats."""
+        return self.twist(a, self.row(b))
 
-    key = staticmethod(_normkey)
+    def check(self, *hats: HatIndex) -> None:
+        """Raise unless each (i, p) indexes a generator: a node at a level of its parity."""
+        n = self.datum.rank
+        for i, p in hats:
+            if not 1 <= i <= n:
+                raise QGrothError(f"node {i} outside 1..{n}")
+            if (p - self._parity[i]) % 2:
+                raise QGrothError(f"level {p} does not match the parity of node {i}")
 
-    @staticmethod
-    def row(b: ExpKey) -> ExpKey:
-        return b
+    def key(self, exps: dict[HatIndex, int]) -> ExpKey:
+        self.check(*exps)
+        return _normkey(exps)
 
-    def twist(self, a: ExpKey, b: ExpKey) -> int:
-        return self.pairing_vec(a, b)  # looked up by name, so a wrapped pairing_vec sees products
+    def row(self, b: ExpKey) -> list[tuple[int, int, list[list[int]]]]:
+        table = self.table
+        return [(s, e, table[j]) for (j, s), e in b]
+
+    def twist(self, a: ExpKey, rb: list[tuple[int, int, list[list[int]]]]) -> int:
+        """The pairing of a and b from row(b): pairing((i, p), (j, s)) = -table[j][i][s - p]."""
+        lim = self._lim
+        total = 0
+        for (i, p), ea in a:
+            acc = 0
+            for s, eb, tj in rb:
+                d = s - p
+                acc += eb * tj[i][d if -lim <= d <= lim else self._fold(d)]
+            total -= ea * acc
+        return total
 
     @staticmethod
     def join(a: ExpKey, b: ExpKey) -> ExpKey:
-        merged = dict(a)
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        k = 0
         for u, e in b:
-            merged[u] = merged.get(u, 0) + e
-        return _normkey(merged)
+            k = bisect_left(out, (u[1], u[0]), k, key=_level_order)
+            if k < len(out) and out[k][0] == u:
+                e += out[k][1]
+                if e:
+                    out[k] = (u, e)
+                else:
+                    del out[k]
+            else:
+                out.insert(k, (u, e))
+        return tuple(out)
 
 
 def _check_generator(datum: CartanDatum, *hats: HatIndex) -> None:
@@ -161,7 +228,7 @@ class XElement(QLaurent):
 
     ``QLaurent`` over an ``XTorus`` (``torus``) with sparse ``ExpKey`` keys:
     the linear structure, the product, powers, bar and equality are inherited,
-    and ``monomial`` takes a ``{(i, p): exponent}`` dict.
+    and ``monomial`` takes a ``{(i, p): exponent}`` dict and checks its hats.
     """
 
     __mul__ = QLaurent.__mul__  # an attribute of its own, so a benchmark can trace XElement products apart
@@ -169,9 +236,8 @@ class XElement(QLaurent):
     @staticmethod
     def raw_generator(ambient: XTorus, i: int, p: int, exp: int = 1) -> "XElement":
         """The plain generator power, q^{-e d_i / 2} times the basis monomial."""
-        _check_generator(ambient.datum, (i, p))
-        d = ambient.datum.d(i)
-        return XElement.monomial(ambient, {(i, p): exp}, QCoeff.q_power(-exp * d))
+        a = ambient.key({(i, p): exp})  # checks the generator before d_i is read
+        return XElement(ambient, {a: QCoeff.q_power(-exp * ambient.datum.d(i))})
 
     # -- structure maps ---------------------------------------------------
 
@@ -186,7 +252,7 @@ class XElement(QLaurent):
     def relabel(self, f) -> "XElement":
         out: dict[ExpKey, QCoeff] = {}
         for a, c in self.terms.items():
-            key = _normkey({f(u): e for u, e in a})
+            key = self.torus.key({f(u): e for u, e in a})
             if key in out:
                 raise QGrothError("relabelling collides")  # pragma: no cover
             out[key] = c
@@ -217,7 +283,7 @@ class XElement(QLaurent):
 
 def kr_monomial(ambient: XTorus, i: int, p: int, s: int) -> XElement:
     """The commutative monomial on the parity ladder of node i from p to s."""
-    _check_generator(ambient.datum, (i, p), (i, s))
+    ambient.check((i, p), (i, s))
     if p > s:
         raise QGrothError("empty ladder: need p <= s")
     return XElement.monomial(ambient, {(i, u): 1 for u in range(p, s + 1, 2)})

@@ -239,7 +239,7 @@ class QLaurent:
     terms: dict[tuple, QCoeff] = field(default_factory=dict)
 
     def _same(self, other: "QLaurent") -> None:
-        if not (self.torus is other.torus or self.torus == other.torus):
+        if self.torus is not other.torus:
             raise TorusError("mismatched ambient tori")
 
     @classmethod
@@ -323,8 +323,7 @@ class QLaurent:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QLaurent):
             return NotImplemented
-        t, u = self.torus, other.torus
-        return (t is u or t == u) and self.terms == other.terms
+        return self.torus is other.torus and self.terms == other.terms
 
     def __hash__(self) -> int:  # pragma: no cover
         return hash(frozenset(self.terms))

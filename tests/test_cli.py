@@ -247,3 +247,15 @@ def test_check_fq_rejects_bad_fixture_text(tmp_path, capsys, extra, args, named)
     assert main(["check-fq", str(path), *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("hat", ["X[2,0]", "X[4,-2]^2"])
+def test_check_fq_names_a_wrong_parity_hat_once(tmp_path, capsys, hat):
+    """A hat off its node's parity stops check-fq at the element boundary: exit 2, one error line, no output."""
+    path = tmp_path / "fixture.txt"
+    path.write_text((FIXTURES / "b4_fundamental_x10.txt").read_text().strip() + f" + (q) X[1,0]*{hat}")
+    assert main(["check-fq", str(path), *B4_FQ]) == 2
+    captured = capsys.readouterr()
+    node, level = hat[2:].split("]")[0].split(",")
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: level {level} does not match the parity of node {node}"]

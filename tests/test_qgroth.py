@@ -210,6 +210,100 @@ def test_kappa_witness_names_a_planted_b_entry(monkeypatch):
     assert not check_kappa(d, xi, 18)
 
 
+@pytest.mark.parametrize("code", ALL_TYPES)
+def test_pairing_table_matches_npairing(code):
+    """The periodic table equals the four-term formula and is antisymmetric, folded gaps included."""
+    d = build_cartan(code[0], int(code[1:]))
+    tc, eps, period = TCartan(d), parity_function(d), 2 * d.coxeter_number
+    amb = XTorus(tc)
+
+    def check(a, b):
+        got, want = amb.pairing(a, b), npairing(tc, a, b)
+        assert got == want, f"{code} pairing({a}, {b}): got {got}, want {want}"
+        assert amb.pairing(b, a) == -got, f"{code} pairing({b}, {a}): got {amb.pairing(b, a)}, want {-got}"
+        twisted = amb.pairing_vec(((a, 2),), ((b, -1),))  # the product's path: twist by the row of b
+        assert twisted == -2 * want, f"{code} pairing_vec(2 {a}, -{b}): got {twisted}, want {-2 * want}"
+
+    edges = (-period - 2, -period - 1, -1, 0, 1, period + 1, period + 2)  # the last unfolded and first folded gaps
+    for i in range(1, d.rank + 1):
+        for j in range(1, d.rank + 1):
+            for gap in edges:
+                if (gap - eps[i] + eps[j]) % 2 == 0:
+                    check((i, eps[j] + gap), (j, eps[j]))
+
+    @given(st.integers(1, d.rank), st.integers(1, d.rank), st.integers(-4, 4), st.integers(-3 * period - 2, 3 * period + 2))
+    def random_gaps(i, j, base, gap):
+        s = eps[j] + 2 * base
+        gap += (eps[i] - eps[j] - gap) % 2  # up to three periods either way, at the parity of node i
+        check((i, s + gap), (j, s))
+
+    random_gaps()
+
+
+def _old_join(a, b):
+    """The merge-and-sort join the bisect insertion replaced."""
+    merged = dict(a)
+    for u, e in b:
+        merged[u] = merged.get(u, 0) + e
+    return _normkey(merged)
+
+
+_b3_hats = st.tuples(st.integers(1, 3), st.integers(-3, 3)).map(lambda t: (t[0], 2 * t[1] + (t[0] == 2)))
+
+
+@given(st.dictionaries(_b3_hats, st.integers(-2, 2), max_size=6), st.data())
+def test_join_inserts_into_canonical_keys(exps, data):
+    """join equals the dict merge on canonical keys, with cancelling exponents and either operand longer."""
+    a = _normkey(exps)
+    cancel = data.draw(st.sets(st.sampled_from(sorted(exps)), max_size=len(exps))) if exps else set()
+    extra = data.draw(st.dictionaries(_b3_hats, st.integers(-2, 2), max_size=8))
+    b = _normkey({**extra, **{u: -exps[u] for u in cancel}})
+    amb = ambient("B3")
+    for x, y in ((a, b), (b, a)):
+        assert amb.join(x, y) == _old_join(x, y), (x, y)
+
+
+def test_join_cancels_and_keeps_the_level_order():
+    amb = ambient("B3")
+    a = _normkey({(1, -2): 1, (2, -1): 2, (1, 0): -1})
+    assert amb.join(a, _normkey({(2, -1): -2, (1, 0): 1})) == (((1, -2), 1),)
+    assert amb.join(_normkey({(3, 0): 1}), a) == (((1, -2), 1), ((2, -1), 2), ((1, 0), -1), ((3, 0), 1))
+    assert amb.join(a, ()) == a and amb.join((), a) == a
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_b4_fixture_products_match_the_termwise_oracle(r):
+    amb = ambient("B4")
+    x = xelement_from_text(amb, (FIXTURES / "b4_fundamental_x10.txt").read_text().strip())
+    want = got = x
+    for t in range(1, r):
+        want = _naive_xproduct(want, x.tr_shift(2 * t))
+        got = got * x.tr_shift(2 * t)
+    assert got == want and len(got.terms) == (80, 702)[r - 2]
+
+
+def test_xtorus_is_one_per_cartan_datum():
+    d = build_cartan("B", 2)
+    assert XTorus(TCartan(d)) is B2 and ambient("B2") is B2
+    table = B2.table
+    assert pickle.loads(pickle.dumps(B2)) is B2 and B2.table is table
+    assert ambient("C2") is not B2
+
+
+@pytest.mark.parametrize(
+    "exps, named",
+    [({(3, 0): 1}, "node 3 outside 1..2"), ({(0, 0): 1}, "node 0 outside"), ({(1, 1): 1}, "parity of node 1"),
+     ({(1, 0): 1, (2, 0): -1}, "parity of node 2"), ({(2, 2): 0}, "parity of node 2")],
+)
+def test_monomial_checks_its_generators(exps, named):
+    """Table lookups do not validate, so the element boundary does."""
+    with pytest.raises(QGrothError, match=named):
+        XElement.monomial(B2, exps)
+    x = XElement.raw_generator(B2, 1, 0)
+    with pytest.raises(QGrothError, match="parity of node 1"):
+        x.relabel(lambda u: (u[0], u[1] + 1))
+
+
 def test_truncate_and_shifts():
     amb = ambient("B4")
     x = xelement_from_text(amb, (FIXTURES / "b4_fundamental_x10.txt").read_text().strip())
@@ -296,13 +390,14 @@ def test_xelement_text_round_trip_random(x):
 
 def _naive_xproduct(x, y):
     """The product summed one term pair at a time, through XElement addition."""
-    out = XElement.zero(B2)
+    amb = x.torus
+    out = XElement.zero(amb)
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
             exps = dict(a)
             for u, e in b:
                 exps[u] = exps.get(u, 0) + e
-            out = out + XElement.monomial(B2, exps, (ca * cb).shift(B2.pairing_vec(a, b)))
+            out = out + XElement.monomial(amb, exps, (ca * cb).shift(amb.pairing_vec(a, b)))
     return out
 
 
