@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import braid, gvectors, lusztig, qgroth, seeds
-from .cartan import parse_type
+from .cartan import parity_function, parse_type
 
 
 def _parse_seq(datum, text: str) -> braid.IndexSequence:
@@ -135,10 +135,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _default_xi(datum) -> dict[int, int]:
-    from .cartan import parity_function
+    return dict(parity_function(datum))
 
-    eps = parity_function(datum)
-    return {i: eps[i] for i in range(1, datum.rank + 1)}
+
+def _verdict(witness: tuple | None) -> str:
+    """The verdict of a check: ok, or its witness's first mismatch (matrix, u, v, got, want)."""
+    return "ok" if witness is None else "MISMATCH at {}[{},{}]: got {}, want {}".format(*witness)
 
 
 def _dispatch(args) -> int:
@@ -162,8 +164,7 @@ def _dispatch(args) -> int:
         seq = _parse_seq(datum, args.seq)
         move = braid.detect_move(seq, args.k)
         witness = braid.move_witness(seq, move, args.window)
-        verdict = "ok" if witness is None else "MISMATCH at {}[{},{}]: got {}, want {}".format(*witness)
-        print(f"{move.kind}-move at {args.k} on window {args.window}: {verdict}")
+        print(f"{move.kind}-move at {args.k} on window {args.window}: {_verdict(witness)}")
         return 0 if witness is None else 1
 
     if args.command == "g2-cert":
@@ -234,8 +235,7 @@ def _dispatch(args) -> int:
         datum = parse_type(args.type)
         xi = _parse_xi(args.xi) if args.xi else _default_xi(datum)
         witness = qgroth.kappa_witness(datum, xi, args.window)
-        verdict = "ok" if witness is None else "MISMATCH at {}[{},{}]: got {}, want {}".format(*witness)
-        print(f"kappa comparison: {verdict}")
+        print(f"kappa comparison: {_verdict(witness)}")
         return 0 if witness is None else 1
 
     raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover

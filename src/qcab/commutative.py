@@ -1,16 +1,17 @@
 """Exact commutative multivariate Laurent arithmetic over the integers.
 
 Variables are arbitrary hashable labels (window positions, (node, level)
-pairs).  Monomial keys are sorted tuples of (variable, exponent) with no zero
-exponents.  Division is by leading-term elimination and is exact or an error;
-rational functions reduce by content extraction and trial division, with
-equality decided by cross-multiplication.
+pairs).  Monomial keys are tuples of (variable, exponent) in the repr order
+of the variables, with no zero exponents.  Division is by leading-term
+elimination and is exact or an error; a rational function is reduced only
+when its denominator divides its numerator, and equality is decided by
+cross-multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from operator import itemgetter
 
 Monomial = tuple[tuple[object, int], ...]
 
@@ -19,15 +20,16 @@ class CommutativeError(ArithmeticError):
     pass
 
 
+def _key(pairs) -> Monomial:
+    """The canonical key of (variable, exponent) pairs: zero exponents dropped, variables in repr order."""
+    return tuple(sorted(filter(itemgetter(1), pairs), key=lambda t: repr(t[0])))
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out = dict(a)
     for var, e in b:
-        n = out.get(var, 0) + e
-        if n:
-            out[var] = n
-        else:
-            del out[var]
-    return tuple(sorted(out.items(), key=lambda t: repr(t[0])))
+        out[var] = out.get(var, 0) + e
+    return _key(out.items())
 
 
 def _mono_div(a: Monomial, b: Monomial) -> Monomial:
@@ -80,8 +82,7 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(exps: dict, coeff: int = 1) -> "LaurentPoly":
-        key = tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda t: repr(t[0])))
-        return LaurentPoly({key: coeff} if coeff else {})
+        return LaurentPoly({_key(exps.items()): coeff} if coeff else {})
 
     @property
     def is_zero(self) -> bool:
@@ -122,8 +123,7 @@ class LaurentPoly:
             ((m, c),) = self.terms.items()
             if abs(c) != 1:
                 raise CommutativeError("negative power of a non-unit coefficient")
-            key = tuple(sorted(((v, n * e) for v, e in m), key=lambda t: repr(t[0])))
-            return LaurentPoly({key: c ** (n % 2 or 2)})
+            return LaurentPoly({_key((v, n * e) for v, e in m): c ** (n % 2 or 2)})
         out = LaurentPoly.const(1)
         base = self
         for _ in range(n):
@@ -147,31 +147,10 @@ class LaurentPoly:
         m = _mono_max(self.terms)
         return m, self.terms[m]
 
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
-
     def monomial_content(self) -> Monomial:
         """The largest monomial dividing every term (min exponent per variable)."""
-        if self.is_zero:
-            return ()
-        mins: dict[object, int] = {}
-        first = True
-        for m in self.terms:
-            d = dict(m)
-            if first:
-                mins = dict(d)
-                first = False
-            else:
-                for v in list(mins):
-                    mins[v] = min(mins[v], d.get(v, 0))
-                for v in d:
-                    if v not in mins:
-                        mins[v] = min(0, d[v])
-        key = tuple(sorted(((v, e) for v, e in mins.items() if e), key=lambda t: repr(t[0])))
-        return key
+        exps = [dict(m) for m in self.terms]
+        return _key((v, min(d.get(v, 0) for d in exps)) for v in {v for d in exps for v in d})
 
     def strip_content(self) -> tuple[Monomial, "LaurentPoly"]:
         """Factor self as monomial * polynomial-with-min-exponent-zero."""
@@ -211,13 +190,6 @@ class LaurentPoly:
         shift = _mono_div(m_x, m_d)
         return LaurentPoly({_mono_mul(m, shift): c for m, c in out.items() if c})
 
-    def divides(self, other: "LaurentPoly") -> bool:
-        try:
-            other.divexact(self)
-        except CommutativeError:
-            return False
-        return True
-
     def substitute(self, table: dict) -> "LaurentPoly":
         """Replace each variable by a Laurent monomial (a one-term LaurentPoly)."""
         out = LaurentPoly.zero()
@@ -241,7 +213,8 @@ class LaurentPoly:
 
 @dataclass(frozen=True, eq=False)
 class RationalX:
-    """A fraction of Laurent polynomials, kept in a content-reduced form."""
+    """A fraction of Laurent polynomials: the quotient over 1 when the
+    denominator divides the numerator, else the fraction as given."""
 
     num: LaurentPoly
     den: LaurentPoly
@@ -254,28 +227,11 @@ class RationalX:
     def make(num: LaurentPoly, den: LaurentPoly) -> "RationalX":
         if den.is_zero:
             raise CommutativeError("zero denominator")
-        if num.is_zero:
-            return RationalX(LaurentPoly.zero(), LaurentPoly.const(1))
-        # clear common integer and monomial content
-        g = gcd(num.content(), den.content())
-        mc = _mono_mul(num.monomial_content(), ())
-        md = den.monomial_content()
-        common: dict[object, int] = {}
-        dn, dd = dict(mc), dict(md)
-        for v in set(dn) | set(dd):
-            e = min(dn.get(v, 0), dd.get(v, 0))
-            if e:
-                common[v] = e
-        strip = LaurentPoly.monomial(common, g) if (g != 1 or common) else None
-        if strip is not None:
-            num = num.divexact(strip)
-            den = den.divexact(strip)
-        if den.divides(num):
-            return RationalX(num.divexact(den), LaurentPoly.const(1))
-        _, lc = den.leading()
-        if lc < 0:
-            num, den = -num, -den
-        return RationalX(num, den)
+        try:
+            quotient = num.divexact(den)
+        except CommutativeError:  # den is nonzero, so this is a nonzero remainder
+            return RationalX(num, den)
+        return RationalX(quotient, LaurentPoly.const(1))
 
     @property
     def is_polynomial(self) -> bool:

@@ -15,8 +15,8 @@ from bisect import bisect_left
 from collections.abc import Iterator
 
 from .braid import IndexSequence, build_seed
-from .cartan import CartanDatum, build_cartan, parity_function, validate_height_function
-from .commutative import LaurentPoly, RationalX
+from .cartan import CartanDatum, build_cartan, validate_height_function
+from .commutative import LaurentPoly, RationalX, _key
 from .seeds import mutate_pair
 from .torus import QCoeff, QLaurent, _parse_terms, qcoeff_to_text
 
@@ -84,7 +84,7 @@ class TCartan:
 def npairing(tc: TCartan, a: HatIndex, b: HatIndex) -> int:
     """The skew commutation exponent between torus generators at a and b."""
     (i, p), (j, s) = a, b
-    _check_generator(tc.datum, a, b)
+    XTorus(tc).check(a, b)
     return (
         tc.tilde_b(i, j, p - s - 1)
         - tc.tilde_b(i, j, s - p - 1)
@@ -213,16 +213,6 @@ class XTorus:
         return tuple(out)
 
 
-def _check_generator(datum: CartanDatum, *hats: HatIndex) -> None:
-    """Raise unless each (i, p) indexes a torus generator: a node at a level of its parity."""
-    eps = parity_function(datum)
-    for i, p in hats:
-        if not 1 <= i <= datum.rank:
-            raise QGrothError(f"node {i} outside 1..{datum.rank}")
-        if (p - eps[i]) % 2:
-            raise QGrothError(f"level {p} does not match the parity of node {i}")
-
-
 class XElement(QLaurent):
     """An (i,p)-torus element in the bar-invariant commutative-monomial basis.
 
@@ -272,13 +262,20 @@ class XElement(QLaurent):
         return self.relabel(lambda u: (u[0], u[1] + r))
 
     def at_q1(self) -> LaurentPoly:
-        out = LaurentPoly.zero()
+        """The image at q = 1 in the variables ("X", i, p); a coefficient summing to 0 drops its term."""
+        out = {}
         for a, c in self.terms.items():
-            out = out + LaurentPoly.monomial({("X",) + u: e for u, e in a}, c.at_q1())
-        return out
+            if n := c.at_q1():
+                out[_key((("X",) + u, e) for u, e in a)] = n  # distinct keys: the relabelling is injective
+        return LaurentPoly(out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"XElement({xelement_to_text(self)})"
+
+
+def _ladder(i: int, p: int, s: int) -> list[HatIndex]:
+    """The hats (i, p), (i, p + 2), ..., (i, s) of a parity ladder; empty when p > s."""
+    return [(i, u) for u in range(p, s + 1, 2)]
 
 
 def kr_monomial(ambient: XTorus, i: int, p: int, s: int) -> XElement:
@@ -286,7 +283,7 @@ def kr_monomial(ambient: XTorus, i: int, p: int, s: int) -> XElement:
     ambient.check((i, p), (i, s))
     if p > s:
         raise QGrothError("empty ladder: need p <= s")
-    return XElement.monomial(ambient, {(i, u): 1 for u in range(p, s + 1, 2)})
+    return XElement.monomial(ambient, dict.fromkeys(_ladder(i, p, s), 1))
 
 
 def z_xi(ambient: XTorus, xi: dict[int, int], i: int, p: int) -> XElement:
@@ -367,8 +364,8 @@ def kappa_witness(datum: CartanDatum, xi: dict[int, int], window: int, tc: TCart
         image: dict[HatIndex, int] = {}
         for (j, s), coeff in zip(hats, seed.b[:, u - 1].tolist()):
             if coeff:
-                for t in range(s, xi[j] + 1, 2):  # the ladder of z_xi(j, s)
-                    image[(j, t)] = image.get((j, t), 0) + coeff
+                for hat in _ladder(j, s, xi[j]):  # the ladder of z_xi(j, s)
+                    image[hat] = image.get(hat, 0) + coeff
         i, p = pairs[u - 1]
         want = {idx: -e for idx, e in b_monomial_exponents(datum, i, p - 1).items()}
         for hat in sorted(image.keys() | want.keys(), key=lambda h: (h[1], h[0])):
@@ -414,9 +411,7 @@ def verify_fq_fixture(x: XElement, i: int, p: int, s: int) -> dict[str, bool]:
     )
 
     anti = [a for a in x.terms if _is_antidominant(a)]
-    want_anti = _normkey(
-        {(datum.star_of(i), u): -1 for u in range(p + h, s + h + 1, 2)}
-    )
+    want_anti = _normkey(dict.fromkeys(_ladder(datum.star_of(i), p + h, s + h), -1))
     report["antidominant"] = (
         len(anti) == 1 and anti[0] == want_anti and x.terms.get(want_anti) == QCoeff.one()
     )
@@ -505,11 +500,8 @@ def _xvar(i: int, p: int) -> LaurentPoly:
 
 
 def _kr_poly_x(xi: dict[int, int], i: int, p: int) -> LaurentPoly:
-    """The ladder monomial in X-variables; empty ladders collapse to 1."""
-    if p > xi[i]:
-        return LaurentPoly.const(1)
-    exps = {("X", i, u): 1 for u in range(p, xi[i] + 1, 2)}
-    return LaurentPoly.monomial(exps)
+    """The ladder monomial in X-variables; an empty ladder is 1."""
+    return LaurentPoly.monomial({("X",) + hat: 1 for hat in _ladder(i, p, xi[i])})
 
 
 def substitute_b2(m_max: int = 1) -> dict[str, bool]:

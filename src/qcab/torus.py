@@ -76,16 +76,8 @@ class QCoeff:
         return self + (-other)
 
     def __mul__(self, other: "QCoeff") -> "QCoeff":
-        if len(self.terms) == 1:
-            ((k1, v1),) = self.terms.items()
-            if v1 == 1:
-                return other.shift(k1)
-            return QCoeff({k1 + k2: v1 * v2 for k2, v2 in other.terms.items()})
         out: dict[int, int] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + v1 * v2
+        _convolve_into(out, self.terms.items(), other.terms.items(), 0)
         return QCoeff(out)
 
     def shift(self, half_units: int) -> "QCoeff":

@@ -34,7 +34,7 @@ from qcab.qgroth import (
     z_xi,
 )
 from qcab.seeds import make_pair
-from qcab.torus import QCoeff, QLaurent, TorusError, WindowTorus
+from qcab.torus import QCoeff, QLaurent, TorusError, WindowTorus, qcoeff_from_text
 
 from test_torus import _EDITS, edit_text
 
@@ -282,6 +282,22 @@ def test_b4_fixture_products_match_the_termwise_oracle(r):
     assert got == want and len(got.terms) == (80, 702)[r - 2]
 
 
+@pytest.mark.parametrize("shifts", [(0, 2), (-4, 0), (2, 6)])
+def test_at_q1_is_multiplicative_on_b4_fixture_products(shifts):
+    amb = ambient("B4")
+    x = xelement_from_text(amb, (FIXTURES / "b4_fundamental_x10.txt").read_text().strip())
+    a, b = (x.tr_shift(r) for r in shifts)
+    assert (a * b).at_q1() == a.at_q1() * b.at_q1()
+
+
+def test_at_q1_drops_terms_that_sum_to_zero():
+    amb = ambient("B4")
+    x = XElement.monomial(amb, {(1, 0): 1}, qcoeff_from_text("q^1/2 - q^-1/2"))
+    y = XElement.monomial(amb, {(2, 1): 2, (1, 0): -1}, qcoeff_from_text("q + 1"))
+    assert x.at_q1().is_zero
+    assert (x + y).at_q1() == LaurentPoly.monomial({("X", 2, 1): 2, ("X", 1, 0): -1}, 2)
+
+
 def test_xtorus_is_one_per_cartan_datum():
     d = build_cartan("B", 2)
     assert XTorus(TCartan(d)) is B2 and ambient("B2") is B2
@@ -501,6 +517,24 @@ def test_rational_reduction_and_equality():
     assert b * b.inverse() == RationalX.from_poly(LaurentPoly.const(1))
     c = RationalX.make(x * (x + y), y * (x + y))
     assert c == RationalX.make(x, y)
+
+
+def _laurent_polys(min_terms=0):
+    term = st.tuples(st.dictionaries(st.sampled_from("xyz"), st.integers(-2, 2), max_size=2), st.integers(-3, 3))
+    polys = st.lists(term, min_size=min_terms, max_size=3).map(
+        lambda ts: sum((LaurentPoly.monomial(e, c) for e, c in ts), LaurentPoly.zero())
+    )
+    return polys.filter(lambda p: not p.is_zero) if min_terms else polys
+
+
+@given(_laurent_polys(), _laurent_polys(1), _laurent_polys(1))
+def test_make_divides_out_an_exact_denominator(p, q, h):
+    """make keeps a fraction's value, and returns p over 1 whenever the denominator divides."""
+    assert RationalX.make(p * h, q * h) == RationalX.make(p, q)
+    r = RationalX.make(p * q, q)
+    assert r.is_polynomial and r.num == p
+    zero = RationalX.make(p - p, q)
+    assert zero.num.is_zero and zero.den == LaurentPoly.const(1)
 
 
 def test_substitute_b2_report():

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import pickle
 import random
 import re
@@ -325,17 +326,17 @@ def test_degree_of_pointed_checks_its_torus():
     assert degree_of_pointed(QLaurent.generator(np.array(pair.lam), 1), pair) == (1, 0, 0, 0)
 
 
-def _commutative_specialization(state):
-    """The q=1 fraction-field walk, as an independent oracle."""
-    pair0 = state.initial
-    s = pair0.size
-    xs = [RationalX.from_poly(LaurentPoly.var(u)) for u in range(1, s + 1)]
+def _fraction_walk(pair0, walk):
+    """The q=1 fraction-field walk, as an independent oracle: the variables
+    before the walk and after each of its steps (one list, updated in place)."""
+    xs = [RationalX.from_poly(LaurentPoly.var(u)) for u in range(1, pair0.size + 1)]
+    yield xs
     b = pair0.b.copy()
-    for k in state.history:
+    for k in walk:
         col = b[:, k - 1]
         mp_r = RationalX.from_poly(LaurentPoly.const(1))
         mm_r = RationalX.from_poly(LaurentPoly.const(1))
-        for v in range(s):
+        for v in range(pair0.size):
             e = int(col[v])
             if e > 0:
                 mp_r = mp_r * xs[v] ** e
@@ -350,7 +351,22 @@ def _commutative_specialization(state):
         b2[k - 1, :] = -row
         b2[:, k - 1] = -colc
         b = b2
+        yield xs
+
+
+def _commutative_specialization(state):
+    *_, xs = _fraction_walk(state.initial, state.history)
     return xs
+
+
+@pytest.mark.parametrize("code, window, steps", [("B2", 4, 10), ("G2", 6, 6)])
+def test_fraction_walk_stays_laurent(code, window, steps):
+    """Each exchange divides out exactly (the Laurent phenomenon at q = 1), so
+    make's one cancellation keeps every variable a Laurent polynomial."""
+    pair = build_seed(alternating(parse_type(code)), window)
+    walk = list(itertools.islice(itertools.cycle(sorted(pair.exchangeable)), steps))
+    for xs in _fraction_walk(pair, walk):
+        assert all(x.is_polynomial for x in xs)
 
 
 def _at_q1(x):
