@@ -106,24 +106,22 @@ def alternating(datum: CartanDatum) -> IndexSequence:
 # seed construction
 
 
-def _lambda_and_b(
-    datum: CartanDatum, letters: tuple[int, ...], horizon: tuple[int, ...] | None = None
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Dense Lambda and B on the window, plus the list of u^+ values.
+def _lambda_and_b(datum: CartanDatum, letters: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, frozenset[int]]:
+    """Dense Lambda and B on the window [1, s] of ``letters``, and its exchangeable positions.
 
-    ``horizon`` optionally extends the sequence beyond the window for the
-    purpose of computing u^+ (frozen/exchangeable splits and tail coupling).
+    The pair reads the window's letters alone: u is exchangeable iff u^+ <= s;
+    each B entry of an exchangeable column v sits at a row <= v^+ <= s; and
+    Lambda walks the letters 1..s.
     """
     s = len(letters)
-    full = letters if horizon is None else letters + tuple(horizon)
     n, off = datum.rank, datum.coupling
 
-    # u^+ computed in the extended sequence; len(full) + 1 when there is none
-    nxt = [len(full) + 1] * (len(full) + 1)
+    # u^+ in the window; s + 1 when there is none
+    nxt = [s + 1] * (s + 1)
     seen: dict[int, int] = {}
-    for k in range(len(full), 0, -1):
-        nxt[k] = seen.get(full[k - 1], len(full) + 1)
-        seen[full[k - 1]] = k
+    for k in range(s, 0, -1):
+        nxt[k] = seen.get(letters[k - 1], s + 1)
+        seen[letters[k - 1]] = k
 
     # x_u = pi_i - w_u pi_i in simple-root coordinates, for i = i_u and
     # w_u = s_{i_1} ... s_{i_u}; pi_i + w_u pi_i = 2 pi_i - x_u has the
@@ -146,10 +144,12 @@ def _lambda_and_b(
         last.append(row)
 
     b = np.zeros((s, s), dtype=np.int64)
+    ex = []
     for v in range(1, s + 1):
         vp = nxt[v]
         if vp > s:
             continue  # frozen column stays zero
+        ex.append(v)
         jv = letters[v - 1] - 1
         b[vp - 1, v - 1] = -1
         prev = last[v - 1][jv]
@@ -164,7 +164,7 @@ def _lambda_and_b(
             u = last[vp - 1][j]
             if u > v:
                 b[u - 1, v - 1] = -cu
-    return lam, b, nxt[: s + 1]
+    return lam, b, frozenset(ex)
 
 
 def build_seed(seq: IndexSequence, s: int) -> CompatiblePair:
@@ -172,15 +172,8 @@ def build_seed(seq: IndexSequence, s: int) -> CompatiblePair:
     if s < 1:
         raise BraidError(f"window {s} is below 1")
     letters = seq.prefix(s)
-    horizon: tuple[int, ...] | None = None
-    if seq.periodic:
-        horizon = tuple(seq.letter(k) for k in range(s + 1, s + len(seq.letters) + 1))
-    elif len(seq.letters) > s:
-        horizon = seq.letters[s:]
-    lam, b, nxt = _lambda_and_b(seq.datum, letters, horizon)
-    ex = frozenset(v for v in range(1, s + 1) if nxt[v] <= s)
-    diag = tuple(seq.datum.d(a) for a in letters)
-    return _adopt_pair(lam, b, ex, diag)
+    lam, b, ex = _lambda_and_b(seq.datum, letters)
+    return _adopt_pair(lam, b, ex, tuple(seq.datum.d(a) for a in letters))
 
 
 def b_infinite_entry(seq: IndexSequence, u: int, v: int, limit: int | None = None) -> int:
@@ -302,16 +295,14 @@ def move_witness(seq: IndexSequence, move: BraidMove, s: int) -> tuple | None:
     of seq to the window of the swapped sequence, else the first differing
     entry (matrix, u, v, got, want), Lambda before B, each row-major.
 
-    Periodic sequences are unfolded far enough beyond the window that the
-    frozen/coupling structure at the window edge is the same on both sides.
+    Both windows read only their own letters, so a periodic sequence and any
+    unfolding of it to s or more letters give the same verdict.
     """
     if move.kind == "shift":
         raise BraidError("use forward_shift_seed for shifts")
     if s < min_window(move, seq):
         raise BraidError(f"window {s} too small; need at least {min_window(move, seq)}")
-    horizon = s + seq.datum.longest_length + move.span + 2
-    src = unfold(seq, horizon) if seq.periodic else seq
-    return _stack_verdicts(seq.datum, [src.prefix(s)], move, src.letters[s:])[0]
+    return _stack_verdicts(seq.datum, [seq.prefix(s)], move)[0]
 
 
 def verify_move_on_seed(seq: IndexSequence, move: BraidMove, s: int) -> bool:
@@ -434,10 +425,8 @@ def g2_sequences():
                 yield fam, head + core + tail, len(head) + 1
 
 
-def _stack_verdicts(
-    datum: CartanDatum, words: list[tuple[int, ...]], move: BraidMove, horizon: tuple[int, ...] = ()
-) -> list[tuple | None]:
-    """Certify the move on distinct windows of one length, all followed by horizon.
+def _stack_verdicts(datum: CartanDatum, words: list[tuple[int, ...]], move: BraidMove) -> list[tuple | None]:
+    """Certify the move on distinct windows of one length.
 
     For each word, None when the mutations of the move and its relabelling
     carry the word's window (Lambda and B) to the window of the swapped word,
@@ -451,10 +440,10 @@ def _stack_verdicts(
     index = {w: n for n, w in enumerate(dict.fromkeys(words + targets))}
     windows = np.empty((len(index), 2, s, s), dtype=np.int64)  # (Lambda, B) of each
     for n, w in enumerate(index):
-        windows[n, 0], windows[n, 1], nxt = _lambda_and_b(datum, w, horizon)
+        windows[n, 0], windows[n, 1], ex = _lambda_and_b(datum, w)
         if n < len(words):
             for m in move.mutations:
-                if not 1 <= m <= s or nxt[m] > s:
+                if m not in ex:
                     raise SeedError(f"position {m} is frozen or out of range")
     lam, b = windows[: len(words), 0], windows[: len(words), 1]  # index starts with the words
     for m in move.mutations:

@@ -10,7 +10,6 @@ acts on coefficients alone.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left
 from collections.abc import Iterator
 
@@ -110,7 +109,8 @@ def _level_order(term: tuple[HatIndex, int]) -> tuple[int, int]:
 class XTorus:
     """The (i,p) torus of a Cartan datum: its pairing table and the torus protocol of ``QLaurent``.
 
-    One object per datum, interned while in use, so tori compare by identity.
+    One object per datum, interned for the life of the process, so tori
+    compare by identity and a datum's table is built once.
     By ``npairing`` the pairing of (i, p) and (j, s) is f_ij(p - s), and f_ij
     is odd, 0 at 0, and b(d - 1) - b(d + 1) for d >= 1 with b = tilde_b(i, j, .):
     periodic for d >= 2 with the period 2h of ``TCartan``.  ``table[i][j]``
@@ -124,8 +124,8 @@ class XTorus:
     inserts the shorter key into the longer.
     """
 
-    __slots__ = ("tc", "datum", "table", "_parity", "_lim", "__weakref__")
-    _interned = weakref.WeakValueDictionary()  # datum -> torus
+    __slots__ = ("tc", "datum", "table", "_parity", "_lim")
+    _interned: dict[CartanDatum, "XTorus"] = {}
     one = ()
 
     def __new__(cls, tc: TCartan) -> "XTorus":
@@ -353,16 +353,15 @@ def kappa_witness(datum: CartanDatum, xi: dict[int, int], window: int, tc: TCart
     below pairs[u], at the lowest differing hat.
     """
     tc = tc if tc is not None else TCartan(datum)
-    pairs = compatible_reading(datum, xi, window + 2 * datum.rank + 2)
+    pairs = compatible_reading(datum, xi, window)
     seed = build_seed(IndexSequence(datum, tuple(i for i, _ in pairs)), window)
-    hats = pairs[:window]
-    for u, gram in enumerate(_kr_gram_rows(XTorus(tc), xi, hats)):
+    for u, gram in enumerate(_kr_gram_rows(XTorus(tc), xi, pairs)):
         for v, got in enumerate(seed.lam[u, u + 1 :].tolist(), u + 1):
             if got != gram[v]:
                 return ("lam", u + 1, v + 1, got, gram[v])
     for u in sorted(seed.exchangeable):
         image: dict[HatIndex, int] = {}
-        for (j, s), coeff in zip(hats, seed.b[:, u - 1].tolist()):
+        for (j, s), coeff in zip(pairs, seed.b[:, u - 1].tolist()):
             if coeff:
                 for hat in _ladder(j, s, xi[j]):  # the ladder of z_xi(j, s)
                     image[hat] = image.get(hat, 0) + coeff
@@ -516,13 +515,10 @@ def substitute_b2(m_max: int = 1) -> dict[str, bool]:
     datum = build_cartan("B", 2)
     xi = {1: 0, 2: 1}
     window = 4 * (m_max + 3)
-    pairs = compatible_reading(datum, xi, window + 8)
+    pairs = compatible_reading(datum, xi, window)
     position = {pair: u + 1 for u, pair in enumerate(pairs)}
-    seq = IndexSequence(datum, tuple(i for i, _ in pairs))
-    seed = build_seed(seq, window)
-    variables: list[LaurentPoly] = [
-        LaurentPoly.var(("Z",) + pairs[u]) for u in range(window)
-    ]
+    seed = build_seed(IndexSequence(datum, tuple(i for i, _ in pairs)), window)
+    variables = [LaurentPoly.var(("Z",) + pair) for pair in pairs]
 
     def mutate_at(vertex: HatIndex) -> None:
         nonlocal seed
@@ -583,7 +579,7 @@ def substitute_b2(m_max: int = 1) -> dict[str, bool]:
         report[f"psi_hat_Z2low_m{m}"] = psi_hat(2, -3 - t) == z(2, -1 - t)
 
     # pass to X-variables
-    table = {("Z", i, p): _kr_poly_x(xi, i, p) for (i, p) in pairs[:window]}
+    table = {("Z", i, p): _kr_poly_x(xi, i, p) for (i, p) in pairs}
 
     def psi_hat_x(i: int, p: int) -> RationalX:
         # primed variables above the primed height function are empty ladders

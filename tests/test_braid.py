@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcab import braid
@@ -33,9 +33,11 @@ from qcab.braid import (
     unfold,
     verify_move_on_seed,
 )
-from qcab.cartan import build_cartan, longest_word
+from qcab.cartan import build_cartan, longest_word, parse_type
 from qcab.cli import main
 from qcab.seeds import SeedError, check_compatible, mutate_pair, permute_pair, transpositions
+
+from test_qgroth import ALL_TYPES
 
 G2_LAMBDA_8 = np.array(
     [
@@ -92,10 +94,10 @@ def test_builder_matches_case_table():
         letters = tuple(rng.randrange(1, d.rank + 1) for _ in range(rng.randrange(6, 16)))
         seq = IndexSequence(d, letters)
         s = len(letters)
-        lam, b, nxt = _lambda_and_b(d, letters)
+        lam, b, ex = _lambda_and_b(d, letters)
         for v in range(1, s + 1):
             for u in range(1, s + 1):
-                want = b_infinite_entry(seq, u, v, limit=s) if nxt[v] <= s else 0
+                want = b_infinite_entry(seq, u, v, limit=s) if v in ex else 0
                 assert b[u - 1, v - 1] == want
 
 
@@ -280,6 +282,40 @@ def test_forward_shift():
         assert sigma[1] == 2 and sigma[2] == 1  # alternating: 1 -> 1+ - 1 = 2
         target = build_seed(apply_move_to_sequence(seq, shift_move(seq)), sub)
         assert pair == target
+        # an explicit word reads sigma_+ within its own letters, to s or s + l + 2 of them
+        for n in (s, s + d.longest_length + 2):
+            assert forward_shift_seed(unfold(seq, n), s) == (pair, sigma, sub)
+
+
+@pytest.mark.parametrize("code", ALL_TYPES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_window_seed_reads_only_its_letters(code, data):
+    """A window's seed and a move's verdict read only the window's letters: a
+    tail past the window, the periodic extension and an unfolding to the
+    window change nothing, planted failing moves included."""
+    d = parse_type(code)
+    ell = d.longest_length
+    letters = st.integers(1, d.rank)
+    w = tuple(data.draw(st.lists(letters, min_size=1, max_size=2 * ell)))
+    tail = tuple(data.draw(st.lists(letters, min_size=1, max_size=ell)))
+    assert build_seed(IndexSequence(d, w + tail), len(w)) == build_seed(IndexSequence(d, w), len(w))
+    seq = IndexSequence(d, longest_word(d), periodic=True)
+    s = data.draw(st.integers(ell, 3 * ell))  # windows past one period read the periodic extension
+    assert build_seed(seq, s) == build_seed(IndexSequence(d, seq.prefix(s)), s)
+    moves = []
+    for k in range(1, ell + 1):
+        try:
+            moves.append(detect_move(seq, k))
+        except BraidError:
+            pass
+    if not moves:  # A1 has no braid moves
+        return
+    move = data.draw(st.sampled_from(moves))
+    block = st.integers(move.k, move.k + move.span - 1)
+    move = dataclasses.replace(move, mutations=move.mutations + tuple(data.draw(st.lists(block, max_size=2))))
+    s = data.draw(st.integers(min_window(move, seq), min_window(move, seq) + ell))
+    assert move_witness(seq, move, s) == move_witness(unfold(seq, s), move, s)
 
 
 # SHA-256 of the sorted enumeration, one "family letters k" line per item
@@ -324,13 +360,11 @@ def _plant_six_move(monkeypatch, offsets):
 
 def _public_path(seq, move, s):
     """The relabelled and the target pair on the window [1, s] by the public
-    path: build_seed, mutate_pair per mutation of the move, permute_pair.
-    A periodic word is unfolded as far as move_witness unfolds it."""
-    src = unfold(seq, s + seq.datum.longest_length + move.span + 2) if seq.periodic else seq
-    pair = build_seed(src, s)
+    path: build_seed, mutate_pair per mutation of the move, permute_pair."""
+    pair = build_seed(seq, s)
     for m in move.mutations:
         pair = mutate_pair(pair, m)
-    target = build_seed(IndexSequence(seq.datum, swap_block(src.letters, move.kind, move.k)), s)
+    target = build_seed(IndexSequence(seq.datum, swap_block(seq.prefix(s), move.kind, move.k)), s)
     return permute_pair(pair, move.perm_map()), target
 
 

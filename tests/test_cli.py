@@ -80,6 +80,43 @@ def test_check_fq(capsys):
     assert code == 0 and "FAIL" not in out
 
 
+def test_check_fq_truncated_fixture_fails_only_bar_invariance(capsys):
+    """Criterion 11: the B3 truncated fixture's printed q-powers are not
+    bar-invariant, and every check it is held to passes."""
+    code, out = run(
+        capsys, "check-fq", str(FIXTURES / "b3_truncated_simple.txt"), "--type", "B3",
+        "--xi", "1:0,2:-1,3:0", "--dominant", "2,-5:1;1,0:1",
+    )
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.endswith(": ok")] == ["bar_invariant: FAIL"]
+
+
+def test_substitute_b2_cli(capsys):
+    code, out = run(capsys, "substitute-b2", "--m", "1")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 22 and lines == sorted(lines)
+    assert all(line.endswith(": ok") for line in lines)
+    assert main(["substitute-b2", "--m", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("code", ["A2", "B2", "G2"])
+def test_maps_read_alt_as_the_alternating_word(capsys, code):
+    """--seq alt unfolds to 4 l letters for g-map and to l letters for c-map."""
+    ell = {"A2": 3, "B2": 4, "G2": 6}[code]
+    common = ["--move", str(ell), "--k", "1", "--type", code]
+    g = ["--g", "1:1,2:-1,3:2"]
+    c = ["--c", ",".join(str(t % 3) for t in range(ell))]
+    for argv, n in ((["g-map", *common, *g], 4 * ell), (["c-map", *common, *c], ell)):
+        alt = run(capsys, *argv, "--seq", "alt")
+        assert alt[0] == 0 and alt == run(capsys, *argv, "--seq", ",".join(str(1 + t % 2) for t in range(n)))
+
+
+def test_g_map_shift_on_alt(capsys):
+    assert run(capsys, "g-map", "--move", "shift", "--type", "B2", "--seq", "alt", "--g", "1:1") == (0, "2:1\n")
+
+
 def test_check_kappa(capsys):
     code, out = run(capsys, "check-kappa", "--type", "B2", "--window", "8", "--xi", "1:0,2:1")
     assert code == 0 and "ok" in out

@@ -193,7 +193,7 @@ def plant(monkeypatch, matrix, u, v):
 def test_kappa_witness_names_a_planted_lambda_entry(monkeypatch):
     d, xi = build_cartan("B", 3), {1: 0, 2: -1, 3: 0}
     real = plant(monkeypatch, "lam", 5, 9)
-    pairs = compatible_reading(d, xi, 18 + 2 * d.rank + 2)
+    pairs = compatible_reading(d, xi, 18)
     want = real(IndexSequence(d, tuple(i for i, _ in pairs)), 18).lam_entry(5, 9)
     assert kappa_witness(d, xi, 18) == ("lam", 5, 9, want + 1, want)
     assert not check_kappa(d, xi, 18)
@@ -304,6 +304,22 @@ def test_xtorus_is_one_per_cartan_datum():
     table = B2.table
     assert pickle.loads(pickle.dumps(B2)) is B2 and B2.table is table
     assert ambient("C2") is not B2
+
+
+def test_npairing_builds_a_datums_table_once(monkeypatch):
+    """With no torus held by the caller, a second npairing call on a fresh datum builds no table."""
+    monkeypatch.setattr(XTorus, "_interned", type(XTorus._interned)())  # no datum interned yet
+    calls = []
+    tilde_b = TCartan.tilde_b
+    monkeypatch.setattr(TCartan, "tilde_b", lambda tc, *args: calls.append(args) or tilde_b(tc, *args))
+    d = build_cartan("E", 8)
+    tc, eps = TCartan(d), parity_function(d)
+    a, b = (1, eps[1]), (2, eps[2] + 4)
+    want = npairing(tc, a, b)
+    assert len(calls) > d.rank**2  # the first call builds the table, a row per pair of nodes
+    calls.clear()
+    assert npairing(tc, a, b) == want
+    assert len(calls) == 4  # the four terms of the formula, and no table
 
 
 @pytest.mark.parametrize(
