@@ -28,6 +28,7 @@ from .seeds import (
     _adopt_pair,
     mutate_arrays,
     mutate_pair,
+    permute_pair,
     transpositions,
 )
 
@@ -258,8 +259,10 @@ def shift_move(seq: IndexSequence) -> BraidMove:
 
 
 def swap_block(letters: tuple[int, ...], kind: str, k: int) -> tuple[int, ...]:
-    """The letter swap of a single move at position k (1-based)."""
+    """The letter swap of a single move whose block k..k + span - 1 (1-based) lies in the letters."""
     span = MOVE_SPAN[kind]
+    if not 1 <= k <= len(letters) - span + 1:
+        raise BraidError(f"a {kind}-move at {k} does not fit in {len(letters)} letters")
     out = list(letters)
     a, b = out[k - 1], out[k]
     out[k - 1 : k + span - 1] = [b if t % 2 == 0 else a for t in range(span)]
@@ -285,9 +288,14 @@ def apply_move_to_sequence(seq: IndexSequence, move: BraidMove) -> IndexSequence
 
 
 def min_window(move: BraidMove, seq: IndexSequence) -> int:
-    """A window size guaranteed to make the move verifiable at its position."""
-    ell = seq.datum.longest_length
-    return move.k + move.span - 1 + ell + 2
+    """The least window that holds the move's block: its last letter k + span - 1.
+
+    A certificate restricts to every window that holds the block: a mutation
+    at k reads column k of B, at rows <= k^+; each recipe offset is at most
+    span - 3, so every mutated position recurs in the block; and sigma swaps
+    positions in the block, keeping its last two frozen or exchangeable.
+    """
+    return move.k + move.span - 1
 
 
 def move_witness(seq: IndexSequence, move: BraidMove, s: int) -> tuple | None:
@@ -295,8 +303,11 @@ def move_witness(seq: IndexSequence, move: BraidMove, s: int) -> tuple | None:
     of seq to the window of the swapped sequence, else the first differing
     entry (matrix, u, v, got, want), Lambda before B, each row-major.
 
-    Both windows read only their own letters, so a periodic sequence and any
-    unfolding of it to s or more letters give the same verdict.
+    Any window from min_window up holds the block and may be certified; a
+    smaller one raises BraidError, and a mutation at a position frozen in the
+    window raises SeedError.  Both windows read only their own letters, so a
+    periodic sequence and any unfolding of it to s or more letters give the
+    same verdict.
     """
     if move.kind == "shift":
         raise BraidError("use forward_shift_seed for shifts")
@@ -310,48 +321,29 @@ def verify_move_on_seed(seq: IndexSequence, move: BraidMove, s: int) -> bool:
     return move_witness(seq, move, s) is None
 
 
-def forward_shift_seed(
-    seq: IndexSequence, s: int
-) -> tuple[CompatiblePair, dict[int, int], int]:
-    """Mutate along the first-letter occurrences and relabel by sigma_+.
+def forward_shift_seed(seq: IndexSequence, s: int) -> tuple[CompatiblePair, dict[int, int], int]:
+    """The forward shift of the window [1, s], as (pair, sigma_+, s - 1).
 
-    Returns the shifted pair restricted to a stabilized subwindow, the
-    relabelling sigma_+ (as a map on window positions), and the subwindow size.
+    Mutates at every occurrence of the first letter but the last, relabels by
+    sigma_+ and drops position s; the result is the seed of letters 2..s on
+    [1, s - 1].  sigma_+ reads the window's letters: an occurrence of the
+    first letter goes to the position before the next one, the last
+    occurrence to s, and any other u to u - 1.
     """
+    if s < 2:
+        raise BraidError(f"window {s} is below 2; a shift needs two letters")
     head = seq.letter(1)
-    ell = seq.datum.longest_length
+    xs = [u for u, a in enumerate(seq.prefix(s), start=1) if a == head]
     pair = build_seed(seq, s)
-    xs = [u for u in range(1, s + 1) if seq.letter(u) == head and u in pair.exchangeable]
-    if not xs:
-        raise BraidError("window too small to shift")
-    for x in xs:
+    for x in xs[:-1]:
         pair = mutate_pair(pair, x)
-    limit = s + ell + 2
-    if not seq.periodic:
-        limit = min(limit, len(seq.letters))
-    sigma: dict[int, int] = {}
-    for k in range(1, s + 1):
-        sigma[k] = (seq.uplus(k, limit) - 1) if seq.letter(k) == head else k - 1
-    # the first head position left unmutated bounds the stabilized region
-    x_next = next((u for u in range(xs[-1] + 1, s + 1) if seq.letter(u) == head), 0)
-    sub = x_next - ell - 2
-    if sub < 1:
-        raise BraidError("window too small to stabilize the shift")
-    idx = sorted(range(1, s + 1), key=lambda k: sigma[k])
-    take = [k for k in idx if 1 <= sigma[k] <= sub]
-    rows = np.array([k - 1 for k in take])
-    lam = pair.lam[np.ix_(rows, rows)].copy()
-    b = pair.b[np.ix_(rows, rows)].copy()
-    shifted = apply_move_to_sequence(seq, shift_move(seq))
-    nxt_ok = frozenset(
-        v for v in range(1, sub + 1) if shifted.uplus(v, sub) <= sub
-    )
-    diag = tuple(seq.datum.d(shifted.letter(v)) for v in range(1, sub + 1))
-    # zero out columns that are frozen in the subwindow
-    for v in range(1, sub + 1):
-        if v not in nxt_ok:
-            b[:, v - 1] = 0
-    return _adopt_pair(lam, b, nxt_ok, diag), sigma, sub
+    sigma = {k: k - 1 for k in range(1, s + 1)}
+    sigma.update(zip(xs, [x - 1 for x in xs[1:]] + [s]))
+    pair = permute_pair(pair, sigma)
+    lam, b = pair.lam[: s - 1, : s - 1].copy(), pair.b[: s - 1, : s - 1].copy()
+    if len(xs) > 1:  # the next-to-last occurrence lands at the last one - 1, frozen in letters 2..s
+        b[:, xs[-1] - 2] = 0
+    return _adopt_pair(lam, b, pair.exchangeable - {s, xs[-1] - 1}, pair.diag[:-1]), sigma, s - 1
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,10 @@ def c_of_deg(g: GVector, word: IndexSequence) -> CParam:
 
 def nu(c: CParam, word: IndexSequence) -> int:
     """The exact integer -(1/2) sum c_k c_l (beta_k, beta_l) + sum c_s^2."""
+    if any(x < 0 for x in c):
+        raise LusztigError("parameters must be non-negative")
+    if len(c) > len(word.letters):
+        raise LusztigError(f"{len(c)} parameters for a word of {len(word.letters)} letters")
     datum = word.datum
     betas = beta_sequence(datum, word.letters[: len(c)])
     double = 0

@@ -440,11 +440,13 @@ def verify_truncated_fixture(
     A truncated element has no anti-dominant partner, so the applicable
     checks are: unique dominant monomial as stated (with a q-power lead),
     support below the height function, bar-invariance up to a global q-power
-    twist, and positivity.
+    twist, and positivity.  Raises CartanError unless xi is a height function,
+    and QGrothError unless each dominant hat is a generator.
     """
+    validate_height_function(x.torus.datum, xi)
     report: dict[str, bool] = {}
     doms = [a for a in x.terms if _is_dominant(a)]
-    want = _normkey(dominant)
+    want = x.torus.key(dominant)
     lead = x.terms.get(want, QCoeff())
     report["dominant"] = len(doms) == 1 and doms[0] == want and lead.is_q_power()
     twist = 0

@@ -181,6 +181,11 @@ def test_detect_and_apply_moves():
     assert apply_move_to_sequence(sa, detect_move(sa, 3)).letters == (1, 3, 1, 2, 1, 3)
     with pytest.raises(BraidError):
         detect_move(sa, 4)
+    # the block must fit: no swap changes the word's length
+    assert swap_block((1, 2, 1, 2), "two", 3) == (1, 2, 2, 1)
+    for kind, k in (("six", 1), ("two", 0), ("two", 4), ("three", 3), ("four", -1)):
+        with pytest.raises(BraidError, match="does not fit in 4 letters"):
+            swap_block((1, 2, 1, 2), kind, k)
 
 
 def test_verify_moves_all_kinds():
@@ -267,11 +272,14 @@ def test_window_tower_consistency():
 
 
 def test_verify_move_window_guard():
+    """A window must hold the block, and any window that does certifies."""
     d = build_cartan("G", 2)
     seq = unfold(alternating(d), 30)
     mv = detect_move(seq, 1)
-    with pytest.raises(BraidError):
-        verify_move_on_seed(seq, mv, 10)
+    assert min_window(mv, seq) == 6
+    with pytest.raises(BraidError, match="window 5 too small; need at least 6"):
+        verify_move_on_seed(seq, mv, 5)
+    assert verify_move_on_seed(seq, mv, 6)
 
 
 def test_forward_shift():
@@ -279,6 +287,7 @@ def test_forward_shift():
         d = build_cartan(code[0], 2)
         seq = alternating(d)
         pair, sigma, sub = forward_shift_seed(seq, s)
+        assert sub == s - 1  # the whole window but its last position
         assert sigma[1] == 2 and sigma[2] == 1  # alternating: 1 -> 1+ - 1 = 2
         target = build_seed(apply_move_to_sequence(seq, shift_move(seq)), sub)
         assert pair == target
@@ -287,13 +296,21 @@ def test_forward_shift():
             assert forward_shift_seed(unfold(seq, n), s) == (pair, sigma, sub)
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the text of the SeedError it raises."""
+    try:
+        return fn(*args)
+    except SeedError as exc:
+        return f"SeedError: {exc}"
+
+
 @pytest.mark.parametrize("code", ALL_TYPES)
 @settings(max_examples=10)
 @given(data=st.data())
 def test_window_seed_reads_only_its_letters(code, data):
-    """A window's seed and a move's verdict read only the window's letters: a
+    """A window's seed and a move's outcome read only the window's letters: a
     tail past the window, the periodic extension and an unfolding to the
-    window change nothing, planted failing moves included."""
+    window change nothing, planted failing or frozen mutations included."""
     d = parse_type(code)
     ell = d.longest_length
     letters = st.integers(1, d.rank)
@@ -315,7 +332,57 @@ def test_window_seed_reads_only_its_letters(code, data):
     block = st.integers(move.k, move.k + move.span - 1)
     move = dataclasses.replace(move, mutations=move.mutations + tuple(data.draw(st.lists(block, max_size=2))))
     s = data.draw(st.integers(min_window(move, seq), min_window(move, seq) + ell))
-    assert move_witness(seq, move, s) == move_witness(unfold(seq, s), move, s)
+    assert _outcome(move_witness, seq, move, s) == _outcome(move_witness, unfold(seq, s), move, s)
+
+
+def _row_pairs(d):
+    """For each MOVES row that the type has, its pairs of letters (a, b)."""
+    rows = {}
+    for a, b in itertools.permutations(range(1, d.rank + 1), 2):
+        rows.setdefault(d.c(a, b) * d.c(b, a), []).append((a, b))
+    return rows
+
+
+@pytest.mark.parametrize("code", ALL_TYPES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_move_certifies_on_every_window_holding_its_block(code, data):
+    """An alternating block planted into a drawn word, for every MOVES row of
+    the type, certifies at every window from the block's end to the word's."""
+    d = parse_type(code)
+    letters = st.lists(st.integers(1, d.rank), max_size=8)
+    head, tail = data.draw(letters), data.draw(letters)
+    for p, pairs in sorted(_row_pairs(d).items()):
+        recipe = braid.MOVES[p]
+        assert all(m <= recipe.span - 3 for m in recipe.mutations)
+        a, b = data.draw(st.sampled_from(pairs))
+        word = tuple(head) + tuple((a, b)[t % 2] for t in range(recipe.span)) + tuple(tail)
+        seq = IndexSequence(d, word)
+        move = detect_move(seq, len(head) + 1)
+        assert move.kind == recipe.kind and min_window(move, seq) == len(head) + recipe.span
+        for s in range(min_window(move, seq), len(word) + 1):
+            assert verify_move_on_seed(seq, move, s), (word, move.k, s)
+
+
+@pytest.mark.parametrize("code", ALL_TYPES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_forward_shift_is_the_seed_of_the_shifted_word(code, data):
+    """The shift of the window [1, s] of w is the seed of w[1:] on [1, s - 1],
+    with sigma_+ read from letters 1..s, for every 2 <= s <= len(w)."""
+    d = parse_type(code)
+    n = data.draw(st.integers(2, 24))
+    if data.draw(st.booleans()):
+        w = IndexSequence(d, longest_word(d), periodic=True).prefix(n)
+    else:
+        w = tuple(data.draw(st.lists(st.integers(1, d.rank), min_size=n, max_size=n)))
+    seq = IndexSequence(d, w)
+    for s in range(2, n + 1):
+        sigma = {u: seq.uplus(u, s) - 1 if w[u - 1] == w[0] else u - 1 for u in range(1, s + 1)}
+        want = (build_seed(IndexSequence(d, w[1:]), s - 1), sigma, s - 1)
+        assert forward_shift_seed(seq, s) == want, (w, s)
+    with pytest.raises(BraidError):
+        forward_shift_seed(seq, 1)
 
 
 # SHA-256 of the sorted enumeration, one "family letters k" line per item
@@ -494,15 +561,20 @@ def test_move_certifier_matches_public_path(data):
     # drowned by 2-moves; the types too start with those that have 4- and 6-moves
     kind = data.draw(st.sampled_from(sorted({m.kind for m in moves}, key=MOVE_SPAN.get, reverse=True)))
     move = data.draw(st.sampled_from([m for m in moves if m.kind == kind]))
-    # planted steps inside the block, all exchangeable, make some moves fail
+    # planted steps inside the block make some moves fail; near the block's
+    # end they can land on a frozen position, and both paths then raise
     block = st.integers(move.k, move.k + move.span - 1)
     move = dataclasses.replace(move, mutations=move.mutations + tuple(data.draw(st.lists(block, max_size=2))))
-    s = data.draw(st.integers(min_window(move, seq), min_window(move, seq) + ell))
+    s = data.draw(st.integers(min_window(move, seq), min_window(move, seq) + 2 * ell + 2))
     if data.draw(st.booleans()):
         seq = unfold(seq, data.draw(st.integers(s, s + ell + move.span + 2)))
-    got, want = _public_path(seq, move, s)
-    assert move_witness(seq, move, s) == _first_diff(got, want)
-    assert verify_move_on_seed(seq, move, s) == (got == want)
+    try:
+        got, want = _public_path(seq, move, s)
+    except SeedError as exc:
+        assert _outcome(move_witness, seq, move, s) == f"SeedError: {exc}"
+    else:
+        assert move_witness(seq, move, s) == _first_diff(got, want)
+        assert verify_move_on_seed(seq, move, s) == (got == want)
 
 
 # The 6-move recipe with four more steps at k and k + 1, which fails at k = 1.

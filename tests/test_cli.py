@@ -251,13 +251,16 @@ def test_mutate_names_the_bad_seed_file_part(tmp_path, capsys, text, named):
         (["--p", "0", "--s", "0"], "--i"),
         (["--xi", "1:0,2:-1,3:0", "--dominant", "2,-5"], "--dominant"),
         (["--xi", "1:0,2:-1,3:0", "--dominant", "2:1;1,0:1"], "--dominant"),
+        (["--xi", "1:0", "--dominant", "2,-5:1;1,0:1"], "misses node 2"),
+        (["--xi", "1:0,2:0,3:0", "--dominant", "2,-5:1;1,0:1"], "parity mismatch at node 2"),
+        (["--xi", "1:0,2:-1,3:0", "--dominant", "9,-5:1"], "node 9 outside 1..3"),
     ],
 )
 def test_check_fq_usage_errors(capsys, args, named):
     fixture = str(FIXTURES / "b3_truncated_simple.txt")
     assert main(["check-fq", fixture, "--type", "B3", *args]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and named in err
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
 
 
 B4_FQ = ["--type", "B4", "--i", "1", "--p", "0", "--s", "0"]

@@ -59,6 +59,11 @@ def test_nu_examples():
     assert nu((0, 0, 0, 1), w) == 0  # short root: -1 + 1
     g = word("G2", (1, 2, 1, 2, 1, 2))
     assert nu((1, 0, 0, 0, 0, 0), g) == 0  # short alpha1: -(2)/2 + 1
+    # parameters are checked as deg_of_c checks them
+    with pytest.raises(LusztigError, match="5 parameters for a word of 4 letters"):
+        nu((0, 0, 0, 0, 1), w)
+    with pytest.raises(LusztigError, match="non-negative"):
+        nu((1, -1, 0, 0), w)
 
 
 def test_two_move_swap():
