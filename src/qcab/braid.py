@@ -16,7 +16,8 @@ from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import groupby, product
+from functools import lru_cache
+from itertools import chain, groupby, product
 from typing import NamedTuple
 
 import numpy as np
@@ -66,14 +67,14 @@ class IndexSequence:
             return self.letters[k - 1]
         if not self.periodic:
             raise BraidError(f"position {k} beyond a window of {n} letters")
-        # unfold i_k = (i_{k-l})^* as many periods back as needed
+        # unfold i_k = (i_{k-l})^* as many periods back as needed; * is an involution
         periods, r = divmod(k - 1, n)
         base = self.letters[r]
-        for _ in range(periods):
-            base = self.datum.star_of(base)
-        return base
+        return self.datum.star_of(base) if periods % 2 else base
 
     def prefix(self, s: int) -> tuple[int, ...]:
+        if s <= len(self.letters):
+            return self.letters[: max(s, 0)]
         # from a list: tuple() of a generator grows by resizing, and in hot
         # loops those resizes leave the small-object heap fragmented
         return tuple([self.letter(k) for k in range(1, s + 1)])
@@ -107,65 +108,104 @@ def alternating(datum: CartanDatum) -> IndexSequence:
 # seed construction
 
 
-def _lambda_and_b(datum: CartanDatum, letters: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, frozenset[int]]:
-    """Dense Lambda and B on the window [1, s] of ``letters``, and its exchangeable positions.
+@lru_cache(maxsize=None)
+def _pairing_arrays(datum: CartanDatum) -> tuple[np.ndarray, np.ndarray]:
+    """-C^T and the symmetrizer as read-only int64 arrays, made once per datum."""
+    neg_ct, sym = -np.array(datum.cartan, dtype=np.int64).T, np.array(datum.symmetrizer, dtype=np.int64)
+    neg_ct.setflags(write=False)
+    sym.setflags(write=False)
+    return neg_ct, sym
 
-    The pair reads the window's letters alone: u is exchangeable iff u^+ <= s;
-    each B entry of an exchangeable column v sits at a row <= v^+ <= s; and
-    Lambda walks the letters 1..s.
+
+def _windows(datum: CartanDatum, words: list[tuple[int, ...]]) -> tuple[np.ndarray, list[frozenset[int]]]:
+    """(Lambda, B) on the window [1, s] of each of M words of one length s,
+    as one (M, 2, s, s) array, and each word's exchangeable positions.
+
+    A window reads its letters alone: u is exchangeable iff u^+ <= s; each B
+    entry of an exchangeable column v sits at a row <= v^+ <= s; and Lambda
+    walks the letters 1..s.  The words are walked in sorted order, each from
+    where it leaves the previous one, so a prefix they share is walked once.
     """
-    s = len(letters)
+    size, s = len(words), len(words[0])
     n, off = datum.rank, datum.coupling
 
-    # u^+ in the window; s + 1 when there is none
-    nxt = [s + 1] * (s + 1)
-    seen: dict[int, int] = {}
-    for k in range(s, 0, -1):
-        nxt[k] = seen.get(letters[k - 1], s + 1)
-        seen[letters[k - 1]] = k
-
     # x_u = pi_i - w_u pi_i in simple-root coordinates, for i = i_u and
-    # w_u = s_{i_1} ... s_{i_u}; pi_i + w_u pi_i = 2 pi_i - x_u has the
-    # pi-coordinates 2 e_i - C x_u
-    step, hist = WeylWalk(datum).step, []
-    for i in letters:
-        hist += step(i)
-    x = np.array(hist, dtype=np.int64).reshape(s, n)
-    plus = x @ -np.array(datum.cartan, dtype=np.int64).T
-    plus[np.arange(s), np.array(letters, dtype=np.intp) - 1] += 2
-    grid = (x * np.array(datum.symmetrizer, dtype=np.int64)) @ plus.T
-    lam = np.triu(grid, 1)
-    lam = lam - lam.T
+    # w_u = s_{i_1} ... s_{i_u}: the walk's y_i right after letter u.  last[t]
+    # holds, per letter j + 1, its last position (0 if none) in the first t
+    # letters of the current word, so after t letters the walk's y_j is the
+    # x row at last[t][j], or zero; hist holds the word's x rows, flat
+    walk = WeylWalk(datum)
+    step, last, hist, prev = walk.step, [[0] * n], [], ()
+    xs = [0] * (size * s * n)  # the x rows of all words, in their order
+    # B entries of all words, at flat indices into the (M, 2, s, s) array
+    at, val = [], []
+    put, give = at.append, val.append
+    exchangeable = [frozenset()] * size
+    for m in sorted(range(size), key=words.__getitem__):
+        w = words[m]
+        t = 0  # the prefix shared with the previous word is walked already
+        for a, c in zip(w, prev):
+            if a != c:
+                break
+            t += 1
+        del last[t + 1 :], hist[t * n :]
+        walk.y = [hist[(p - 1) * n : p * n] if p else [0] * n for p in last[t]]
+        for u, i in enumerate(w[t:], t):
+            hist += step(i)
+            row = last[u][:]
+            row[i - 1] = u + 1
+            last.append(row)
+        xs[m * s * n : (m + 1) * s * n] = hist
+        prev = w
 
-    # last[t][j]: the last position at or before t carrying letter j + 1 (0 if none)
-    last = [[0] * n]
-    for t, a in enumerate(letters, 1):
-        row = last[-1][:]
-        row[a - 1] = t
-        last.append(row)
+        # u^+ in the window; s + 1 when there is none
+        nxt = [s + 1] * (s + 1)
+        seen: dict[int, int] = {}
+        for k, a in zip(range(s, 0, -1), reversed(w)):
+            nxt[k] = seen.get(a, s + 1)
+            seen[a] = k
+        ex = []
+        base = (2 * m + 1) * s * s - s - 1  # entry (u, v) of this B is at base + u s + v
+        for v in range(1, s + 1):
+            vp = nxt[v]
+            if vp > s:
+                continue  # frozen column stays zero
+            ex.append(v)
+            col, before, inside = base + v, last[v - 1], last[vp - 1]
+            jv = w[v - 1] - 1
+            put(col + vp * s)
+            give(-1)
+            u = before[jv]
+            if u:
+                put(col + u * s)
+                give(1)
+            for j, cu in off[jv]:
+                # u < v < u+ < v+ forces u to be the last j before v
+                u = before[j]
+                if u and nxt[u] < vp:
+                    put(col + u * s)
+                    give(cu)
+                # v < u < v+ < u+ forces u to be the last j before v+
+                u = inside[j]
+                if u > v:
+                    put(col + u * s)
+                    give(-cu)
+        exchangeable[m] = frozenset(ex)
 
-    b = np.zeros((s, s), dtype=np.int64)
-    ex = []
-    for v in range(1, s + 1):
-        vp = nxt[v]
-        if vp > s:
-            continue  # frozen column stays zero
-        ex.append(v)
-        jv = letters[v - 1] - 1
-        b[vp - 1, v - 1] = -1
-        prev = last[v - 1][jv]
-        if prev:
-            b[prev - 1, v - 1] = 1
-        for j, cu in off[jv]:
-            # u < v < u+ < v+ forces u to be the last j before v
-            u = last[v - 1][j]
-            if u and nxt[u] < vp:
-                b[u - 1, v - 1] = cu
-            # v < u < v+ < u+ forces u to be the last j before v+
-            u = last[vp - 1][j]
-            if u > v:
-                b[u - 1, v - 1] = -cu
-    return lam, b, frozenset(ex)
+    # pi_i + w_u pi_i = 2 pi_i - x_u has the pi-coordinates 2 e_i - C x_u
+    neg_ct, sym = _pairing_arrays(datum)
+    x = np.array(xs, dtype=np.int64).reshape(size, s, n)
+    plus = x @ neg_ct
+    hot = np.fromiter(chain.from_iterable(words), np.intp, size * s)  # i_u
+    hot += np.arange(-1, size * s * n - 1, n)  # and its entry in the row of u
+    plus.reshape(-1)[hot] += 2
+    grid = (x * sym) @ plus.transpose(0, 2, 1)
+    rows = np.arange(s)
+    grid *= rows[:, None] < rows  # keep u < v
+    out = np.zeros((size, 2, s, s), dtype=np.int64)
+    np.subtract(grid, grid.transpose(0, 2, 1), out=out[:, 0])
+    out.reshape(-1)[np.fromiter(at, np.intp, len(at))] = val
+    return out, exchangeable
 
 
 def build_seed(seq: IndexSequence, s: int) -> CompatiblePair:
@@ -173,8 +213,9 @@ def build_seed(seq: IndexSequence, s: int) -> CompatiblePair:
     if s < 1:
         raise BraidError(f"window {s} is below 1")
     letters = seq.prefix(s)
-    lam, b, ex = _lambda_and_b(seq.datum, letters)
-    return _adopt_pair(lam, b, ex, tuple(seq.datum.d(a) for a in letters))
+    windows, ex = _windows(seq.datum, [letters])
+    sym = seq.datum.symmetrizer
+    return _adopt_pair(windows[0, 0], windows[0, 1], ex[0], tuple([sym[a - 1] for a in letters]))
 
 
 def b_infinite_entry(seq: IndexSequence, u: int, v: int, limit: int | None = None) -> int:
@@ -430,13 +471,11 @@ def _stack_verdicts(datum: CartanDatum, words: list[tuple[int, ...]], move: Brai
     targets = [swap_block(w, move.kind, move.k) for w in words]
     # each window is built once; in a full G2 run every target is also a source
     index = {w: n for n, w in enumerate(dict.fromkeys(words + targets))}
-    windows = np.empty((len(index), 2, s, s), dtype=np.int64)  # (Lambda, B) of each
-    for n, w in enumerate(index):
-        windows[n, 0], windows[n, 1], ex = _lambda_and_b(datum, w)
-        if n < len(words):
-            for m in move.mutations:
-                if m not in ex:
-                    raise SeedError(f"position {m} is frozen or out of range")
+    windows, exchangeable = _windows(datum, list(index))  # (Lambda, B) of each
+    for ex in exchangeable[: len(words)]:
+        for m in move.mutations:
+            if m not in ex:
+                raise SeedError(f"position {m} is frozen or out of range")
     lam, b = windows[: len(words), 0], windows[: len(words), 1]  # index starts with the words
     for m in move.mutations:
         lam, b = mutate_arrays(lam, b, m)
@@ -498,10 +537,16 @@ def g2_exhaustive_certify(jobs: int | None = None) -> CertReport:
     jobs = min(8 if jobs is None else jobs, os.cpu_count() or 1)
     counts: Counter[str] = Counter()
     mismatches, witnesses = 0, []
-    # stacks are cut and their results folded as they come, so no more than
-    # one stack of configurations is held at a time when jobs <= 1
+    # results are folded as they come; with jobs <= 1 the stacks are cut as
+    # they come too, so no more than one stack is held at a time
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for c, bad, w in (pool.map if pool else map)(_certify_stack, _g2_stacks()):
+        if pool:
+            stacks = list(_g2_stacks())
+            # four tasks per process: a task per stack pays a round trip each
+            results = pool.map(_certify_stack, stacks, chunksize=-(-len(stacks) // (4 * jobs)))
+        else:
+            results = map(_certify_stack, _g2_stacks())
+        for c, bad, w in results:
             counts.update(c)
             mismatches += bad
             witnesses += w[: _MAX_WITNESSES - len(witnesses)]

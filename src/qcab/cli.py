@@ -175,8 +175,15 @@ def _dispatch(args) -> int:
     if args.command == "g-map":
         datum = parse_type(args.type)
         seq = _parse_seq(datum, args.seq)
+        g = _parse_gvec(args.g)
         if seq.periodic:
-            seq = braid.unfold(seq, 4 * datum.longest_length)
+            # unfold through the move's block and every degree position; the
+            # degrees of a shift sit on the shifted word, one letter shorter
+            if args.move == "shift":
+                n = max(g, default=0) + 1
+            else:
+                n = max([args.k + int(args.move) - 1, *g])
+            seq = braid.unfold(seq, max(n, 1))
         move = _move_from_args(seq, args.move, args.k)
         if args.move == "shift":
             # --seq names the unshifted sequence; the input degrees live on
@@ -184,7 +191,7 @@ def _dispatch(args) -> int:
             src = braid.apply_move_to_sequence(seq, move)
         else:
             src = seq
-        g = gvectors.gmap_apply(move, src, _parse_gvec(args.g))
+        g = gvectors.gmap_apply(move, src, g)
         print(",".join(f"{u}:{v}" for u, v in sorted(g.items())) or "0")
         return 0
 

@@ -15,8 +15,8 @@ from qcab.braid import (
     MOVE_SPAN,
     BraidError,
     IndexSequence,
-    _lambda_and_b,
     _stack_verdicts,
+    _windows,
     alternating,
     apply_move_to_sequence,
     b_infinite_entry,
@@ -71,6 +71,18 @@ def test_periodic_extension_uses_star():
     seq = IndexSequence(d, (1, 2, 1), periodic=True)
     # star swaps the two nodes, so the extension alternates forever
     assert seq.prefix(8) == (1, 2, 1, 2, 1, 2, 1, 2)
+    # a prefix reads as its letters, within the word and periods past it
+    for code in ("A3", "B2", "E6"):
+        d = parse_type(code)
+        word = longest_word(d)
+        for seq in (IndexSequence(d, word), IndexSequence(d, word, periodic=True)):
+            for s in range(-1, 3 * len(word) + 2 if seq.periodic else len(word) + 1):
+                assert seq.prefix(s) == tuple(seq.letter(k) for k in range(1, s + 1))
+        # i_k = (i_{k - l})^* past the first period
+        letters = IndexSequence(d, word, periodic=True).prefix(3 * len(word))
+        assert letters[len(word) :] == tuple(d.star_of(a) for a in letters[: 2 * len(word)])
+        with pytest.raises(BraidError, match=f"position {len(word) + 1} beyond"):
+            IndexSequence(d, word).prefix(len(word) + 1)
 
 
 def test_b2_window_entries():
@@ -94,11 +106,48 @@ def test_builder_matches_case_table():
         letters = tuple(rng.randrange(1, d.rank + 1) for _ in range(rng.randrange(6, 16)))
         seq = IndexSequence(d, letters)
         s = len(letters)
-        lam, b, ex = _lambda_and_b(d, letters)
+        windows, (ex,) = _windows(d, [letters])
+        b = windows[0, 1]
         for v in range(1, s + 1):
             for u in range(1, s + 1):
                 want = b_infinite_entry(seq, u, v, limit=s) if v in ex else 0
                 assert b[u - 1, v - 1] == want
+
+
+BATCH_TYPES = ("A3", "B3", "C3", "D4", "F4", "G2")
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_batched_windows_match_single_windows(data):
+    """A word's window in a stack is its window built alone: the walk shared
+    along common prefixes and the stacked arrays leak nothing between words."""
+    d = parse_type(data.draw(st.sampled_from(BATCH_TYPES)))
+    letter = st.integers(1, d.rank)
+    s = data.draw(st.integers(1, 20))
+    stem = data.draw(st.lists(letter, min_size=s, max_size=s))
+    words = [tuple(stem)]
+    for _ in range(data.draw(st.integers(0, 8))):  # each keeps a prefix of the stem
+        cut = data.draw(st.integers(0, s))
+        words.append(tuple(stem[:cut] + data.draw(st.lists(letter, min_size=s - cut, max_size=s - cut))))
+    words = data.draw(st.permutations(list(dict.fromkeys(words))))
+    windows, exchangeable = _windows(d, words)
+    assert windows.shape == (len(words), 2, s, s) and windows.dtype == np.int64
+    for m, w in enumerate(words):
+        alone, (ex,) = _windows(d, [w])
+        assert np.array_equal(windows[m], alone[0]) and exchangeable[m] == ex, (w, words)
+
+
+@pytest.mark.parametrize("code", BATCH_TYPES)
+def test_batched_windows_of_one_letter(code):
+    """s = 1: every one-letter window is Lambda = 0 with a frozen B, stacked or alone."""
+    d = parse_type(code)
+    words = [(a,) for a in range(d.rank, 0, -1)]
+    windows, exchangeable = _windows(d, words)
+    assert not windows.any() and exchangeable == [frozenset()] * d.rank
+    for w in words:
+        alone, (ex,) = _windows(d, [w])
+        assert alone.shape == (1, 2, 1, 1) and not alone.any() and ex == frozenset()
 
 
 def test_lambda_closed_form_extension():
@@ -606,6 +655,23 @@ def test_frozen_mutation_raises_seed_error():
             verify_move_on_seed(seq, bad, 14)
 
 
+def test_frozen_mutation_in_one_word_of_a_stack_raises():
+    """A stack in which one word alone has a mutation position frozen raises
+    SeedError, wherever that word sits; the other words certify."""
+    d = build_cartan("G", 2)
+    core = (1, 2, 1, 2, 1, 2)
+    # position 5 carries letter 1: exchangeable iff a later 1 is in the window
+    good, frozen = [core + (1, 2), core + (2, 1)], core + (2, 2)
+    move = detect_move(IndexSequence(d, good[0]), 1)
+    planted = dataclasses.replace(move, mutations=move.mutations + (5,))
+    assert 5 not in build_seed(IndexSequence(d, frozen), 8).exchangeable
+    assert all(5 in build_seed(IndexSequence(d, w), 8).exchangeable for w in good)
+    assert len(_stack_verdicts(d, good, planted)) == 2
+    for words in itertools.permutations(good + [frozen]):
+        with pytest.raises(SeedError, match="position 5 is frozen or out of range"):
+            _stack_verdicts(d, list(words), planted)
+
+
 def test_g2_jobs_are_bounded(monkeypatch, capsys):
     """jobs below 1 is a usage error, and the pool never exceeds the CPU count."""
     with pytest.raises(BraidError):
@@ -626,7 +692,7 @@ def test_g2_jobs_are_bounded(monkeypatch, capsys):
         def __exit__(self, *exc):
             return None
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     head = list(itertools.islice(g2_sequences(), 40))

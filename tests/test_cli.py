@@ -103,7 +103,7 @@ def test_substitute_b2_cli(capsys):
 
 @pytest.mark.parametrize("code", ["A2", "B2", "G2"])
 def test_maps_read_alt_as_the_alternating_word(capsys, code):
-    """--seq alt unfolds to 4 l letters for g-map and to l letters for c-map."""
+    """--seq alt reads as the alternating word for g-map (here 4 l letters) and c-map (l letters)."""
     ell = {"A2": 3, "B2": 4, "G2": 6}[code]
     common = ["--move", str(ell), "--k", "1", "--type", code]
     g = ["--g", "1:1,2:-1,3:2"]
@@ -115,6 +115,22 @@ def test_maps_read_alt_as_the_alternating_word(capsys, code):
 
 def test_g_map_shift_on_alt(capsys):
     assert run(capsys, "g-map", "--move", "shift", "--type", "B2", "--seq", "alt", "--g", "1:1") == (0, "2:1\n")
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        ["--move", "4", "--k", "1", "--g", "17:1"],
+        ["--move", "4", "--k", "15", "--g", "1:1,16:3,18:-1"],
+        ["--move", "shift", "--g", "2:1,30:2"],
+    ],
+)
+def test_g_map_reads_every_position_of_alt(capsys, move):
+    """g-map on alt takes degree positions and move blocks past 4 l letters,
+    and prints what it prints on an explicit unfolding of the word."""
+    argv = ["g-map", "--type", "B2", *move]
+    alt = run(capsys, *argv, "--seq", "alt")
+    assert alt[0] == 0 and alt == run(capsys, *argv, "--seq", ",".join(str(1 + t % 2) for t in range(40)))
 
 
 def test_check_kappa(capsys):
