@@ -3,14 +3,11 @@
 from .cartan import (
     CartanDatum,
     CartanError,
-    Weight,
     beta_sequence,
-    bilinear,
     build_cartan,
     is_reduced,
     longest_word,
     parse_type,
-    weyl_act,
 )
 from .seeds import (
     CompatiblePair,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cartan import CartanDatum, WeylWalk, bilinear, build_cartan, is_reduced, weyl_act
+from .cartan import CartanDatum, WeylWalk, build_cartan, is_reduced
 from .seeds import (
     CompatiblePair,
     SeedError,
@@ -78,14 +78,6 @@ class IndexSequence:
         # from a list: tuple() of a generator grows by resizing, and in hot
         # loops those resizes leave the small-object heap fragmented
         return tuple([self.letter(k) for k in range(1, s + 1)])
-
-    def uplus(self, k: int, limit: int) -> int:
-        """Next position > k with the same letter, or limit + 1."""
-        a = self.letter(k)
-        for v in range(k + 1, limit + 1):
-            if self.letter(v) == a:
-                return v
-        return limit + 1
 
     def uminus(self, k: int) -> int:
         """Previous position < k with the same letter, or 0."""
@@ -216,34 +208,6 @@ def build_seed(seq: IndexSequence, s: int) -> CompatiblePair:
     windows, ex = _windows(seq.datum, [letters])
     sym = seq.datum.symmetrizer
     return _adopt_pair(windows[0, 0], windows[0, 1], ex[0], tuple([sym[a - 1] for a in letters]))
-
-
-def b_infinite_entry(seq: IndexSequence, u: int, v: int, limit: int | None = None) -> int:
-    """The exchange-matrix case table b_{u,v} of the unwindowed sequence."""
-    if limit is None:
-        limit = max(u, v) + len(seq.letters) + 2
-    up, vp = seq.uplus(u, limit), seq.uplus(v, limit)
-    if v == up:
-        return 1
-    if v == seq.uminus(u):
-        return -1
-    iu, iv = seq.letter(u), seq.letter(v)
-    if u < v < up < vp:
-        return seq.datum.c(iu, iv)
-    if v < u < vp < up:
-        return -seq.datum.c(iu, iv)
-    return 0
-
-
-def lambda_closed_form(seq: IndexSequence, u: int, v: int) -> int:
-    """Lambda_{u,v} from the bilinear pairing, valid whenever u < v^+."""
-    datum = seq.datum
-    iu, iv = seq.letter(u), seq.letter(v)
-    wu = weyl_act(datum, tuple(seq.letter(t) for t in range(1, u + 1)), datum.fundamental_weight(iu))
-    wv = weyl_act(datum, tuple(seq.letter(t) for t in range(1, v + 1)), datum.fundamental_weight(iv))
-    left = datum.to_alpha(datum.fundamental_weight(iu) - wu)
-    right = datum.fundamental_weight(iv) + wv
-    return bilinear(datum, left, right)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Finite-type Cartan data, root systems and exact weight arithmetic.
+"""Finite-type Cartan data, root systems, reduced words and the Weyl-group walk.
 
 All node labels and word positions are 1-based, matching the usual tables.
-Weights carry their coordinates in the fundamental-weight basis and, when they
-lie in the root lattice, an exact integer coordinate vector in the simple-root
-basis as well.  Every bilinear-form value produced here is an exact integer.
+Roots, the beta sequence of a word and the vectors of ``WeylWalk`` are exact
+integer vectors in the simple-root basis; fractions appear only while the
+minimal symmetrizer is found.
 """
 
 from __future__ import annotations
@@ -22,36 +22,6 @@ FAMILIES = "ABCDEFG"
 
 class CartanError(ValueError):
     """Raised for unsupported families/ranks or malformed Cartan input."""
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A weight written in the fundamental-weight basis.
-
-    ``alpha`` holds the simple-root coordinates when the weight is known to
-    lie in the root lattice; it is ``None`` otherwise.
-    """
-
-    wt: tuple[int, ...]
-    alpha: tuple[int, ...] | None = None
-
-    def __add__(self, other: "Weight") -> "Weight":
-        wt = tuple(a + b for a, b in zip(self.wt, other.wt))
-        al = None
-        if self.alpha is not None and other.alpha is not None:
-            al = tuple(a + b for a, b in zip(self.alpha, other.alpha))
-        return Weight(wt, al)
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return self + (-other)
-
-    def __neg__(self) -> "Weight":
-        al = None if self.alpha is None else tuple(-a for a in self.alpha)
-        return Weight(tuple(-a for a in self.wt), al)
-
-    def scale(self, c: int) -> "Weight":
-        al = None if self.alpha is None else tuple(c * a for a in self.alpha)
-        return Weight(tuple(c * a for a in self.wt), al)
 
 
 @dataclass(frozen=True)
@@ -94,43 +64,6 @@ class CartanDatum:
     def __hash__(self) -> int:
         # The type determines every field; the generated hash would walk all roots on each cache lookup.
         return hash((self.family, self.rank))
-
-    # -- weights ------------------------------------------------------
-
-    def fundamental_weight(self, i: int) -> Weight:
-        self._check_node(i)
-        return Weight(tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
-
-    def simple_root(self, j: int) -> Weight:
-        self._check_node(j)
-        wt = tuple(self.cartan[i][j - 1] for i in range(self.rank))
-        al = tuple(1 if k == j - 1 else 0 for k in range(self.rank))
-        return Weight(wt, al)
-
-    def weight_from_alpha(self, coeffs: tuple[int, ...]) -> Weight:
-        wt = tuple(
-            sum(self.cartan[i][j] * coeffs[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        return Weight(wt, tuple(coeffs))
-
-    def to_alpha(self, w: Weight) -> Weight:
-        """Attach the root-lattice coordinates of ``w``, if they are integral."""
-        if w.alpha is not None:
-            return w
-        inv = _cartan_inverse(self)
-        coeffs = []
-        for row in inv:
-            v = sum(row[j] * w.wt[j] for j in range(self.rank))
-            if v.denominator != 1:
-                raise CartanError("weight does not lie in the root lattice")
-            coeffs.append(int(v))
-        return Weight(w.wt, tuple(coeffs))
-
-    def reflect(self, i: int, w: Weight) -> Weight:
-        """Simple reflection s_i(w) = w - <h_i, w> alpha_i."""
-        self._check_node(i)
-        return w - self.simple_root(i).scale(w.wt[i - 1])
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:
@@ -279,48 +212,8 @@ def parse_type(code: str) -> CartanDatum:
     return build_cartan(code[0].upper(), int(code[1:]))
 
 
-@lru_cache(maxsize=None)
-def _cartan_inverse(datum: CartanDatum) -> tuple[tuple[Fraction, ...], ...]:
-    n = datum.rank
-    a = [[Fraction(datum.cartan[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
-
-
 # ----------------------------------------------------------------------
-# Weyl-group operations
-
-
-def weyl_act(datum: CartanDatum, word: tuple[int, ...] | list[int], w: Weight) -> Weight:
-    """Apply s_{i_1} o ... o s_{i_r} to ``w`` (s_{i_1} outermost)."""
-    out = w
-    for i in reversed(tuple(word)):
-        out = datum.reflect(i, out)
-    return out
-
-
-def bilinear(datum: CartanDatum, x: Weight, y: Weight) -> int:
-    """Exact invariant form; at least one argument must lie in the root lattice."""
-    if x.alpha is None and y.alpha is None:
-        raise CartanError("bilinear form needs one argument in the root lattice")
-    if x.alpha is None:
-        x, y = y, x
-    # (alpha_i, pi_j) = d_i delta_ij
-    return sum(
-        datum.symmetrizer[i] * x.alpha[i] * y.wt[i] for i in range(datum.rank)  # type: ignore[index]
-    )
+# the Weyl-group walk
 
 
 class WeylWalk:
@@ -357,8 +250,9 @@ class WeylWalk:
         return self.y[i - 1]
 
 
-def beta_sequence(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> list[Weight]:
-    """beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}); requires a reduced word."""
+def beta_sequence(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> list[tuple[int, ...]]:
+    """beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) in simple-root
+    coordinates; requires a reduced word."""
     word = tuple(word)
     walk, betas = WeylWalk(datum), []
     for k, i in enumerate(word, 1):
@@ -367,7 +261,7 @@ def beta_sequence(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> list
         b = tuple(a - c for a, c in zip(walk.step(i), yi))
         if any(a < 0 for a in b):
             raise CartanError(f"word {word} is not reduced (position {k})")
-        betas.append(datum.weight_from_alpha(b))
+        betas.append(b)
     return betas
 
 

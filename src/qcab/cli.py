@@ -176,14 +176,6 @@ def _dispatch(args) -> int:
         datum = parse_type(args.type)
         seq = _parse_seq(datum, args.seq)
         g = _parse_gvec(args.g)
-        if seq.periodic:
-            # unfold through the move's block and every degree position; the
-            # degrees of a shift sit on the shifted word, one letter shorter
-            if args.move == "shift":
-                n = max(g, default=0) + 1
-            else:
-                n = max([args.k + int(args.move) - 1, *g])
-            seq = braid.unfold(seq, max(n, 1))
         move = _move_from_args(seq, args.move, args.k)
         if args.move == "shift":
             # --seq names the unshifted sequence; the input degrees live on
@@ -198,8 +190,6 @@ def _dispatch(args) -> int:
     if args.command == "c-map":
         datum = parse_type(args.type)
         seq = _parse_seq(datum, args.seq)
-        if seq.periodic:
-            seq = braid.unfold(seq, datum.longest_length)
         move = _move_from_args(seq, args.move, args.k)
         c = tuple(int(t) for t in args.c.split(","))
         print(",".join(str(v) for v in lusztig.cmap_apply(move, seq, c)))

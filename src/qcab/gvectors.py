@@ -4,12 +4,13 @@ Degree vectors are finitely supported integer vectors over window positions,
 handled as sparse dicts so the e_0 = 0 convention (absent neighbours) falls
 out naturally.  A map takes the degree of an element w.r.t. the source
 sequence to its degree w.r.t. the swapped target sequence; the Cartan letters
-(i, j) entering the case tables are those of the target.
+(i, j) entering the case tables are those of the target.  A move swaps one
+block, so the maps read what they need of the target off the source word.
 """
 
 from __future__ import annotations
 
-from .braid import BraidError, BraidMove, IndexSequence, apply_move_to_sequence
+from .braid import BraidError, BraidMove, IndexSequence
 
 GVector = dict[int, int]
 
@@ -39,6 +40,21 @@ def _check_positions(g: GVector, seq: IndexSequence) -> None:
             raise BraidError(f"degree position {u} is not a position of the sequence")
 
 
+def _target_frame(move: BraidMove, seq_src: IndexSequence) -> tuple[int, int, int, int]:
+    """(i, j, k^-, (k+1)^-) of the target word, read off the source.
+
+    The block k..k + span - 1 is swapped and every other letter is kept, so
+    i = i_{k+1} and j = i_k, k^- is the last position before k carrying i, and
+    (k+1)^- is the last position before k carrying j: the source's k^-.
+    """
+    k, n = move.k, len(seq_src.letters)
+    if not seq_src.periodic and k + move.span - 1 > n:
+        raise BraidError(f"a {move.kind}-move at {k} does not fit in {n} letters")
+    j, i = seq_src.letter(k), seq_src.letter(k + 1)
+    km = next((u for u in range(k - 1, 0, -1) if seq_src.letter(u) == i), 0)
+    return i, j, km, seq_src.uminus(k)
+
+
 def gmap_apply(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> GVector:
     """Transport a degree vector along the move from seq_src to its target."""
     _check_positions(g_src, seq_src)
@@ -51,9 +67,8 @@ def gmap_apply(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> GVect
         for u, v in g_src.items():
             _set(g, u + 1, v)
         return g
-    tgt = apply_move_to_sequence(seq_src, move)
     k = move.k
-    i, j = tgt.letter(k), tgt.letter(k + 1)
+    i, j, km, k1m = _target_frame(move, seq_src)
     datum = seq_src.datum
     cji, cij = datum.c(j, i), datum.c(i, j)
     g = dict(g_src)
@@ -62,8 +77,6 @@ def gmap_apply(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> GVect
         _set(g, k, gk1)
         _set(g, k + 1, gk)
         return g
-    km = tgt.uminus(k)           # k^- in the target sequence
-    k1m = tgt.uminus(k + 1)      # (k+1)^- in the target sequence
     if move.kind == "three":
         gk = _get(g_src, k)
         for u in (k, k + 1, k + 2, km, k1m):
@@ -131,9 +144,19 @@ def tail_sums(g: GVector, letters: tuple[int, ...]) -> list[int]:
 
 
 def cone_contains(g: GVector, seq: IndexSequence) -> bool:
-    """Whether every same-letter tail partial sum of g is non-negative."""
+    """Whether every same-letter tail partial sum of g is non-negative.
+
+    A tail sum changes only at a position of the support, so the support is
+    walked downwards with one running sum per letter.
+    """
     _check_positions(g, seq)
-    return all(t >= 0 for t in tail_sums(g, seq.prefix(max(g, default=0))))
+    acc: dict[int, int] = {}
+    for u in sorted(g, reverse=True):
+        a = seq.letter(u)
+        acc[a] = acc.get(a, 0) + g[u]
+        if acc[a] < 0:
+            return False
+    return True
 
 
 def cone_generator(seq: IndexSequence, u: int) -> GVector:
@@ -161,10 +184,8 @@ def psum_delta(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> dict[
         return deltas
     if move.kind == "shift":
         raise BraidError("p-sums are not preserved by shifts; transport degrees instead")
-    tgt = apply_move_to_sequence(seq_src, move)
     k = move.k
-    i, j = tgt.letter(k), tgt.letter(k + 1)
-    km, k1m = tgt.uminus(k), tgt.uminus(k + 1)
+    i, j, km, k1m = _target_frame(move, seq_src)
     gk, gk1 = _get(g_src, k), _get(g_src, k + 1)
     if move.kind == "three":
         if km == 0:

@@ -9,7 +9,7 @@ and the braid-move transition maps are given in closed form for 2-, 3- and
 from __future__ import annotations
 
 from .braid import BraidError, BraidMove, IndexSequence, apply_move_to_sequence
-from .cartan import CartanError, beta_sequence, bilinear
+from .cartan import CartanError, beta_sequence
 from .gvectors import GVector, gmap_apply, tail_sums
 
 CParam = tuple[int, ...]
@@ -44,20 +44,24 @@ def c_of_deg(g: GVector, word: IndexSequence) -> CParam:
 
 
 def nu(c: CParam, word: IndexSequence) -> int:
-    """The exact integer -(1/2) sum c_k c_l (beta_k, beta_l) + sum c_s^2."""
+    """The exact integer -(1/2) sum c_k c_l (beta_k, beta_l) + sum c_s^2.
+
+    The double sum is (gamma, gamma) for gamma = sum c_k beta_k, with the form
+    (x, y) = sum_i d_i x_i (C y)_i on simple-root coordinates, C[i][j] = <h_i, alpha_j>.
+    """
     if any(x < 0 for x in c):
         raise LusztigError("parameters must be non-negative")
     if len(c) > len(word.letters):
         raise LusztigError(f"{len(c)} parameters for a word of {len(word.letters)} letters")
     datum = word.datum
-    betas = beta_sequence(datum, word.letters[: len(c)])
-    double = 0
-    for k, ck in enumerate(c):
-        if not ck:
-            continue
-        for l, cl in enumerate(c):
-            if cl:
-                double += ck * cl * bilinear(datum, betas[k], betas[l])
+    gamma = [0] * datum.rank
+    for ck, beta in zip(c, beta_sequence(datum, word.letters[: len(c)])):
+        if ck:
+            gamma = [g + ck * b for g, b in zip(gamma, beta)]
+    double = sum(
+        d * g * sum(cij * gj for cij, gj in zip(row, gamma))
+        for d, g, row in zip(datum.symmetrizer, gamma, datum.cartan)
+    )
     if double % 2:
         raise CartanError("odd pairing sum")  # pragma: no cover - form is even
     return -(double // 2) + sum(x * x for x in c)
@@ -78,6 +82,8 @@ def cmap_apply(move: BraidMove, word_src: IndexSequence, c_src: CParam) -> CPara
     if any(x < 0 for x in c_src):
         raise LusztigError("parameters must be non-negative")
     k = move.k
+    if k + move.span - 1 > len(c_src):
+        raise LusztigError(f"a {move.kind}-move at {k} runs past the {len(c_src)} letters of the word")
     c = list(c_src)
     if move.kind == "two":
         c[k - 1], c[k] = c[k], c[k - 1]

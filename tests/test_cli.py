@@ -133,6 +133,20 @@ def test_g_map_reads_every_position_of_alt(capsys, move):
     assert alt[0] == 0 and alt == run(capsys, *argv, "--seq", ",".join(str(1 + t % 2) for t in range(40)))
 
 
+def test_g_map_far_out_on_alt(capsys):
+    """g-map on alt reads a degree position of 10^8 without unfolding the word."""
+    argv = ["g-map", "--type", "B2", "--seq", "alt", "--move", "4", "--k", "1", "--g", "100000000:1"]
+    assert run(capsys, *argv) == (0, "100000000:1\n")
+
+
+def test_c_map_past_the_word_is_a_usage_error(capsys):
+    """A three-move at 3 on alt of A2 runs past its 3 letters: exit 2, one error line."""
+    assert main(["c-map", "--type", "A2", "--seq", "alt", "--move", "3", "--k", "3", "--c", "1,0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: a three-move at 3 runs past")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_check_kappa(capsys):
     code, out = run(capsys, "check-kappa", "--type", "B2", "--window", "8", "--xi", "1:0,2:1")
     assert code == 0 and "ok" in out

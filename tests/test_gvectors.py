@@ -13,8 +13,8 @@ from qcab.braid import (
     swap_block,
     unfold,
 )
-from qcab.cartan import build_cartan
-from qcab.gvectors import cone_contains, cone_generator, gmap_apply, p_sum, psum_delta
+from qcab.cartan import build_cartan, parse_type
+from qcab.gvectors import _target_frame, cone_contains, cone_generator, gmap_apply, p_sum, psum_delta, tail_sums
 from qcab.torus import ClusterState, degree_of_pointed, mutate_state
 
 
@@ -129,6 +129,37 @@ def test_cone_membership():
     assert not cone_contains({1: -1}, seq)
     assert p_sum({1: 2, 3: -1, 2: 5}, seq, 1) == 1
     assert p_sum({1: 2, 3: -1, 2: 5}, seq, 2) == 5
+
+
+def test_cone_contains_walks_the_support():
+    """cone_contains against every same-letter tail sum up to the top of the
+    support, on periodic words; a support far out costs what its size costs."""
+    rng = random.Random(37)
+    for code in ("B2", "G2", "A3"):
+        d = parse_type(code)
+        seq = IndexSequence(d, d.w0_word, periodic=True)
+        for _ in range(300):
+            g = {rng.randrange(1, 40): rng.randrange(-2, 3) for _ in range(rng.randrange(6))}
+            assert cone_contains(g, seq) == all(t >= 0 for t in tail_sums(g, seq.prefix(max(g, default=0)))), g
+    assert cone_contains({10**9: 1}, alternating(build_cartan("B", 2)))
+
+
+def test_maps_read_the_target_off_the_source():
+    """The target's letters at k, k + 1 and their previous occurrences, as the
+    degree maps read them off the source, on every move of three periods of
+    w0; on the periodic word a block past the first period reads the same."""
+    for code in ("A3", "B3", "C3", "D4", "F4", "G2"):
+        d = parse_type(code)
+        periodic = IndexSequence(d, d.w0_word, periodic=True)
+        word = unfold(periodic, 3 * d.longest_length)
+        for k in range(1, len(word.letters)):
+            try:
+                move = detect_move(word, k)
+            except BraidError:
+                continue
+            tgt = IndexSequence(d, swap_block(word.letters, move.kind, k))
+            want = (tgt.letter(k), tgt.letter(k + 1), tgt.uminus(k), tgt.uminus(k + 1))
+            assert _target_frame(move, word) == want == _target_frame(move, periodic), (code, k)
 
 
 def random_cone_point(rng, seq, top, n_gens=5):

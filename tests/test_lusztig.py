@@ -7,6 +7,9 @@ from qcab.cartan import build_cartan
 from qcab.gvectors import cone_generator
 from qcab.lusztig import LusztigError, c_of_deg, cmap_apply, cmap_by_degrees, deg_of_c, nu
 
+from test_cartan import ALL_TYPES
+from weyl_oracle import bilinear, simple_root, weyl_act
+
 
 def word(code, letters):
     return IndexSequence(build_cartan(code[0], int(code[1])), letters)
@@ -64,6 +67,24 @@ def test_nu_examples():
         nu((0, 0, 0, 0, 1), w)
     with pytest.raises(LusztigError, match="non-negative"):
         nu((1, -1, 0, 0), w)
+
+
+def test_nu_is_the_oracle_form_on_w0():
+    """nu on w0 of every type against -1/2 sum c_k c_l (beta_k, beta_l) + sum c_k^2,
+    with beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) and the form of the reference weights."""
+    rng = random.Random(41)
+    for fam, n in ALL_TYPES:
+        d = build_cartan(fam, n)
+        w0 = d.w0_word
+        betas = [weyl_act(d, w0[:k], simple_root(d, i)) for k, i in enumerate(w0)]
+        for _ in range(3):
+            c = [0] * len(w0)
+            for k in rng.sample(range(len(w0)), min(len(w0), 6)):
+                c[k] = rng.randrange(1, 5)
+            double = sum(
+                ck * cl * bilinear(d, betas[k], betas[l]) for k, ck in enumerate(c) if ck for l, cl in enumerate(c) if cl
+            )
+            assert 2 * nu(tuple(c), IndexSequence(d, w0)) == -double + 2 * sum(x * x for x in c), (fam, n, c)
 
 
 def test_two_move_swap():
@@ -158,3 +179,14 @@ def test_cmap_validates_input():
         cmap_apply(mv, w, (1, 0, 0))
     with pytest.raises(LusztigError):
         cmap_apply(mv, w, (1, -1, 0, 0))
+
+
+@pytest.mark.parametrize("code, k", [("A3", 6), ("A2", 3)])
+def test_cmap_refuses_a_block_past_the_word(code, k):
+    """A move found on the periodic word whose block leaves the first period
+    (a two-move at 6 on A3, a three-move at 3 on A2) has no parameter map."""
+    d = build_cartan(code[0], int(code[1]))
+    periodic = IndexSequence(d, d.w0_word, periodic=True)
+    mv = detect_move(periodic, k)
+    with pytest.raises(LusztigError, match=f"at {k} runs past the {len(d.w0_word)} letters"):
+        cmap_apply(mv, periodic, (1,) * len(d.w0_word))
