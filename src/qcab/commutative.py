@@ -20,9 +20,23 @@ class CommutativeError(ArithmeticError):
     pass
 
 
+class _Reprs(dict):
+    """The repr of each variable label, computed on its first read: the variable order of every key.
+
+    Labels that compare equal share one entry, as they are one variable to any dict.
+    """
+
+    def __missing__(self, label: object) -> str:
+        r = self[label] = repr(label)
+        return r
+
+
+_REPRS = _Reprs()
+
+
 def _key(pairs) -> Monomial:
     """The canonical key of (variable, exponent) pairs: zero exponents dropped, variables in repr order."""
-    return tuple(sorted(filter(itemgetter(1), pairs), key=lambda t: repr(t[0])))
+    return tuple(sorted(filter(itemgetter(1), pairs), key=lambda t: _REPRS[t[0]]))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -46,7 +60,7 @@ def _mono_greater(a: Monomial, b: Monomial) -> bool:
     if da != db:
         return da > db
     av, bv = dict(a), dict(b)
-    for v in sorted({*av, *bv}, key=repr):
+    for v in sorted({*av, *bv}, key=_REPRS.__getitem__):
         ea, eb = av.get(v, 0), bv.get(v, 0)
         if ea != eb:
             return ea > eb

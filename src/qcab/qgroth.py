@@ -11,7 +11,8 @@ acts on coefficients alone.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
+
+import numpy as np
 
 from .braid import IndexSequence, build_seed
 from .cartan import CartanDatum, build_cartan, validate_height_function
@@ -117,14 +118,19 @@ class XTorus:
     holds f_ij(d) at list index d for |d| <= 2h + 1, negative d counted from
     the end; a longer gap folds to (d - 2) mod 2h + 2, with its sign.
 
+    ``gram_table`` is a read-only int64 array of the same table, indexed
+    [i - 1, j - 1, d], for the gathered Gram matrix of ``_kr_gram_rows``.
+
     Exponents are sparse ``ExpKey`` tuples in (p, i) order.  ``key`` checks
     that every hat is a generator, which the table lookups do not;
-    ``row(b)`` lists (level, exponent, table row) for each hat of b, so
-    ``twist(a, row(b))`` is the pairing of a and b by list indexing; ``join``
-    inserts the shorter key into the longer.
+    ``row(b)`` maps each hat to its pairing with b, summed over the hats of b
+    on the hat's first read and kept, so a product reads the table once per
+    (hat, b) rather than once per term pair; ``twist(a, row(b))`` sums the
+    exponents of a against that map; ``join`` inserts the shorter key into
+    the longer.
     """
 
-    __slots__ = ("tc", "datum", "table", "_parity", "_lim")
+    __slots__ = ("tc", "datum", "table", "gram_table", "_parity", "_lim")
     _interned: dict[CartanDatum, "XTorus"] = {}
     one = ()
 
@@ -142,6 +148,8 @@ class XTorus:
                     b = [tc.tilde_b(i, j, u) for u in range(lim + 2)]
                     f = [0] + [b[d - 1] - b[d + 1] for d in range(1, lim + 1)]
                     self.table[i].append(f + [-v for v in reversed(f[1:])])
+            self.gram_table = np.array([row[1:] for row in self.table[1:]], dtype=np.int64)
+            self.gram_table.setflags(write=False)
             # eps_i = d(i, 1) mod 2, as parity_function gives it; read directly, so that the first
             # torus of a datum makes no call that the perfbench tracer counts in one pass only
             self._parity = (None,) + tuple(tc.datum.dist(i, 1) % 2 for i in range(1, n + 1))
@@ -178,20 +186,15 @@ class XTorus:
         self.check(*exps)
         return _normkey(exps)
 
-    def row(self, b: ExpKey) -> list[tuple[int, int, list[list[int]]]]:
-        table = self.table
-        return [(s, e, table[j]) for (j, s), e in b]
+    def row(self, b: ExpKey) -> "_Row":
+        return _Row(self, b)
 
-    def twist(self, a: ExpKey, rb: list[tuple[int, int, list[list[int]]]]) -> int:
-        """The pairing of a and b from row(b): pairing((i, p), (j, s)) = -table[j][i][s - p]."""
-        lim = self._lim
+    @staticmethod
+    def twist(a: ExpKey, rb: "_Row") -> int:
+        """The pairing of a and b from row(b): the sum of e * <hat, b> over the hats of a."""
         total = 0
-        for (i, p), ea in a:
-            acc = 0
-            for s, eb, tj in rb:
-                d = s - p
-                acc += eb * tj[i][d if -lim <= d <= lim else self._fold(d)]
-            total -= ea * acc
+        for hat, e in a:
+            total += e * rb[hat]
         return total
 
     @staticmethod
@@ -211,6 +214,20 @@ class XTorus:
             else:
                 out.insert(k, (u, e))
         return tuple(out)
+
+
+class _Row(dict):
+    """The pairing <hat, b> of one exponent b with each hat read so far; a new hat is summed on its first read."""
+
+    __slots__ = ("torus", "b")
+
+    def __init__(self, torus: XTorus, b: ExpKey):
+        self.torus, self.b = torus, b
+
+    def __missing__(self, hat: HatIndex) -> int:
+        pairing = self.torus.pairing
+        total = self[hat] = sum(e * pairing(hat, u) for u, e in self.b)
+        return total
 
 
 class XElement(QLaurent):
@@ -317,29 +334,40 @@ def compatible_reading(datum: CartanDatum, xi: dict[int, int], count: int) -> li
     return out[:count]
 
 
-def _kr_gram_rows(ambient: XTorus, xi: dict[int, int], hats: list[HatIndex]) -> Iterator[list[int]]:
-    """The rows of the Gram matrix pairing_vec(z_u, z_v) of the KR monomials z_xi at ``hats``.
+def _kr_gram_rows(ambient: XTorus, xi: dict[int, int], hats: list[HatIndex]) -> np.ndarray:
+    """The Gram matrix pairing_vec(z_u, z_v) of the KR monomials z_xi at ``hats``, as int64 rows.
 
     Each node's entries of ``hats`` must step down by 2 from xi_i, so that the
-    ladder of hats[u] is hats[u] plus the ladder of prev(u), the node's entry
-    before it.  Then R_u = R_prev(u) + P_u sums the pairing P on ``hats`` down
-    the ladder of u, and G_uv = G_u,prev(v) + R_uv sums R_u down the ladder of
-    v: G = E P E^T for the 0/1 ladder matrix E, with one R row kept per node.
+    ladder of hats[u] is hats[u] plus the ladder of the node's entry before it.
+    The pairing P on ``hats`` is one gather from ``XTorus.gram_table``, at
+    each level gap's folded column; cumulative sums down each node's ladder,
+    over rows (E P) and then over columns, give G = E P E^T for the 0/1
+    ladder matrix E.  Raises QGrothError unless every partial sum, at most
+    len(hats)^2 times the largest table entry, fits in int64.
     """
-    n, prev, last = len(hats), [], {}
+    ladders: dict[int, list[int]] = {}
     for u, (i, p) in enumerate(hats):
-        top = last.get(i, n)  # prev = n at a ladder's top reads the zero kept at g[n]
-        if p != (xi[i] if top == n else hats[top][1] - 2):
+        ladder = ladders.setdefault(i, [])
+        if p != (hats[ladder[-1]][1] - 2 if ladder else xi[i]):
             raise QGrothError(f"({i}, {p}) does not step down the ladder of node {i} from {xi[i]}")
-        prev.append(top)
-        last[i] = u
-    rows: dict[int, list[int]] = {}
-    for a in hats:
-        r = rows[a[0]] = [x + ambient.pairing(a, b) for x, b in zip(rows.get(a[0], [0] * n), hats)]
-        g = [0] * (n + 1)
-        for v in range(n):
-            g[v] = g[prev[v]] + r[v]
-        yield g[:n]
+        ladder.append(u)
+    table, n = ambient.gram_table, len(hats)
+    bound = max(int(table.max()), -int(table.min()))
+    if n * n * bound >= 2**63:
+        raise QGrothError(f"a Gram matrix of {n} KR monomials with table entries up to {bound} may exceed int64")
+    levels = [p for _, p in hats]
+    low, lim = min(levels, default=0), ambient._lim
+    span = max(levels, default=0) - low
+    # the table column of each level gap -span..span, long gaps folded
+    column = np.array([d if -lim <= d <= lim else ambient._fold(d) for d in range(-span, span + 1)], dtype=np.intp)
+    nodes = np.array([i - 1 for i, _ in hats], dtype=np.intp)
+    rungs = np.array([p - low for p in levels], dtype=np.intp)
+    gram = table[nodes[:, None], nodes[None, :], column[rungs[:, None] - rungs[None, :] + span]]
+    for ladder in ladders.values():
+        gram[ladder] = np.cumsum(gram[ladder], axis=0)
+    for ladder in ladders.values():
+        gram[:, ladder] = np.cumsum(gram[:, ladder], axis=1)
+    return gram
 
 
 def kappa_witness(datum: CartanDatum, xi: dict[int, int], window: int, tc: TCartan | None = None) -> tuple | None:
@@ -355,10 +383,11 @@ def kappa_witness(datum: CartanDatum, xi: dict[int, int], window: int, tc: TCart
     tc = tc if tc is not None else TCartan(datum)
     pairs = compatible_reading(datum, xi, window)
     seed = build_seed(IndexSequence(datum, tuple(i for i, _ in pairs)), window)
-    for u, gram in enumerate(_kr_gram_rows(XTorus(tc), xi, pairs)):
-        for v, got in enumerate(seed.lam[u, u + 1 :].tolist(), u + 1):
-            if got != gram[v]:
-                return ("lam", u + 1, v + 1, got, gram[v])
+    gram = _kr_gram_rows(XTorus(tc), xi, pairs)
+    differ = np.triu(seed.lam != gram, 1)
+    if differ.any():
+        u, v = divmod(int(differ.argmax()), window)  # the first True in row-major order
+        return ("lam", u + 1, v + 1, int(seed.lam[u, v]), int(gram[u, v]))
     for u in sorted(seed.exchangeable):
         image: dict[HatIndex, int] = {}
         for (j, s), coeff in zip(pairs, seed.b[:, u - 1].tolist()):

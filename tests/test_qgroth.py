@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from qcab import qgroth
 from qcab.braid import IndexSequence
 from qcab.cartan import build_cartan, parity_function
-from qcab.commutative import CommutativeError, LaurentPoly, RationalX
+from qcab.commutative import CommutativeError, LaurentPoly, RationalX, _key
 from qcab.qgroth import (
     QGrothError,
     TCartan,
     XElement,
     XTorus,
     _kr_gram_rows,
+    _ladder,
     _normkey,
     b_monomial_exponents,
     check_kappa,
@@ -162,7 +163,36 @@ def test_kr_gram_recurrence_matches_pairing_vec(case):
     amb = XTorus(TCartan(d))
     hats = compatible_reading(d, xi, 2 * d.longest_length)
     krs = [next(iter(z_xi(amb, xi, i, p).terms)) for i, p in hats]
-    assert list(_kr_gram_rows(amb, xi, hats)) == [[amb.pairing_vec(a, b) for b in krs] for a in krs]
+    assert _kr_gram_rows(amb, xi, hats).tolist() == [[amb.pairing_vec(a, b) for b in krs] for a in krs]
+
+
+@pytest.mark.parametrize("code", ["A2", "B2", "G2"])
+def test_kr_gram_folds_long_gaps(code):
+    """On a window spanning several periods, the Gram matrix sums the four-term npairing over both ladders."""
+    d = build_cartan(code[0], int(code[1]))
+    tc, xi, period = TCartan(d), dict(parity_function(d)), 2 * d.coxeter_number
+    hats = compatible_reading(d, xi, 3 * period)
+    levels = [p for _, p in hats]
+    assert max(levels) - min(levels) > period + 1  # some gaps fold
+    ladders = [_ladder(i, p, xi[i]) for i, p in hats]
+    want = [[sum(npairing(tc, a, b) for a in la for b in lb) for lb in ladders] for la in ladders]
+    assert _kr_gram_rows(XTorus(tc), xi, hats).tolist() == want
+
+
+def test_kr_gram_refuses_a_table_that_could_wrap(monkeypatch):
+    d, xi = build_cartan("B", 2), {1: 0, 2: 1}
+    amb, hats = ambient("B2"), compatible_reading(d, xi, 8)
+    planted = amb.gram_table.copy()
+    for entry, wraps in (((2**63 - 1) // 64, False), ((2**63 - 1) // 64 + 1, True)):
+        planted[0, 1, 3] = entry
+        monkeypatch.setattr(amb, "gram_table", planted)
+        if wraps:
+            with pytest.raises(QGrothError, match="may exceed int64"):
+                _kr_gram_rows(amb, xi, hats)
+            with pytest.raises(QGrothError, match="may exceed int64"):
+                kappa_witness(d, xi, 8)
+        else:
+            _kr_gram_rows(amb, xi, hats)  # 64 times the entry still fits
 
 
 def test_kr_gram_needs_nested_ladders():
@@ -402,8 +432,11 @@ def test_xelement_text_round_trip():
 
 
 B2 = ambient("B2")
-# B2 generators (1, even level) and (2, odd level), near level 0, so terms collide
-_hats = st.tuples(st.sampled_from([1, 2]), st.integers(-2, 2)).map(lambda t: (t[0], t[0] - 1 + 2 * t[1]))
+# B2 generators (1, even level) and (2, odd level): mostly near level 0, so terms collide, and
+# some up to 33 levels apart, past the 2h + 1 = 9 of the unfolded table
+_hats = st.tuples(st.sampled_from([1, 2]), st.integers(-2, 2) | st.integers(-8, 8)).map(
+    lambda t: (t[0], t[0] - 1 + 2 * t[1])
+)
 _coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), min_size=1, max_size=3)
 
 
@@ -421,7 +454,7 @@ def test_xelement_text_round_trip_random(x):
 
 
 def _naive_xproduct(x, y):
-    """The product summed one term pair at a time, through XElement addition."""
+    """The product summed one term pair at a time, each twist one hat pair at a time, through XElement addition."""
     amb = x.torus
     out = XElement.zero(amb)
     for a, ca in x.terms.items():
@@ -429,7 +462,8 @@ def _naive_xproduct(x, y):
             exps = dict(a)
             for u, e in b:
                 exps[u] = exps.get(u, 0) + e
-            out = out + XElement.monomial(amb, exps, (ca * cb).shift(amb.pairing_vec(a, b)))
+            twist = sum(ea * eb * amb.pairing(u, v) for u, ea in a for v, eb in b)
+            out = out + XElement.monomial(amb, exps, (ca * cb).shift(twist))
     return out
 
 
@@ -522,6 +556,19 @@ def test_laurent_poly_basics():
         (x * x + y).divexact(x + y)
     q = (x + y) * LaurentPoly.var("x", -3)
     assert q.divexact(x + y) == LaurentPoly.var("x", -3)
+
+
+_labels = st.one_of(
+    st.integers(0, 30),  # repr "10" sorts before "2"
+    st.tuples(st.integers(1, 12), st.integers(-12, 12)),
+    st.tuples(st.sampled_from(["X", "Z"]), st.integers(1, 12), st.integers(-12, 12)),
+    st.text(max_size=3),
+)
+
+
+@given(st.lists(st.tuples(_labels, st.integers(-2, 2)), max_size=8))
+def test_keys_order_variables_by_repr(pairs):
+    assert _key(pairs) == tuple(sorted(filter(operator.itemgetter(1), pairs), key=lambda t: repr(t[0])))
 
 
 def test_rational_reduction_and_equality():
