@@ -27,6 +27,7 @@ from .seeds import (
     CompatiblePair,
     SeedError,
     _adopt_pair,
+    _amax,
     mutate_arrays,
     mutate_pair,
     permute_pair,
@@ -109,7 +110,9 @@ def _pairing_arrays(datum: CartanDatum) -> tuple[np.ndarray, np.ndarray]:
     return neg_ct, sym
 
 
-def _windows(datum: CartanDatum, words: list[tuple[int, ...]]) -> tuple[np.ndarray, list[frozenset[int]]]:
+def _windows(
+    datum: CartanDatum, words: list[tuple[int, ...]], t: int | None = None
+) -> tuple[np.ndarray, list[frozenset[int]]]:
     """(Lambda, B) on the window [1, s] of each of M words of one length s,
     as one (M, 2, s, s) array, and each word's exchangeable positions.
 
@@ -117,6 +120,12 @@ def _windows(datum: CartanDatum, words: list[tuple[int, ...]]) -> tuple[np.ndarr
     entry of an exchangeable column v sits at a row <= v^+ <= s; and Lambda
     walks the letters 1..s.  The words are walked in sorted order, each from
     where it leaves the previous one, so a prefix they share is walked once.
+    With a position t, a word whose walk reaches t copies its x rows past t
+    from an earlier word with the same letters past t and the same walk
+    state after t letters: the state and the letters decide those rows, so a
+    braid move's target, equal to its source past the block ending at t,
+    walks only the block.  Raises BraidError if a Lambda entry could reach
+    2**53, where its float64 product would no longer be exact.
     """
     size, s = len(words), len(words[0])
     n, off = datum.rank, datum.coupling
@@ -129,23 +138,37 @@ def _windows(datum: CartanDatum, words: list[tuple[int, ...]]) -> tuple[np.ndarr
     walk = WeylWalk(datum)
     step, last, hist, prev = walk.step, [[0] * n], [], ()
     xs = [0] * (size * s * n)  # the x rows of all words, in their order
+    # (letters past t, walk state after t letters) -> where in xs the x rows
+    # past t of the first word with them start
+    suffixes: dict[tuple, int] = {}
     # B entries of all words, at flat indices into the (M, 2, s, s) array
     at, val = [], []
     put, give = at.append, val.append
     exchangeable = [frozenset()] * size
     for m in sorted(range(size), key=words.__getitem__):
         w = words[m]
-        t = 0  # the prefix shared with the previous word is walked already
+        p = 0  # the prefix shared with the previous word is walked already
         for a, c in zip(w, prev):
             if a != c:
                 break
-            t += 1
-        del last[t + 1 :], hist[t * n :]
-        walk.y = [hist[(p - 1) * n : p * n] if p else [0] * n for p in last[t]]
-        for u, i in enumerate(w[t:], t):
+            p += 1
+        del last[p + 1 :], hist[p * n :]
+        walk.y = [hist[(q - 1) * n : q * n] if q else [0] * n for q in last[p]]
+        rest = w[p:]  # the letters still to walk
+        if t is not None and p <= t < s:
+            for i in w[p:t]:
+                hist += step(i)
+            rest = w[t:]
+            own = (m * s + t) * n
+            start = suffixes.setdefault((rest, tuple(map(tuple, walk.y))), own)
+            if start != own:
+                hist += xs[start : start + (s - t) * n]
+                rest = ()
+        for i in rest:
             hist += step(i)
+        for u in range(p, s):
             row = last[u][:]
-            row[i - 1] = u + 1
+            row[w[u] - 1] = u + 1
             last.append(row)
         xs[m * s * n : (m + 1) * s * n] = hist
         prev = w
@@ -191,7 +214,13 @@ def _windows(datum: CartanDatum, words: list[tuple[int, ...]]) -> tuple[np.ndarr
     hot = np.fromiter(chain.from_iterable(words), np.intp, size * s)  # i_u
     hot += np.arange(-1, size * s * n - 1, n)  # and its entry in the row of u
     plus.reshape(-1)[hot] += 2
-    grid = (x * sym) @ plus.transpose(0, 2, 1)
+    # each partial sum of the grid (x d) plus^T is an integer of size at most
+    # n max|x| max|d| max|plus|; below 2**53 float64 holds it exactly, in any
+    # summation order, and x d holds in int64
+    if n * _amax(x) * _amax(sym) * _amax(plus) >= 2**53:
+        raise BraidError("a Lambda entry would reach 2**53")
+    x *= sym
+    grid = (x.astype(np.float64) @ plus.astype(np.float64).transpose(0, 2, 1)).astype(np.int64)
     rows = np.arange(s)
     grid *= rows[:, None] < rows  # keep u < v
     out = np.zeros((size, 2, s, s), dtype=np.int64)
@@ -431,31 +460,37 @@ def _stack_verdicts(datum: CartanDatum, words: list[tuple[int, ...]], move: Brai
     SeedError, as mutate_pair does, when a mutation position is frozen in a
     source window.
     """
-    s = len(words[0])
     targets = [swap_block(w, move.kind, move.k) for w in words]
     # each window is built once; in a full G2 run every target is also a source
     index = {w: n for n, w in enumerate(dict.fromkeys(words + targets))}
-    windows, exchangeable = _windows(datum, list(index))  # (Lambda, B) of each
+    lo, hi = move.k - 1, move.k + move.span - 1  # the block, 0-based and half-open
+    # a target equals its source past the block, so its walk there is shared
+    windows, exchangeable = _windows(datum, list(index), hi)
     for ex in exchangeable[: len(words)]:
         for m in move.mutations:
             if m not in ex:
                 raise SeedError(f"position {m} is frozen or out of range")
     lam, b = windows[: len(words), 0], windows[: len(words), 1]  # index starts with the words
+    if not move.mutations:  # the relabel below writes in place
+        lam, b = lam.copy(), b.copy()
     for m in move.mutations:
         lam, b = mutate_arrays(lam, b, m)
     want = windows[[index[w] for w in targets]]
     del windows  # each stack is dropped once the next is built, to keep the peak low
-    # sigma relabels positions; entries move by the inverse on rows/columns
-    idx = np.arange(s)
+    # sigma swaps positions inside the block; entries move with their rows and
+    # columns, and every entry outside the block's rows and columns stays put
+    idx = np.arange(lo, hi)
     for u, v in move.perm_map().items():
-        idx[v - 1] = u - 1
-    got = np.stack([lam, b], axis=1)
-    del lam, b
-    got = got[..., idx[:, None], idx]
+        idx[v - 1 - lo] = u - 1
+    for a in (lam, b):
+        a[:, lo:hi] = a[:, idx]
+        a[:, :, lo:hi] = a[:, :, idx]
     verdicts: list[tuple | None] = [None] * len(words)
-    for n in np.flatnonzero((got != want).any(axis=(1, 2, 3))):
-        m, u, v = np.argwhere(got[n] != want[n])[0]
-        verdicts[n] = (("lam", "b")[m], int(u) + 1, int(v) + 1, int(got[n, m, u, v]), int(want[n, m, u, v]))
+    for m, (got, wanted) in enumerate(((lam, want[:, 0]), (b, want[:, 1]))):
+        for n in np.flatnonzero((got != wanted).any(axis=(1, 2))):
+            if verdicts[n] is None:  # Lambda's first differing entry before B's
+                u, v = np.argwhere(got[n] != wanted[n])[0]
+                verdicts[n] = (("lam", "b")[m], int(u) + 1, int(v) + 1, int(got[n, u, v]), int(wanted[n, u, v]))
     return verdicts
 
 

@@ -4,6 +4,9 @@ import itertools
 import json
 import random
 from collections import Counter
+from contextlib import contextmanager
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from qcab import braid
 from qcab.braid import (
     MOVE_SPAN,
+    MOVES,
     BraidError,
     IndexSequence,
     _stack_verdicts,
@@ -31,10 +35,11 @@ from qcab.braid import (
     unfold,
     verify_move_on_seed,
 )
-from qcab.cartan import build_cartan, longest_word, parse_type
+from qcab.cartan import WeylWalk, build_cartan, longest_word, parse_type
 from qcab.cli import main
 from qcab.seeds import SeedError, check_compatible, mutate_pair, permute_pair, transpositions
 
+import weyl_oracle
 from test_qgroth import ALL_TYPES
 from weyl_oracle import b_infinite_entry, lambda_closed_form, uplus
 
@@ -147,6 +152,114 @@ def test_batched_windows_of_one_letter(code):
     for w in words:
         alone, (ex,) = _windows(d, [w])
         assert alone.shape == (1, 2, 1, 1) and not alone.any() and ex == frozenset()
+
+
+@contextmanager
+def _counted_steps():
+    """The letters passed to WeylWalk.step while the context is open."""
+    calls, step = [], WeylWalk.step
+
+    def counted(walk, i):
+        calls.append(i)
+        return step(walk, i)
+
+    with mock.patch.object(WeylWalk, "step", counted):
+        yield calls
+
+
+SHARE_TYPES = ("A3", "B3", "C3", "D4", "E6", "F4", "G2")
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_shared_suffix_windows_match_single_windows(data):
+    """A move planted in a random word: its source and target, built in one
+    stack that shares their rows past the block's end t, are each the window
+    built alone, and the target walks only its block.  A third word with the
+    same letters past t, whose walk state at t may or may not be the source's,
+    is its window alone too."""
+    d = parse_type(data.draw(st.sampled_from(SHARE_TYPES)))
+    letter = st.integers(1, d.rank)
+    a = data.draw(letter)
+    b = data.draw(letter.filter(lambda c: c != a))
+    kind, span = MOVES[d.c(a, b) * d.c(b, a)][:2]
+    head, tail = data.draw(st.lists(letter, max_size=8)), data.draw(st.lists(letter, max_size=12))
+    source = tuple(head) + tuple((a, b)[u % 2] for u in range(span)) + tuple(tail)
+    k, s = len(head) + 1, len(source)
+    t = k + span - 1
+    target = swap_block(source, kind, k)
+    other = tuple(data.draw(st.lists(letter, min_size=t, max_size=t)) + tail)
+    pair = data.draw(st.permutations([source, target]))
+    with _counted_steps() as calls:
+        windows, exchangeable = _windows(d, pair, t)
+    assert len(calls) == s + span
+    words = data.draw(st.permutations(list(dict.fromkeys([source, target, other]))))
+    stacked = _windows(d, words, t)
+    for m, w in enumerate(pair):
+        alone, (ex,) = _windows(d, [w])
+        assert np.array_equal(windows[m], alone[0]) and exchangeable[m] == ex, (w, pair)
+    for m, w in enumerate(words):
+        alone, (ex,) = _windows(d, [w])
+        assert np.array_equal(stacked[0][m], alone[0]) and stacked[1][m] == ex, (w, words)
+
+
+def test_shared_suffix_needs_equal_walk_states():
+    """Equal letters past t do not share rows when the Weyl elements at t
+    differ: 1,2 and 2,1 on A2 walk every letter and are each their window alone."""
+    d = build_cartan("A", 2)
+    tail = (1, 2, 1, 1, 2, 2)
+    words = [(1, 2) + tail, (2, 1) + tail]
+    with _counted_steps() as calls:
+        windows, exchangeable = _windows(d, words, 2)
+    assert len(calls) == 2 * len(words[0])
+    for m, w in enumerate(words):
+        alone, (ex,) = _windows(d, [w])
+        assert np.array_equal(windows[m], alone[0]) and exchangeable[m] == ex
+
+
+def test_move_target_walks_only_its_block():
+    """An E7 two-move at k = 1 on a 134-letter window walks the source's s
+    letters and the target's block: the target copies its rows past the block."""
+    d = parse_type("E7")
+    seq = IndexSequence(d, longest_word(d), periodic=True)
+    move, s = detect_move(seq, 1), 2 * d.longest_length + 8
+    assert (move.kind, s) == ("two", 134)
+    with _counted_steps() as calls:
+        assert verify_move_on_seed(seq, move, s)
+    assert len(calls) == s + move.span
+
+
+@pytest.mark.parametrize("code", ["G2", "F4", "E8"])
+def test_lambda_grid_is_exact_up_to_its_bound(code):
+    """Lambda is a float64 product, exact while n max|x| max|d| max|plus| is
+    below 2**53: a symmetrizer scaled by the largest factor below that bound
+    scales Lambda exactly, and the next factor raises instead of rounding."""
+    d = parse_type(code)
+    letters, walk, n = longest_word(d), WeylWalk(d), d.rank
+    xs = [list(walk.step(i)) for i in letters]
+    plus = [[2 * (j == i - 1) - sum(d.cartan[j][c] * x[c] for c in range(n)) for j in range(n)] for i, x in zip(letters, xs)]
+    bound = n * max(map(abs, itertools.chain(*xs))) * max(d.symmetrizer) * max(map(abs, itertools.chain(*plus)))
+    f = (2**53 - 1) // bound
+    lam = _windows(d, [letters])[0][0, 0]
+    scaled = _windows(dataclasses.replace(d, symmetrizer=tuple(f * a for a in d.symmetrizer)), [letters])[0][0, 0]
+    assert np.array_equal(scaled, f * lam) and np.abs(scaled).max() > 2**40
+    with pytest.raises(BraidError, match=r"would reach 2\*\*53"):
+        _windows(dataclasses.replace(d, symmetrizer=tuple((f + 1) * a for a in d.symmetrizer)), [letters])
+
+
+def test_lambda_grid_matches_closed_form_on_every_type(monkeypatch):
+    """On the w0 window of each of the 32 types, every Lambda entry of the
+    float64 grid is the closed form (pi - w_u pi, pi + w_v pi)."""
+    # the closed form re-applies each prefix per entry; memoized, each is applied once
+    monkeypatch.setattr(weyl_oracle, "weyl_act", lru_cache(maxsize=None)(weyl_oracle.weyl_act))
+    for code in ALL_TYPES:
+        d = parse_type(code)
+        seq = IndexSequence(d, longest_word(d))
+        s = len(seq.letters)
+        lam = build_seed(seq, s).lam
+        assert np.array_equal(lam, -lam.T), code
+        for u, v in itertools.combinations(range(1, s + 1), 2):
+            assert lam[u - 1, v - 1] == lambda_closed_form(seq, u, v), (code, u, v)
 
 
 def test_lambda_closed_form_extension():
