@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass, field
+from math import gcd
 from operator import add, mul, sub
 
 import numpy as np
@@ -280,26 +281,10 @@ class QLaurent:
 
     def __mul__(self, other: "QLaurent") -> "QLaurent":
         self._same(other)
-        torus = self.torus
-        twist, join = torus.twist, torus.join
-        right = [(b, torus.row(b), c.terms.items()) for b, c in other.terms.items()]
-        acc: dict[tuple, QCoeff] = {}
-        for a, c in self.terms.items():
-            ca = c.terms.items()
-            for b, rb, cb in right:
-                key = join(a, b)
-                out = acc.get(key)
-                if out is None:
-                    out = acc[key] = QCoeff()
-                _convolve_into(out.terms, ca, cb, twist(a, rb))  # X^a X^b = q^{twist/2} X^{a+b}
-        # The coefficients are summed in place, so no second copy of a large
-        # product is held; the few with cancelled entries are rebuilt.
-        for key in [k for k, c in acc.items() if 0 in c.terms.values()]:
-            if c := QCoeff(acc[key].terms):
-                acc[key] = c
-            else:
-                del acc[key]
-        return type(self)(torus, acc)
+        acc = _packed_product(self, other) if _packs(self, other) else None
+        if acc is None:
+            acc = _dict_product(self, other)
+        return type(self)(self.torus, acc)
 
     def __pow__(self, n: int) -> "QLaurent":
         if n < 0:
@@ -335,6 +320,122 @@ def normal_monomial(lam: np.ndarray, a: tuple[int, ...]) -> QLaurent:
 
 # ----------------------------------------------------------------------
 # term orders, pointedness and exact division
+
+
+# A product packs its coefficients when they average at least this many entry
+# pairs per term pair; shorter coefficients are cheaper one entry pair at a time.
+_PACK_RATIO = 4
+
+
+def _entries(x: QLaurent) -> int:
+    return sum(len(c.terms) for c in x.terms.values())
+
+
+def _packs(x: QLaurent, y: QLaurent) -> bool:
+    """The size rule of the product: sum |c_a| * sum |c_b| >= _PACK_RATIO * #pairs > 0."""
+    pairs = len(x.terms) * len(y.terms)
+    return pairs > 0 and _entries(x) * _entries(y) >= _PACK_RATIO * pairs
+
+
+def _drop_cancelled(acc: dict[tuple, QCoeff]) -> None:
+    """Rebuild the coefficients summed in place that hold cancelled entries; drop the zero ones."""
+    for key in [k for k, c in acc.items() if 0 in c.terms.values()]:
+        if c := QCoeff(acc[key].terms):
+            acc[key] = c
+        else:
+            del acc[key]
+
+
+def _dict_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff]:
+    """The terms of x y, one multiply-add per pair of coefficient entries."""
+    torus = x.torus
+    twist, join = torus.twist, torus.join
+    right = [(b, torus.row(b), c.terms.items()) for b, c in y.terms.items()]
+    acc: dict[tuple, QCoeff] = {}
+    for a, c in x.terms.items():
+        ca = c.terms.items()
+        for b, rb, cb in right:
+            key = join(a, b)
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = QCoeff()
+            _convolve_into(out.terms, ca, cb, twist(a, rb))  # X^a X^b = q^{twist/2} X^{a+b}
+    # The coefficients are summed in place, so no second copy of a large
+    # product is held; the few with cancelled entries are rebuilt.
+    _drop_cancelled(acc)
+    return acc
+
+
+def _packed_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff] | None:
+    """The terms of x y with each coefficient packed into one integer (Kronecker substitution).
+
+    All exponent gaps of both factors' coefficients are multiples of g, so a
+    coefficient c with lowest exponent lo is the polynomial sum_j v_j t^j in
+    t = q^{g/2}, packed as sum_j v_j 2^{B j}.  A term pair is then one integer
+    product, and the products landing on one key are summed aligned by their
+    lowest exponents.  An entry of the result is a sum of at most
+    min(#terms) entry products per key, so its size is at most
+    M = max l1(c_a) * max l1(c_b) * min(#terms) < 2^{B-1}: every base-2^B
+    digit is a signed integer that the unpacking reads exactly (Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution", 2009).  Two products on one key whose lowest exponents
+    differ by no multiple of g do not align; then the result is None and
+    the caller takes the dict path.
+    """
+    coeffs = [*x.terms.values(), *y.terms.values()]
+    g = 0
+    for c in coeffs:
+        lo = min(c.terms)
+        g = gcd(g, *(k - lo for k in c.terms))
+    g = g or 1
+    bound = max(map(_l1, x.terms.values())) * max(map(_l1, y.terms.values())) * min(len(x.terms), len(y.terms))
+    width = bound.bit_length() + 1
+
+    def pack(c: QCoeff) -> tuple[int, int]:
+        lo = min(c.terms)
+        return lo, sum(v << (width * ((k - lo) // g)) for k, v in c.terms.items())
+
+    torus = x.torus
+    twist, join = torus.twist, torus.join
+    right = [(b, torus.row(b), *pack(c)) for b, c in y.terms.items()]
+    sums: dict[tuple, list[int]] = {}  # key -> [lowest exponent, packed sum]
+    for a, c in x.terms.items():
+        lo_a, pa = pack(c)
+        for b, rb, lo_b, pb in right:
+            key = join(a, b)
+            base = twist(a, rb) + lo_a + lo_b  # X^a X^b = q^{twist/2} X^{a+b}
+            cur = sums.get(key)
+            if cur is None:
+                sums[key] = [base, pa * pb]
+                continue
+            steps, r = divmod(base - cur[0], g)
+            if r:
+                return None
+            if steps >= 0:
+                cur[1] += pa * pb << width * steps
+            else:
+                cur[0], cur[1] = base, (cur[1] << width * -steps) + pa * pb
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    acc: dict[tuple, QCoeff] = {}
+    for key, (k, n) in sums.items():
+        terms = {}
+        # n has at most |n|.bit_length() // width + 1 signed digits, read from the lowest
+        for _ in range(abs(n).bit_length() // width + 1):
+            v = n & mask
+            if v >= half:
+                v -= mask + 1
+            if v:
+                terms[k] = v
+            n = (n >> width) + (v < 0)
+            k += g
+        if terms:
+            acc[key] = c = QCoeff()
+            c.terms = terms
+    return acc
+
+
+def _l1(c: QCoeff) -> int:
+    return sum(map(abs, c.terms.values()))
 
 
 def _convolve_into(acc: dict[int, int], ca, cb, shift: int) -> None:
@@ -469,6 +570,22 @@ def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
     return g
 
 
+def q_structure_witness(x: QLaurent) -> str | None:
+    """Why x is not bar-invariant with every coefficient in Z>=0[q^{+-1/2}], or None.
+
+    Quantum cluster variables are bar-invariant in the normalized basis
+    (Berenstein & Zelevinsky 2005), and quantum Laurent positivity puts their
+    coefficients in Z>=0[q^{+-1/2}].  The witness names the smallest monomial
+    that breaks the first of the two, and its coefficient.
+    """
+    for broken, test in (("bar-invariant", lambda c: c.bar() == c), ("positive", QCoeff.is_nonnegative)):
+        bad = [a for a, c in x.terms.items() if not test(c)]
+        if bad:
+            a = min(bad)
+            return f"not {broken}: coefficient ({qcoeff_to_text(x.terms[a])}) of {_monomial_text(a) or '1'}"
+    return None
+
+
 def gvector_mutate(g_prime: tuple[int, ...], k: int, col: list[int]) -> tuple[int, ...]:
     """Degree transport along one mutation; ``col`` is column k of the mutated B."""
     gk = g_prime[k - 1]
@@ -504,11 +621,16 @@ class ClusterState:
         return ClusterState(tuple(QLaurent.generator(torus, u) for u in range(1, pair.size + 1)), (), (pair,))
 
 
-def mutate_state(state: ClusterState, k: int) -> ClusterState:
+def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> ClusterState:
     """Exchange at k; the new variable is (M' + M'') right-divided by the old.
 
     Z^{m - e_k} = q^{shift/2} X_1^{m_1} ... X_s^{m_s} X_k^{-1} for m = [+-b_k]_+, the current
     variables X and shift = m Lambda e_k - sum_{u<v} m_u m_v lambda_uv in the current seed.
+    If ``stats`` is given, it receives ``numerator_terms``; ``term_pairs``,
+    the term pairs of the numerator's products, and ``packed_pairs``, those of
+    the products that the size rule packs; ``longest_coefficient``, the most
+    entries of a coefficient of the new variable; and the division's
+    ``steps`` and ``remainder_peak``.
     """
     cur = state.current
     if k not in cur.exchangeable:
@@ -517,18 +639,44 @@ def mutate_state(state: ClusterState, k: int) -> ClusterState:
     col = cur.b[:, k - 1].tolist()
     col[k - 1] = 0
     old = state.variables[k - 1]
-    num = QLaurent.zero(old.torus)
+    num: dict[tuple, QCoeff] = {}
+    pairs = packed = 0
     for sign in (1, -1):
         m = [(u, sign * b) for u, b in enumerate(col) if sign * b > 0]  # the support of m, ascending
         shift = sum(mu * lam[u][k - 1] for u, mu in m)
         shift -= sum(mu * mv * lam[u][v] for i, (u, mu) in enumerate(m) for v, mv in m[i + 1 :])
         term = QLaurent(old.torus, {old.torus.one: QCoeff.q_power(shift)})
         for u, mu in m:
+            x = state.variables[u]
             for _ in range(mu):
-                term = term * state.variables[u]
-        num = num + term
+                if stats is not None:
+                    n = len(term.terms) * len(x.terms)
+                    pairs += n
+                    packed += n if _packs(term, x) else 0
+                term = term * x
+        # Every coefficient of term is a new object, so M' + M'' is summed in place.
+        for a, c in term.terms.items():
+            acc = num.get(a)
+            if acc is None:
+                num[a] = c
+            else:
+                acc = acc.terms
+                for e, v in c.terms.items():
+                    acc[e] = acc.get(e, 0) + v
+    _drop_cancelled(num)
+    division = {} if stats is not None else None
+    new = divide_right_exact(QLaurent(old.torus, num), old, stats=division)
+    if stats is not None:
+        stats.update(
+            numerator_terms=len(num),
+            term_pairs=pairs,
+            packed_pairs=packed,
+            longest_coefficient=max(len(c.terms) for c in new.terms.values()),
+            steps=division["steps"],
+            remainder_peak=division["remainder_peak"],
+        )
     variables = list(state.variables)
-    variables[k - 1] = divide_right_exact(num, old)
+    variables[k - 1] = new
     return ClusterState(tuple(variables), state.history + (k,), state.pair_chain + (mutate_pair(cur, k),))
 
 

@@ -6,11 +6,13 @@ bounds.  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 
 import itertools
 import random
+import re
 import time
 from pathlib import Path
 
 import numpy as np
 
+from qcab import torus
 from qcab.braid import (
     IndexSequence,
     alternating,
@@ -36,7 +38,7 @@ from qcab.qgroth import (
     xelement_from_text,
 )
 from qcab.seeds import mutate_pair, permute_pair, transpositions
-from qcab.torus import ClusterState, degree_of_pointed, mutate_state, predicted_degree
+from qcab.torus import ClusterState, degree_of_pointed, mutate_state, predicted_degree, q_structure_witness
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -383,24 +385,62 @@ def test_criterion_7_lusztig_consistency():
 # -- criterion 8: the Laurent property along random mutation paths --------------
 
 
-def test_criterion_8_laurent_phenomenon():
-    rng = random.Random(301)
-    failures = 0
-    walks = 0
-    for code, window, n_walks in (("B2", 4, 50), ("G2", 6, 50)):
-        d = build_cartan(code[0], 2)
-        pair = build_seed(alternating(d), window)
-        for _ in range(n_walks):
+def _exchange_walks(rng, configs):
+    """Random exchange walks on alternating rank-2 seeds, checking every step.
+
+    ``configs`` lists (type, window, walks).  Each step checks the degree of
+    every position and the q-structure (bar-invariance and positivity) of
+    the new variable.  Yields a witness naming the walk, the step and the
+    position for each failure, and None after each walk.
+    """
+    for code, window, n_walks in configs:
+        pair = build_seed(alternating(build_cartan(code[0], 2)), window)
+        for walk in range(1, n_walks + 1):
             state = ClusterState.from_pair(pair)
-            for _ in range(rng.randrange(3, 11)):
+            for step in range(1, rng.randrange(3, 11) + 1):
                 k = rng.choice(sorted(state.current.exchangeable))
                 state = mutate_state(state, k)  # raises on inexact division
+                where = f"{code} walk {walk} {','.join(map(str, state.history))} step {step}"
+                if witness := q_structure_witness(state.variables[k - 1]):
+                    yield f"{where} position {k}: {witness}"
                 for u in range(1, pair.size + 1):
-                    got = degree_of_pointed(state.variables[u - 1], pair)
-                    if got != predicted_degree(state, u):
-                        failures += 1
-            walks += 1
-    _report(8, failures == 0 and walks == 100, f"(100 walks of length <= 10, {failures} degree mismatches)")
+                    got, want = degree_of_pointed(state.variables[u - 1], pair), predicted_degree(state, u)
+                    if got != want:
+                        yield f"{where} position {u}: degree {got}, predicted {want}"
+            yield None
+
+
+def test_criterion_8_laurent_phenomenon():
+    events = list(_exchange_walks(random.Random(301), (("B2", 4, 50), ("G2", 6, 50))))
+    walks, failures = events.count(None), [e for e in events if e]
+    _report(
+        8,
+        not failures and walks == 100,
+        f"(100 walks of length <= 10, each new variable bar-invariant and positive, {len(failures)} failures)"
+        + "".join(f"\n  {f}" for f in failures[:5]),
+    )
+
+
+def test_criterion_8_catches_a_twist_sign_fault(monkeypatch):
+    """Rows -Lambda b in the product and the division: the first new variable is not bar-invariant."""
+    row = torus.WindowTorus.row
+    monkeypatch.setattr(torus.WindowTorus, "row", lambda self, b: tuple(-v for v in row(self, b)))
+    first = next(e for e in _exchange_walks(random.Random(301), (("B2", 4, 1),)) if e)
+    assert re.fullmatch(r"B2 walk 1 \d step 1 position \d: not bar-invariant: coefficient \(.+\) of Z\[.+", first)
+
+
+def test_criterion_8_catches_a_negated_coefficient(monkeypatch):
+    """A division that negates the coefficient of its largest monomial in text order fails positivity."""
+    divide = torus.divide_right_exact
+
+    def faulty(x, d, **kwargs):
+        y = divide(x, d, **kwargs)
+        a = max(y.terms)
+        return torus.QLaurent(y.torus, {**y.terms, a: -y.terms[a]})
+
+    monkeypatch.setattr(torus, "divide_right_exact", faulty)
+    first = next(e for e in _exchange_walks(random.Random(301), (("G2", 6, 1),)) if e)
+    assert re.fullmatch(r"G2 walk 1 \d step 1 position \d: not positive: coefficient \(-.+\) of Z\[.+", first)
 
 
 # -- criterion 9: vanishing pattern of the inverse-matrix coefficients ----------

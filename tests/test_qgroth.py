@@ -37,7 +37,7 @@ from qcab.qgroth import (
 from qcab.seeds import make_pair
 from qcab.torus import QCoeff, QLaurent, TorusError, WindowTorus, qcoeff_from_text
 
-from test_torus import _EDITS, edit_text
+from test_torus import _EDITS, coeff_runs, edit_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -441,11 +441,15 @@ _coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), min_size=1, ma
 
 
 @st.composite
-def xelements(draw):
+def xelements(draw, coeffs=_coeffs.map(QCoeff)):
     x = XElement.zero(B2)
-    for exps, c in draw(st.lists(st.tuples(st.dictionaries(_hats, st.integers(-2, 2), max_size=3), _coeffs), max_size=4)):
-        x = x + XElement.monomial(B2, exps, QCoeff(c))
+    for exps, c in draw(st.lists(st.tuples(st.dictionaries(_hats, st.integers(-2, 2), max_size=3), coeffs), max_size=4)):
+        x = x + XElement.monomial(B2, exps, c)
     return x
+
+
+# Long coefficients in steps of q^{step/2}, so that products pack, with large and cancelling entries
+long_xelements = st.sampled_from([1, 2, 4]).flatmap(lambda step: xelements(coeff_runs(step)))
 
 
 @given(xelements())
@@ -467,7 +471,7 @@ def _naive_xproduct(x, y):
     return out
 
 
-@given(xelements(), xelements())
+@given(xelements() | long_xelements, xelements() | long_xelements)
 def test_xelement_product_matches_termwise_sum(x, y):
     p = x * y
     assert p == _naive_xproduct(x, y)

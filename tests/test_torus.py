@@ -21,6 +21,9 @@ from qcab.torus import (
     QCoeff,
     QLaurent,
     TorusError,
+    WindowTorus,
+    _packed_product,
+    _packs,
     degree_of_pointed,
     divide_right_exact,
     leading_term,
@@ -185,6 +188,75 @@ def test_product_drops_cancelled_terms(a, b, c):
     assert key not in p.terms and len(p.terms) == (0 if a == b else 2)
 
 
+# Long coefficients in steps of q^{step/2}, so that products pack: entries
+# past 2^64 of both signs among small ones, some of them cancelling.
+_entries = st.integers(-3, 3) | st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**65) + 3, 2**70 - 1])
+
+
+@st.composite
+def coeff_runs(draw, step, min_size=1, max_size=8, entries=_entries):
+    lo = draw(st.integers(-4, 4))
+    values = draw(st.lists(entries, min_size=min_size, max_size=max_size))
+    return QCoeff({lo + step * j: v for j, v in enumerate(values)})
+
+
+@st.composite
+def long_qlaurents(draw, step, max_terms=4):
+    terms = {}
+    for a in draw(st.lists(_exponents, max_size=max_terms, unique=True)):
+        if c := draw(coeff_runs(step)):
+            terms[a] = c
+    return QLaurent(WindowTorus(small_lam()), terms)
+
+
+@given(st.sampled_from([1, 2, 4]), st.data())
+def test_packed_product_matches_termwise_sum(step, data):
+    """Both sides of the size rule, against the term-pair sum."""
+    x = data.draw(long_qlaurents(step) | qlaurents())
+    y = data.draw(long_qlaurents(step) | qlaurents())
+    p = x * y
+    assert p == _naive_product(x, y)
+    assert_canonical(p)
+
+
+def test_packed_product_reads_entries_at_the_digit_bound():
+    """One entry reaches 2^63 + 2^32, with M = 2^32 (2^31 + 4) just under 2^64."""
+    lam = small_lam()
+    x = QLaurent.monomial(lam, (1, 0, 0), QCoeff({0: 2**32}))
+    y = QLaurent.monomial(lam, (0, 1, 0), QCoeff({0: 2**31 + 1, 2: 1, 4: 1, 6: 1}))
+    assert _packs(x, y)
+    p = x * y
+    assert p == _naive_product(x, y)
+    assert p.terms[(1, 1, 0)].terms[2] == 2**63 + 2**32
+
+
+@given(_exponents, _exponents, _exponents, coeff_runs(2, 8, 8, _entries.filter(bool)), st.integers(0, 8), st.booleans())
+def test_packed_product_cancels_whole_and_digitwise(a, b, c, coeff, cut, odd):
+    """X^a X^c coeff and X^b X^e part land on one key, where the entries of part cancel.
+
+    part is coeff from its cut-th entry on, so the key cancels whole at cut 0
+    and digit by digit otherwise.  An odd shift puts the two products on
+    different residues mod g = 2: the product takes the dict path, and nothing
+    cancels.
+    """
+    lam = small_lam()
+    e = tuple(x + y - z for x, y, z in zip(c, a, b))
+    key = tuple(x + y for x, y in zip(a, c))
+    (t1,) = (normal_monomial(lam, a) * normal_monomial(lam, c)).terms[key].terms
+    (t2,) = (normal_monomial(lam, b) * normal_monomial(lam, e)).terms[key].terms
+    part = QCoeff(dict(sorted(coeff.terms.items())[cut:]))
+    u = normal_monomial(lam, a) + normal_monomial(lam, b)
+    v = QLaurent.monomial(lam, c, coeff) - QLaurent.monomial(lam, e, part.shift(t1 - t2 + odd))
+    p = u * v
+    assert p == _naive_product(u, v)
+    assert_canonical(p)
+    if a != b:
+        assert _packs(u, v)
+        assert (_packed_product(u, v) is None) == (odd and bool(part))
+        rest = coeff - part.shift(odd)
+        assert p.terms.get(key, QCoeff()) == rest.shift(t1)
+
+
 @given(qlaurents(), qlaurents(max_terms=3), st.integers(-3, 3), st.sampled_from([1, -1]))
 def test_division_inverts_product(x, d, k, sign):
     if d.is_zero:
@@ -249,20 +321,77 @@ def test_division_stats_and_remainder_witness():
 
 
 def test_heavy_g2_walk_golden_digests():
-    """The first seven steps of criterion 8's heavy G2 walk, against fixed digests."""
+    """The eight steps of criterion 8's heavy G2 walk, against fixed digests.
+
+    Step 8 multiplies v3 v3 v3 (1,720 x 197 terms) and v2 v2 v6, and gives a
+    variable of 5,058 terms; its products take the packed path.
+    """
     pair = build_seed(alternating(parse_type("G2")), 6)
     state = ClusterState.from_pair(pair)
     digests = {
         6: "67f1eb8ace72c633e73f855f3e6ec15bddf5be04284e1eb2a66ab25518f79260",
         7: "55ba5b1e6a48e2355c2cd99a98d3e0deb0b6e24e5d8f35a721fd9980c03c3d46",
+        8: "355c12ec5ded88f02dc44d7a08e98c6c1163743ee0e36743bda34cecfd107e51",
     }
-    for step, k in enumerate((2, 1, 3, 4, 1, 2, 3), start=1):
+    for step, k in enumerate((2, 1, 3, 4, 1, 2, 3, 4), start=1):
         state = mutate_state(state, k)
         text = "\n".join(qlaurent_to_text(v) for v in state.variables)
         if step in digests:
             assert hashlib.sha256(text.encode()).hexdigest() == digests[step]
         for u in range(1, pair.size + 1):
             assert degree_of_pointed(state.variables[u - 1], pair) == predicted_degree(state, u)
+
+
+def _replayed_stats(state, k):
+    """mutate_state's record, recomputed from whole products and sums and the division trace."""
+    cur = state.current
+    col = cur.b[:, k - 1].tolist()
+    lam = cur.lam.tolist()
+    old = state.variables[k - 1]
+    num, pairs, packed = QLaurent.zero(old.torus), 0, 0
+    for sign in (1, -1):
+        m = [(u, sign * b) for u, b in enumerate(col) if u != k - 1 and sign * b > 0]
+        shift = sum(mu * lam[u][k - 1] for u, mu in m)
+        shift -= sum(mu * mv * lam[u][v] for i, (u, mu) in enumerate(m) for v, mv in m[i + 1 :])
+        term = QLaurent.monomial(old.torus, old.torus.one, QCoeff.q_power(shift))
+        for u, mu in m:
+            for _ in range(mu):
+                x = state.variables[u]
+                pairs += len(term.terms) * len(x.terms)
+                packed += len(term.terms) * len(x.terms) if _packs(term, x) else 0
+                term = term * x
+        num = num + term
+    steps, peak = _naive_division_trace(num, old)
+    new = mutate_state(state, k).variables[k - 1]
+    assert divide_right_exact(num, old) == new
+    return {
+        "numerator_terms": len(num.terms),
+        "term_pairs": pairs,
+        "packed_pairs": packed,
+        "longest_coefficient": max(len(c.terms) for c in new.terms.values()),
+        "steps": steps,
+        "remainder_peak": peak,
+    }
+
+
+def test_mutate_state_stats():
+    state = ClusterState.from_pair(b2_pair())
+    stats = {}
+    after = mutate_state(state, 1, stats=stats)
+    assert after == mutate_state(state, 1)
+    assert stats == _replayed_stats(state, 1) == {
+        "numerator_terms": 2, "term_pairs": 3, "packed_pairs": 0,
+        "longest_coefficient": 1, "steps": 2, "remainder_peak": 2,
+    }
+    state = ClusterState.from_pair(build_seed(alternating(parse_type("G2")), 6))
+    for k in (2, 1, 3, 4, 1, 2):
+        state = mutate_state(state, k)
+    stats = {}
+    mutate_state(state, 3, stats=stats)
+    assert stats == _replayed_stats(state, 3) == {
+        "numerator_terms": 367, "term_pairs": 550, "packed_pairs": 359,
+        "longest_coefficient": 34, "steps": 197, "remainder_peak": 367,
+    }
 
 
 def test_one_step_exchange_degree():
