@@ -319,8 +319,7 @@ def normal_monomial(lam: np.ndarray, a: tuple[int, ...]) -> QLaurent:
 
 
 # ----------------------------------------------------------------------
-# term orders, pointedness and exact division
-
+# the product, on coefficient dicts or packed coefficients
 
 # A product packs its coefficients when they average at least this many entry
 # pairs per term pair; shorter coefficients are cheaper one entry pair at a time.
@@ -329,6 +328,10 @@ _PACK_RATIO = 4
 
 def _entries(x: QLaurent) -> int:
     return sum(len(c.terms) for c in x.terms.values())
+
+
+def _l1(c: QCoeff) -> int:
+    return sum(map(abs, c.terms.values()))
 
 
 def _packs(x: QLaurent, y: QLaurent) -> bool:
@@ -382,9 +385,8 @@ def _packed_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff] | None:
     differ by no multiple of g do not align; then the result is None and
     the caller takes the dict path.
     """
-    coeffs = [*x.terms.values(), *y.terms.values()]
     g = 0
-    for c in coeffs:
+    for c in (*x.terms.values(), *y.terms.values()):
         lo = min(c.terms)
         g = gcd(g, *(k - lo for k in c.terms))
     g = g or 1
@@ -412,9 +414,9 @@ def _packed_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff] | None:
             if r:
                 return None
             if steps >= 0:
-                cur[1] += pa * pb << width * steps
+                cur[1] += (pa * pb) << (width * steps)
             else:
-                cur[0], cur[1] = base, (cur[1] << width * -steps) + pa * pb
+                cur[0], cur[1] = base, (cur[1] << (width * -steps)) + pa * pb
     mask, half = (1 << width) - 1, 1 << (width - 1)
     acc: dict[tuple, QCoeff] = {}
     for key, (k, n) in sums.items():
@@ -434,10 +436,6 @@ def _packed_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff] | None:
     return acc
 
 
-def _l1(c: QCoeff) -> int:
-    return sum(map(abs, c.terms.values()))
-
-
 def _convolve_into(acc: dict[int, int], ca, cb, shift: int) -> None:
     """acc += q^{shift/2} ca cb for coefficient items ca and cb (zeros are left in acc)."""
     for k1, v1 in ca:
@@ -445,6 +443,10 @@ def _convolve_into(acc: dict[int, int], ca, cb, shift: int) -> None:
         for k2, v2 in cb:
             k = k1 + k2
             acc[k] = acc.get(k, 0) + v1 * v2
+
+
+# ----------------------------------------------------------------------
+# term orders, pointedness and exact division
 
 
 def _leading_exp(terms: dict[tuple[int, ...], QCoeff], weights: tuple[int, ...]) -> tuple[int, ...]:
@@ -656,13 +658,12 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
                 term = term * x
         # Every coefficient of term is a new object, so M' + M'' is summed in place.
         for a, c in term.terms.items():
-            acc = num.get(a)
-            if acc is None:
+            if a not in num:
                 num[a] = c
-            else:
-                acc = acc.terms
-                for e, v in c.terms.items():
-                    acc[e] = acc.get(e, 0) + v
+                continue
+            out = num[a].terms
+            for e, v in c.terms.items():
+                out[e] = out.get(e, 0) + v
     _drop_cancelled(num)
     division = {} if stats is not None else None
     new = divide_right_exact(QLaurent(old.torus, num), old, stats=division)
