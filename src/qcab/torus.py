@@ -381,15 +381,24 @@ def _packed_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff] | None:
     M = max l1(c_a) * max l1(c_b) * min(#terms) < 2^{B-1}: every base-2^B
     digit is a signed integer that the unpacking reads exactly (Harvey,
     "Faster polynomial multiplication via multipoint Kronecker
-    substitution", 2009).  Two products on one key whose lowest exponents
-    differ by no multiple of g do not align; then the result is None and
-    the caller takes the dict path.
+    substitution", 2009).
+
+    Packing pays for every digit, empty or not, so the result is None, and
+    the caller takes the dict path, when the digits between the lowest and
+    highest exponents of the coefficients are more than twice their
+    entries, when two products on one key lie further apart than all those
+    digits, and when their lowest exponents differ by no multiple of g and
+    so do not align.
     """
+    coeffs = (*x.terms.values(), *y.terms.values())
     g = 0
-    for c in (*x.terms.values(), *y.terms.values()):
+    for c in coeffs:
         lo = min(c.terms)
         g = gcd(g, *(k - lo for k in c.terms))
     g = g or 1
+    digits = sum((max(c.terms) - min(c.terms)) // g + 1 for c in coeffs)
+    if digits > 2 * (_entries(x) + _entries(y)):
+        return None
     bound = max(map(_l1, x.terms.values())) * max(map(_l1, y.terms.values())) * min(len(x.terms), len(y.terms))
     width = bound.bit_length() + 1
 
@@ -411,7 +420,7 @@ def _packed_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff] | None:
                 sums[key] = [base, pa * pb]
                 continue
             steps, r = divmod(base - cur[0], g)
-            if r:
+            if r or abs(steps) > digits:
                 return None
             if steps >= 0:
                 cur[1] += (pa * pb) << (width * steps)

@@ -230,6 +230,18 @@ def test_packed_product_reads_entries_at_the_digit_bound():
     assert p.terms[(1, 1, 0)].terms[2] == 2**63 + 2**32
 
 
+@pytest.mark.parametrize("gap, e", [(20_000, 1), (3, 500)])
+def test_packed_product_leaves_sparse_and_spread_products_to_the_dict_path(gap, e):
+    """Both pass the size rule.  A gap of 20,000 half-units in a 4-entry coefficient packs as
+    20,001 digits; at exponent 500 the two products on key (e, e) lie 2 e^2 half-units apart."""
+    lam = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+    c = QCoeff({0: 1, 1: -(2**64), 2: 3, gap: 1})
+    x = QLaurent.monomial(lam, (e, 0), c) + QLaurent.monomial(lam, (0, e), c)
+    y = QLaurent.monomial(lam, (0, e), c) + QLaurent.monomial(lam, (e, 0), c)
+    assert _packs(x, y) and _packed_product(x, y) is None
+    assert x * y == _naive_product(x, y)
+
+
 @given(_exponents, _exponents, _exponents, coeff_runs(2, 8, 8, _entries.filter(bool)), st.integers(0, 8), st.booleans())
 def test_packed_product_cancels_whole_and_digitwise(a, b, c, coeff, cut, odd):
     """X^a X^c coeff and X^b X^e part land on one key, where the entries of part cancel.
