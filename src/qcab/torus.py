@@ -383,12 +383,12 @@ def _packed_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff] | None:
     "Faster polynomial multiplication via multipoint Kronecker
     substitution", 2009).
 
-    Packing pays for every digit, empty or not, so the result is None, and
-    the caller takes the dict path, when the digits between the lowest and
-    highest exponents of the coefficients are more than twice their
-    entries, when two products on one key lie further apart than all those
-    digits, and when their lowest exponents differ by no multiple of g and
-    so do not align.
+    The result is None, and the caller takes the dict path, in three
+    cases.  Packing pays for every digit, empty or not, so it refuses
+    coefficients with more than twice as many digits from lowest to highest
+    exponent as entries, and two products on one key that lie further apart
+    than all those digits.  And two products on one key whose lowest
+    exponents differ by no multiple of g do not align.
     """
     coeffs = (*x.terms.values(), *y.terms.values())
     g = 0

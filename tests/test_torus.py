@@ -30,6 +30,7 @@ from qcab.torus import (
     mutate_state,
     normal_monomial,
     predicted_degree,
+    q_structure_witness,
     qcoeff_from_text,
     qcoeff_to_text,
     qlaurent_from_text,
@@ -538,16 +539,29 @@ def test_q1_specialization_matches_commutative_fractions(data):
             x = state.variables[u - 1]
             assert RationalX.from_poly(_at_q1(x)) == oracle[u - 1]
             assert degree_of_pointed(x, pair) == predicted_degree(state, u)
+            assert q_structure_witness(x) is None
+
+
+def test_q_structure_witness_names_the_smallest_bad_monomial():
+    lam = small_lam()
+    sym = QCoeff({-1: 2, 1: 2})
+    x = QLaurent.monomial(lam, (0, 1, 0), sym) + QLaurent.monomial(lam, (1, 0, 0), QCoeff({0: 1}))
+    assert q_structure_witness(x) is None
+    skew = x + QLaurent.monomial(lam, (0, 0, 1), QCoeff({1: 1})) + QLaurent.monomial(lam, (0, 0, 2), QCoeff({2: 1}))
+    assert q_structure_witness(skew) == "not bar-invariant: coefficient (q^1/2) of Z[3]"
+    negative = x - QLaurent.monomial(lam, (0, 1, 0), sym).scale(QCoeff({0: 2}))
+    assert q_structure_witness(negative) == "not positive: coefficient (-2*q^1/2 - 2*q^-1/2) of Z[2]"
+    assert q_structure_witness(negative + skew) == "not bar-invariant: coefficient (q^1/2) of Z[3]"
 
 
 def test_b2_ladder_path_positive_laurent():
-    """Along the ladder-stepping path every variable stays positive Laurent."""
+    """Along the ladder-stepping path every variable stays bar-invariant and positive Laurent."""
     pair = b2_pair(4)
     state = ClusterState.from_pair(pair)
     for k in (1, 2, 1, 1, 2, 1):
         state = mutate_state(state, k)
         for v in state.variables:
-            assert all(c.is_nonnegative() for c in v.terms.values())
+            assert q_structure_witness(v) is None
     oracle = _commutative_specialization(state)
     for u in range(pair.size):
         assert RationalX.from_poly(_at_q1(state.variables[u])) == oracle[u]
