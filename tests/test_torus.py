@@ -191,11 +191,11 @@ def test_product_drops_cancelled_terms(a, b, c):
 
 # Long coefficients in steps of q^{step/2}, so that products pack: entries
 # past 2^64 of both signs among small ones, some of them cancelling.
-_entries = st.integers(-3, 3) | st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**65) + 3, 2**70 - 1])
+_run_entries = st.integers(-3, 3) | st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**65) + 3, 2**70 - 1])
 
 
 @st.composite
-def coeff_runs(draw, step, min_size=1, max_size=8, entries=_entries):
+def coeff_runs(draw, step, min_size=1, max_size=8, entries=_run_entries):
     lo = draw(st.integers(-4, 4))
     values = draw(st.lists(entries, min_size=min_size, max_size=max_size))
     return QCoeff({lo + step * j: v for j, v in enumerate(values)})
@@ -243,7 +243,7 @@ def test_packed_product_leaves_sparse_and_spread_products_to_the_dict_path(gap, 
     assert x * y == _naive_product(x, y)
 
 
-@given(_exponents, _exponents, _exponents, coeff_runs(2, 8, 8, _entries.filter(bool)), st.integers(0, 8), st.booleans())
+@given(_exponents, _exponents, _exponents, coeff_runs(2, 8, 8, _run_entries.filter(bool)), st.integers(0, 8), st.booleans())
 def test_packed_product_cancels_whole_and_digitwise(a, b, c, coeff, cut, odd):
     """X^a X^c coeff and X^b X^e part land on one key, where the entries of part cancel.
 
