@@ -27,13 +27,11 @@ from .braid import (
     CertReport,
     IndexSequence,
     alternating,
-    apply_move_to_sequence,
     build_seed,
     detect_move,
     forward_shift_seed,
     g2_exhaustive_certify,
     move_witness,
-    shift_move,
     unfold,
     verify_move_on_seed,
 )
@@ -50,7 +48,7 @@ from .torus import (
     normal_monomial,
     predicted_degree,
 )
-from .gvectors import cone_contains, cone_generator, gmap_apply, p_sum, psum_delta
+from .gvectors import cone_contains, cone_generator, gmap_apply, gmap_shift, p_sum, psum_delta
 from .lusztig import c_of_deg, cmap_apply, cmap_by_degrees, deg_of_c, nu
 from .qgroth import (
     TCartan,

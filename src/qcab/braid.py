@@ -253,7 +253,7 @@ MOVES = {
     2: MoveRecipe("four", 4, (0, 1, 0), (0, 2)),
     3: MoveRecipe("six", 6, (0, 1, 2, 0, 3, 1, 0, 2, 3, 0), (0, 2, 4)),
 }
-MOVE_SPAN = {recipe.kind: recipe.span for recipe in MOVES.values()} | {"shift": 0}
+MOVE_SPAN = {recipe.kind: recipe.span for recipe in MOVES.values()}
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,6 @@ class BraidMove:
     k: int
     mutations: tuple[int, ...]
     perm: tuple[tuple[int, int], ...]  # disjoint transpositions (k, k+1)
-    head: int = 0  # first letter, for forward shifts
 
     @property
     def span(self) -> int:
@@ -288,12 +287,9 @@ def detect_move(seq: IndexSequence, k: int) -> BraidMove:
     return BraidMove(kind, k, tuple(k + m for m in mutations), tuple((k + t, k + t + 1) for t in swaps))
 
 
-def shift_move(seq: IndexSequence) -> BraidMove:
-    return BraidMove("shift", 1, (), (), head=seq.letter(1))
-
-
 def swap_block(letters: tuple[int, ...], kind: str, k: int) -> tuple[int, ...]:
-    """The letter swap of a single move whose block k..k + span - 1 (1-based) lies in the letters."""
+    """A move's target word: the letters with the block k..k + span - 1
+    (1-based) swapped, and every letter outside the block kept."""
     span = MOVE_SPAN[kind]
     if not 1 <= k <= len(letters) - span + 1:
         raise BraidError(f"a {kind}-move at {k} does not fit in {len(letters)} letters")
@@ -306,19 +302,6 @@ def swap_block(letters: tuple[int, ...], kind: str, k: int) -> tuple[int, ...]:
 def unfold(seq: IndexSequence, n: int) -> IndexSequence:
     """The first n letters as an explicit, non-periodic sequence."""
     return IndexSequence(seq.datum, seq.prefix(n), periodic=False)
-
-
-def apply_move_to_sequence(seq: IndexSequence, move: BraidMove) -> IndexSequence:
-    """Swap letters; on periodic sequences the swap lifts to every period."""
-    if move.kind == "shift":
-        if seq.periodic:
-            base = seq.prefix(len(seq.letters) + 1)[1:]
-            return IndexSequence(seq.datum, base, periodic=True)
-        return IndexSequence(seq.datum, seq.letters[1:], periodic=False)
-    k, span = move.k, move.span
-    if seq.periodic and k + span - 1 > len(seq.letters):
-        raise BraidError("a lifted move must sit inside one period")
-    return IndexSequence(seq.datum, swap_block(seq.letters, move.kind, k), periodic=seq.periodic)
 
 
 def min_window(move: BraidMove, seq: IndexSequence) -> int:
@@ -343,8 +326,6 @@ def move_witness(seq: IndexSequence, move: BraidMove, s: int) -> tuple | None:
     periodic sequence and any unfolding of it to s or more letters give the
     same verdict.
     """
-    if move.kind == "shift":
-        raise BraidError("use forward_shift_seed for shifts")
     if s < min_window(move, seq):
         raise BraidError(f"window {s} too small; need at least {min_window(move, seq)}")
     return _stack_verdicts(seq.datum, [seq.prefix(s)], move)[0]

@@ -313,6 +313,9 @@ def longest_word(
 
 def validate_height_function(datum: CartanDatum, xi: dict[int, int]) -> None:
     eps = parity_function(datum)
+    for i in xi:
+        if i not in eps:
+            raise CartanError(f"height function names node {i!r} outside 1..{datum.rank}")
     for i in range(1, datum.rank + 1):
         if i not in xi:
             raise CartanError(f"height function misses node {i}")

@@ -25,8 +25,11 @@ def _parse_gvec(text: str) -> dict[int, int]:
     if not text:
         return out
     for chunk in text.split(","):
-        k, v = chunk.split(":")
-        out[int(k)] = int(v)
+        try:
+            k, v = chunk.split(":")
+            out[int(k)] = int(v)
+        except ValueError:
+            raise ValueError(f"malformed --g entry {chunk!r}; expected u:val") from None
     return out
 
 
@@ -55,8 +58,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _move_from_args(seq, kind: str, k: int) -> braid.BraidMove:
-    if kind == "shift":
-        return braid.shift_move(seq)
     move = braid.detect_move(seq, k)
     if str(move.span) != kind:
         raise braid.BraidError(f"position {k} carries a {move.kind}-move, not a {kind}-move")
@@ -176,14 +177,12 @@ def _dispatch(args) -> int:
         datum = parse_type(args.type)
         seq = _parse_seq(datum, args.seq)
         g = _parse_gvec(args.g)
-        move = _move_from_args(seq, args.move, args.k)
         if args.move == "shift":
             # --seq names the unshifted sequence; the input degrees live on
             # its forward shift and transport back onto it
-            src = braid.apply_move_to_sequence(seq, move)
+            g = gvectors.gmap_shift(seq, g)
         else:
-            src = seq
-        g = gvectors.gmap_apply(move, src, g)
+            g = gvectors.gmap_apply(_move_from_args(seq, args.move, args.k), seq, g)
         print(",".join(f"{u}:{v}" for u, v in sorted(g.items())) or "0")
         return 0
 

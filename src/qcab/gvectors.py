@@ -58,15 +58,6 @@ def _target_frame(move: BraidMove, seq_src: IndexSequence) -> tuple[int, int, in
 def gmap_apply(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> GVector:
     """Transport a degree vector along the move from seq_src to its target."""
     _check_positions(g_src, seq_src)
-    if move.kind == "shift":
-        # degrees on the shifted sequence map to the sequence with the head
-        # letter restored: position 1 absorbs minus the head-letter p-sum
-        total = sum(v for u, v in g_src.items() if seq_src.letter(u) == move.head)
-        g: GVector = {}
-        _set(g, 1, -total)
-        for u, v in g_src.items():
-            _set(g, u + 1, v)
-        return g
     k = move.k
     i, j, km, k1m = _target_frame(move, seq_src)
     datum = seq_src.datum
@@ -129,6 +120,22 @@ def gmap_apply(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> GVect
     raise BraidError(f"unknown move kind {move.kind!r}")  # pragma: no cover
 
 
+def gmap_shift(seq: IndexSequence, g_shifted: GVector) -> GVector:
+    """Transport a degree vector on the forward shift of seq (its letters
+    from the second on) back to seq.
+
+    Position u of the shift is u + 1 of seq, and position 1 absorbs minus
+    the p-sum of the first letter of seq.
+    """
+    _check_positions(g_shifted, seq)
+    head = seq.letter(1)
+    g: GVector = {}
+    _set(g, 1, -sum(v for u, v in g_shifted.items() if seq.letter(u + 1) == head))
+    for u, v in g_shifted.items():
+        _set(g, u + 1, v)
+    return g
+
+
 # ----------------------------------------------------------------------
 # cones and p-sums
 
@@ -182,8 +189,6 @@ def psum_delta(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> dict[
     deltas = {node: 0 for node in range(1, datum.rank + 1)}
     if move.kind == "two":
         return deltas
-    if move.kind == "shift":
-        raise BraidError("p-sums are not preserved by shifts; transport degrees instead")
     k = move.k
     i, j, km, k1m = _target_frame(move, seq_src)
     gk, gk1 = _get(g_src, k), _get(g_src, k + 1)

@@ -8,7 +8,7 @@ and the braid-move transition maps are given in closed form for 2-, 3- and
 
 from __future__ import annotations
 
-from .braid import BraidError, BraidMove, IndexSequence, apply_move_to_sequence
+from .braid import BraidError, BraidMove, IndexSequence, swap_block
 from .cartan import CartanError, beta_sequence
 from .gvectors import GVector, gmap_apply, tail_sums
 
@@ -74,16 +74,22 @@ def nu(c: CParam, word: IndexSequence) -> int:
 _B2_ROOT_ORDER = ("a1", "a11", "a12", "a2")  # alpha1, alpha1+alpha2, alpha1+2alpha2, alpha2
 
 
+def _check_params(move: BraidMove, word: IndexSequence, c: CParam) -> None:
+    """Raise LusztigError unless c holds one non-negative entry per letter of
+    the word and the move's block lies in the word."""
+    n = len(word.letters)
+    if len(c) != n:
+        raise LusztigError("parameter length must match the word")
+    if any(x < 0 for x in c):
+        raise LusztigError("parameters must be non-negative")
+    if move.k + move.span - 1 > n:
+        raise LusztigError(f"a {move.kind}-move at {move.k} runs past the {n} letters of the word")
+
+
 def cmap_apply(move: BraidMove, word_src: IndexSequence, c_src: CParam) -> CParam:
     """Transport a parameter vector along the move from word_src to its target."""
-    word_src = IndexSequence(word_src.datum, word_src.letters, periodic=False)
-    if len(c_src) != len(word_src.letters):
-        raise LusztigError("parameter length must match the word")
-    if any(x < 0 for x in c_src):
-        raise LusztigError("parameters must be non-negative")
+    _check_params(move, word_src, c_src)
     k = move.k
-    if k + move.span - 1 > len(c_src):
-        raise LusztigError(f"a {move.kind}-move at {k} runs past the {len(c_src)} letters of the word")
     c = list(c_src)
     if move.kind == "two":
         c[k - 1], c[k] = c[k], c[k - 1]
@@ -122,7 +128,6 @@ def cmap_apply(move: BraidMove, word_src: IndexSequence, c_src: CParam) -> CPara
 
 def cmap_by_degrees(move: BraidMove, word_src: IndexSequence, c_src: CParam) -> CParam:
     """The conjugation c -> c_of_deg(gmap(deg_of_c(c))), valid for every kind."""
-    g_src = deg_of_c(c_src, word_src)
-    g_tgt = gmap_apply(move, word_src, g_src)
-    target = apply_move_to_sequence(word_src, move)
-    return c_of_deg(g_tgt, target)
+    _check_params(move, word_src, c_src)
+    g_tgt = gmap_apply(move, word_src, deg_of_c(c_src, word_src))
+    return c_of_deg(g_tgt, IndexSequence(word_src.datum, swap_block(word_src.letters, move.kind, move.k)))

@@ -16,7 +16,6 @@ from qcab import torus
 from qcab.braid import (
     IndexSequence,
     alternating,
-    apply_move_to_sequence,
     build_seed,
     detect_move,
     g2_exhaustive_certify,
@@ -335,7 +334,7 @@ def test_criterion_6_cone_and_psums():
         while done < per_kind:
             seq, k = cases[done % len(cases)]
             mv = detect_move(seq, k)
-            tgt = apply_move_to_sequence(seq, mv)
+            tgt = IndexSequence(seq.datum, swap_block(seq.letters, mv.kind, k))
             g_src = _random_cone_point(rng, seq, min(len(seq.letters), k + 7))
             g_tgt = gmap_apply(mv, seq, g_src)
             if not cone_contains(g_tgt, tgt):

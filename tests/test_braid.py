@@ -22,7 +22,6 @@ from qcab.braid import (
     _stack_verdicts,
     _windows,
     alternating,
-    apply_move_to_sequence,
     build_seed,
     detect_move,
     forward_shift_seed,
@@ -30,7 +29,6 @@ from qcab.braid import (
     g2_sequences,
     min_window,
     move_witness,
-    shift_move,
     swap_block,
     unfold,
     verify_move_on_seed,
@@ -324,10 +322,8 @@ def test_detect_and_apply_moves():
     seq = alternating(d)
     mv = detect_move(seq, 1)
     assert mv.kind == "four" and mv.mutations == (1, 2, 1) and mv.perm == ((1, 2), (3, 4))
-    flipped = apply_move_to_sequence(seq, mv)
-    assert flipped.letters == (2, 1, 2, 1)
-    # on a periodic word the swap lifts to every period
-    assert flipped.prefix(8) == (2, 1, 2, 1, 2, 1, 2, 1)
+    # a move swaps one block, also on a periodic word
+    assert swap_block(seq.prefix(8), mv.kind, 1) == (2, 1, 2, 1, 1, 2, 1, 2)
 
     g = build_cartan("G", 2)
     mvg = detect_move(alternating(g), 1)
@@ -339,7 +335,7 @@ def test_detect_and_apply_moves():
     sa = IndexSequence(a, (1, 3, 2, 1, 2, 3))
     assert detect_move(sa, 1) == braid.BraidMove("two", 1, (), ((1, 2),))
     assert detect_move(sa, 3) == braid.BraidMove("three", 3, (3,), ((4, 5),))
-    assert apply_move_to_sequence(sa, detect_move(sa, 3)).letters == (1, 3, 1, 2, 1, 3)
+    assert swap_block(sa.letters, "three", 3) == (1, 3, 1, 2, 1, 3)
     with pytest.raises(BraidError):
         detect_move(sa, 4)
     # the block must fit: no swap changes the word's length
@@ -450,7 +446,7 @@ def test_forward_shift():
         pair, sigma, sub = forward_shift_seed(seq, s)
         assert sub == s - 1  # the whole window but its last position
         assert sigma[1] == 2 and sigma[2] == 1  # alternating: 1 -> 1+ - 1 = 2
-        target = build_seed(apply_move_to_sequence(seq, shift_move(seq)), sub)
+        target = build_seed(IndexSequence(d, seq.prefix(s)[1:]), sub)
         assert pair == target
         # an explicit word reads sigma_+ within its own letters, to s or s + l + 2 of them
         for n in (s, s + d.longest_length + 2):

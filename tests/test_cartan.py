@@ -14,6 +14,7 @@ from qcab.cartan import (
     parity_function,
     parse_type,
 )
+from qcab.qgroth import check_kappa
 
 from weyl_oracle import bilinear, fundamental_weight, simple_root, to_alpha, weight_from_alpha, weyl_act
 
@@ -221,6 +222,12 @@ def test_longest_word_adapted():
         longest_word(b3, {1: 0})
     with pytest.raises(CartanError, match="parity mismatch at node 2"):
         longest_word(b3, {1: 0, 2: 0, 3: 0})
+    # a key outside 1..n is refused, even beside a valid height function
+    for extra in (4, 0, "x"):
+        with pytest.raises(CartanError, match=f"node {extra!r} outside 1..3"):
+            longest_word(b3, {1: 0, 2: 1, 3: 0, extra: 5})
+    with pytest.raises(CartanError, match="node 'x' outside 1..2"):
+        check_kappa(build_cartan("B", 2), {1: 0, 2: 1, "x": 5}, 4)
 
 
 def test_parity_function():

@@ -167,6 +167,26 @@ def test_check_kappa_rejects_partial_height_function(capsys):
     assert capsys.readouterr().err.startswith("error: height function misses node 2")
 
 
+def test_check_kappa_rejects_a_node_outside_the_diagram(capsys):
+    assert main(["check-kappa", "--type", "B2", "--window", "4", "--xi", "1:0,2:1,3:0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: height function names node 3 outside 1..2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, chunk",
+    [
+        (["g-map", "--type", "B2", "--seq", "alt", "--move", "4", "--g", ","], "--g entry ''"),
+        (["g-map", "--type", "B2", "--seq", "alt", "--move", "shift", "--g", "1:1,2"], "--g entry '2'"),
+        (["g-map", "--type", "B2", "--seq", "alt", "--move", "4", "--g", "1:x"], "--g entry '1:x'"),
+    ],
+)
+def test_malformed_g_entry_is_named(capsys, argv, chunk):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: malformed {chunk}; expected u:val\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

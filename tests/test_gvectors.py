@@ -1,21 +1,33 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qcab.braid import (
     BraidError,
     IndexSequence,
     alternating,
-    apply_move_to_sequence,
     build_seed,
     detect_move,
-    shift_move,
+    min_window,
     swap_block,
     unfold,
 )
 from qcab.cartan import build_cartan, parse_type
-from qcab.gvectors import _target_frame, cone_contains, cone_generator, gmap_apply, p_sum, psum_delta, tail_sums
+from qcab.gvectors import (
+    _target_frame,
+    cone_contains,
+    cone_generator,
+    gmap_apply,
+    gmap_shift,
+    p_sum,
+    psum_delta,
+    tail_sums,
+)
 from qcab.torus import ClusterState, degree_of_pointed, mutate_state
+
+from test_cartan import ALL_TYPES
 
 
 def g2_sources():
@@ -196,7 +208,7 @@ def test_cone_preservation_and_psum_consistency():
     rng = random.Random(31)
     for seq, k in move_cases():
         mv = detect_move(seq, k)
-        tgt = apply_move_to_sequence(seq, mv)
+        tgt = IndexSequence(seq.datum, swap_block(seq.letters, mv.kind, k))
         for _ in range(300):
             g_src = random_cone_point(rng, seq, min(len(seq.letters), k + 7))
             g_tgt = gmap_apply(mv, seq, g_src)
@@ -222,56 +234,134 @@ def test_six_move_psum_delta_cases():
 
 
 def test_shift_map_on_generators():
+    """gmap_shift carries the cone generator at u of the shifted word to the
+    one at u + 1 of the word, periodic or unfolded."""
     d = build_cartan("B", 2)
     seq = alternating(d)
-    mv = shift_move(seq)
-    shifted = apply_move_to_sequence(seq, mv)
+    shifted = IndexSequence(d, seq.prefix(13)[1:])
     for u in range(1, 7):
-        g_src = cone_generator(unfold(shifted, 12), u)
-        got = gmap_apply(mv, unfold(shifted, 12), g_src)
         want = cone_generator(unfold(seq, 13), u + 1)
-        assert got == want
+        for word in (seq, unfold(seq, 13)):
+            assert gmap_shift(word, cone_generator(shifted, u)) == want
+    with pytest.raises(BraidError, match="position 14 beyond a window of 13 letters"):
+        gmap_shift(unfold(seq, 13), {13: 1})
+    with pytest.raises(BraidError, match="degree position 0"):
+        gmap_shift(seq, {0: 1})
 
 
-def torus_oracle(seq_tgt, mv, src, window):
-    pair_t = build_seed(seq_tgt, window)
-    pair_s = build_seed(src, window)
-    st = ClusterState.from_pair(pair_t)
-    for m in mv.mutations:
-        st = mutate_state(st, m)
+@pytest.mark.parametrize("fam, n", ALL_TYPES)
+@given(data=st.data())
+def test_maps_land_in_the_single_block_target(fam, n, data):
+    """On the periodic w0 word of every type, gmap_apply takes a cone point
+    supported over three periods into the cone of the word with the one block
+    swapped, and psum_delta, where it has a table, gives the p-sum change."""
+    d = build_cartan(fam, n)
+    ell = d.longest_length
+    seq = IndexSequence(d, d.w0_word, periodic=True)
+    moves = []
+    for k in range(1, ell + 1):
+        try:
+            moves.append(detect_move(seq, k))
+        except BraidError:
+            pass
+    if ell == 1:  # A1: a single letter carries no move
+        assert moves == []
+        return
+    kind = data.draw(st.sampled_from(sorted({m.kind for m in moves})))
+    mv = data.draw(st.sampled_from([m for m in moves if m.kind == kind]))
+    g = {}
+    for u, c in data.draw(st.lists(st.tuples(st.integers(1, 3 * ell), st.integers(1, 3)), max_size=8)):
+        for v, x in cone_generator(seq, u).items():
+            g[v] = g.get(v, 0) + c * x
+    g = {u: x for u, x in g.items() if x}
+    tgt = IndexSequence(d, swap_block(seq.prefix(3 * ell + mv.span), kind, mv.k))
+    g_tgt = gmap_apply(mv, seq, g)
+    assert cone_contains(g_tgt, tgt), (fam, n, mv, g, g_tgt)
+    try:
+        deltas = psum_delta(mv, seq, g)
+    except BraidError:
+        assert kind == "six"  # only some six-move boundaries have no table
+    else:
+        for node in range(1, d.rank + 1):
+            assert p_sum(g_tgt, tgt, node) - p_sum(g, seq, node) == deltas[node], (fam, n, mv, g, node)
+
+
+def _oracle_moves():
+    """(periodic word, k) for every move in the first period of the w0 words
+    of A3, B2 and G2, and for the 4-moves there of the B3, C3 and F4 words
+    reached from w0 by the 3-move at 1 and the 2-move at 6."""
+    out = []
+    for code in ("A3", "B2", "G2", "B3", "C3", "F4"):
+        d = parse_type(code)
+        word = d.w0_word
+        if code in ("B3", "C3", "F4"):  # no height-adapted w0 word of these has a 4-move at k <= l + 1
+            word = swap_block(swap_block(word, "three", 1), "two", 6)
+        seq = IndexSequence(d, word, periodic=True)
+        for k in range(1, len(word) + 1):
+            try:
+                mv = detect_move(seq, k)
+            except BraidError:
+                continue
+            if code in ("A3", "B2", "G2") or mv.kind == "four":
+                out.append((seq, k))
+    return out
+
+
+def _gvec(g: tuple[int, ...]) -> dict[int, int]:
+    return {u: x for u, x in enumerate(g, start=1) if x}
+
+
+def _onto_alt(code, kind, n):
+    """The word that the move at 1 carries onto the first n letters of the alternating word."""
+    alt = alternating(parse_type(code))
+    return IndexSequence(alt.datum, swap_block(alt.prefix(n), kind, 1))
+
+
+@given(
+    case=st.sampled_from(_oracle_moves()),
+    grow=st.sampled_from((0, 2, "ell")),
+    walk=st.lists(st.integers(0, 63), max_size=3),
+)
+@example(case=(_onto_alt("B2", "four", 16), 1), grow="ell", walk=[0, 1, 2])
+@example(case=(_onto_alt("G2", "six", 18), 1), grow=2, walk=[2, 0])
+def test_torus_oracle_equivalence(case, grow, walk):
+    """Move recipes on the torus transport degrees exactly as gmap_apply says.
+
+    T, the word with the move's block swapped, has the move back to the
+    source S at k, with the same recipe.  Mutating T's initial state along
+    it puts each variable of S at sigma(u); a walk on S replayed at sigma of
+    its steps gives the same variables, whose degrees in T are gmap_apply of
+    their degrees in S.  A walk step indexes S's exchangeable positions.
+    A failure names the move, the window, the walk, the position, got and want.
+    """
+    seq, k = case
+    d = seq.datum
+    mv = detect_move(seq, k)
+    window = min_window(mv, seq) + (d.longest_length if grow == "ell" else grow)
+    walk = walk[: 2 if d.family in "GF" else 3]
+    pair_s = build_seed(seq, window)
+    pair_t = build_seed(IndexSequence(d, swap_block(seq.prefix(window), mv.kind, k)), window)
     sigma = mv.perm_map()
-    checks = []
-    for v in range(1, window + 1):
-        img = st.variables[sigma.get(v, v) - 1]
-        g = degree_of_pointed(img, pair_t)
-        checks.append(({v: 1}, {u + 1: x for u, x in enumerate(g) if x}))
-    for k in sorted(pair_s.exchangeable):
-        stp = mutate_state(ClusterState.from_pair(pair_s), k)
-        gp = degree_of_pointed(stp.variables[k - 1], pair_s)
-        st2 = mutate_state(st, sigma.get(k, k))
-        img = st2.variables[sigma.get(k, k) - 1]
-        g = degree_of_pointed(img, pair_t)
-        checks.append(
-            (
-                {u + 1: x for u, x in enumerate(gp) if x},
-                {u + 1: x for u, x in enumerate(g) if x},
-            )
-        )
-    return checks
+    src, tgt = ClusterState.from_pair(pair_s), ClusterState.from_pair(pair_t)
+    for m in mv.mutations:
+        tgt = mutate_state(tgt, m)
+    ex = sorted(pair_s.exchangeable)
+    steps = [ex[i % len(ex)] for i in walk]
 
+    def check(src, tgt, u, done):
+        got = _gvec(degree_of_pointed(tgt.variables[sigma.get(u, u) - 1], pair_t))
+        want = gmap_apply(mv, seq, _gvec(degree_of_pointed(src.variables[u - 1], pair_s)))
+        where = f"{mv.kind}-move at {k} on {seq.prefix(window)}, window {window}, walk {done}, position {u}"
+        assert got == want, f"{where}: got {got}, want {want}"
 
-def test_torus_oracle_equivalence():
-    """Move recipes on the torus transport degrees exactly as the maps say."""
-    b2 = build_cartan("B", 2)
-    tgt_b2 = unfold(alternating(b2), 16)
-    src_b2 = IndexSequence(b2, swap_block(tgt_b2.letters, "four", 1))
-    mv_b2 = detect_move(src_b2, 1)
-    for g_src, g_want in torus_oracle(tgt_b2, mv_b2, src_b2, 8):
-        assert gmap_apply(mv_b2, src_b2, g_src) == g_want
+    def step(src, tgt, u):
+        return mutate_state(src, u), mutate_state(tgt, sigma.get(u, u))
 
-    g2 = build_cartan("G", 2)
-    tgt_g2 = unfold(alternating(g2), 18)
-    src_g2 = IndexSequence(g2, swap_block(tgt_g2.letters, "six", 1))
-    mv_g2 = detect_move(src_g2, 1)
-    for g_src, g_want in torus_oracle(tgt_g2, mv_g2, src_g2, 8):
-        assert gmap_apply(mv_g2, src_g2, g_src) == g_want
+    # the initial variables, every variable one step away, then the walk
+    for u in range(1, window + 1):
+        check(src, tgt, u, [])
+    for u in ex:
+        check(*step(src, tgt, u), u, [u])
+    for j, u in enumerate(steps, start=1):
+        src, tgt = step(src, tgt, u)
+        check(src, tgt, u, steps[:j])

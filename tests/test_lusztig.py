@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qcab.braid import BraidError, IndexSequence, apply_move_to_sequence, detect_move, swap_block
+from qcab.braid import BraidError, IndexSequence, alternating, detect_move, swap_block
 from qcab.cartan import build_cartan
 from qcab.gvectors import cone_generator
 from qcab.lusztig import LusztigError, c_of_deg, cmap_apply, cmap_by_degrees, deg_of_c, nu
@@ -173,12 +173,18 @@ def test_cmap_bijection_inverse_move():
 
 
 def test_cmap_validates_input():
+    """cmap_apply and cmap_by_degrees refuse the same inputs with the same message."""
     w = word("B2", (1, 2, 1, 2))
-    mv = detect_move(w, 1)
-    with pytest.raises(LusztigError):
-        cmap_apply(mv, w, (1, 0, 0))
-    with pytest.raises(LusztigError):
-        cmap_apply(mv, w, (1, -1, 0, 0))
+    alt = alternating(w.datum)
+    for fn in (cmap_apply, cmap_by_degrees):
+        for seq, k, c, error in (
+            (w, 1, (1, 0, 0), "parameter length must match the word"),
+            (w, 1, (1, 0, 0, 0, 0), "parameter length must match the word"),
+            (w, 1, (1, -1, 0, 0), "parameters must be non-negative"),
+            (alt, 2, (1, 0, 0, 0), "a four-move at 2 runs past the 4 letters of the word"),
+        ):
+            with pytest.raises(LusztigError, match=error):
+                fn(detect_move(seq, k), seq, c)
 
 
 @pytest.mark.parametrize("code, k", [("A3", 6), ("A2", 3)])
