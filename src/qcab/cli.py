@@ -7,46 +7,41 @@ errors.  All numeric I/O is exact integers or half-integers in decimal.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import braid, gvectors, lusztig, qgroth, seeds
 from .cartan import parity_function, parse_type
 
 
+def _read_list(text: str, flag: str, grammar: str) -> list[tuple[int, ...]]:
+    """The entries of a list argument as int tuples, read by ``grammar``.
+
+    ``grammar`` is one entry as the help prints it (n, u:val, i:h or i,p:e),
+    separators in order.  Entries are split at ';' if it holds a comma, else
+    at ','.  The fields before a ':' are a key, and a key may not repeat.
+    """
+    seps = re.sub("[^:,]", "", grammar)
+    entries: list[tuple[int, ...]] = []
+    keys: set[tuple[int, ...]] = set()
+    for chunk in text.split(";" if "," in grammar else ",") if text else ():
+        try:
+            if re.sub("[^:,]", "", chunk) != seps:
+                raise ValueError
+            entry = tuple(int(t) for t in re.split("[:,]", chunk))
+        except ValueError:
+            raise ValueError(f"malformed {flag} entry {chunk!r}; expected {grammar}") from None
+        if ":" in seps and entry[:-1] in keys:
+            raise ValueError(f"{flag} entry {chunk!r} repeats key {chunk.partition(':')[0]}")
+        keys.add(entry[:-1])
+        entries.append(entry)
+    return entries
+
+
 def _parse_seq(datum, text: str) -> braid.IndexSequence:
     if text == "alt":
         return braid.alternating(datum)
-    letters = tuple(int(t) for t in text.split(","))
-    return braid.IndexSequence(datum, letters)
-
-
-def _parse_gvec(text: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    if not text:
-        return out
-    for chunk in text.split(","):
-        try:
-            k, v = chunk.split(":")
-            out[int(k)] = int(v)
-        except ValueError:
-            raise ValueError(f"malformed --g entry {chunk!r}; expected u:val") from None
-    return out
-
-
-def _parse_xi(text: str) -> dict[int, int]:
-    return {int(k): int(v) for k, v in (c.split(":") for c in text.split(","))}
-
-
-def _parse_dominant(text: str) -> dict[tuple[int, int], int]:
-    dom: dict[tuple[int, int], int] = {}
-    for chunk in text.split(";"):
-        try:
-            idx, e = chunk.split(":")
-            i, p = (int(t) for t in idx.split(","))
-            dom[(i, p)] = int(e)
-        except ValueError:
-            raise ValueError(f"malformed --dominant entry {chunk!r}; expected i,p:e") from None
-    return dom
+    return braid.IndexSequence(datum, tuple(n for (n,) in _read_list(text, "--seq", "n")))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -70,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("seed", help="emit a seed file for a type and sequence")
     p.add_argument("--type", required=True)
-    p.add_argument("--seq", required=True, help='"alt" or a comma list of letters')
+    p.add_argument("--seq", required=True, help='"alt" or letters "n,n,..."')
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--out")
 
@@ -94,14 +89,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--type", required=True)
     p.add_argument("--seq", required=True, help="source sequence of the degrees")
-    p.add_argument("--g", required=True, help='sparse vector "u:val,..."')
+    p.add_argument("--g", required=True, help='sparse vector "u:val,u:val,..."')
 
     p = sub.add_parser("c-map", help="transport a parameter vector along a move")
     p.add_argument("--move", required=True, choices=["2", "3", "4", "6"])
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--type", required=True)
     p.add_argument("--seq", required=True, help="source word for the parameters")
-    p.add_argument("--c", required=True, help="comma list of entries")
+    p.add_argument("--c", required=True, help='parameters "n,n,..."')
 
     p = sub.add_parser("npair", help="commutation exponent of two torus generators")
     p.add_argument("--type", required=True)
@@ -116,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--i", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--s", type=int)
-    p.add_argument("--xi", help="height function for truncated fixtures")
+    p.add_argument("--xi", help='height function of truncated fixtures, "i:h,i:h,..."')
     p.add_argument("--dominant", help='dominant exponents "i,p:e;j,s:e"')
 
     p = sub.add_parser("substitute-b2", help="run the q=1 substitution checks")
@@ -125,18 +120,14 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("check-kappa", help="compare pairings on a reading window")
     p.add_argument("--type", required=True)
     p.add_argument("--window", type=int, required=True)
-    p.add_argument("--xi")
+    p.add_argument("--xi", help='height function "i:h,i:h,..."')
 
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-
-
-def _default_xi(datum) -> dict[int, int]:
-    return dict(parity_function(datum))
 
 
 def _verdict(witness: tuple | None) -> str:
@@ -176,7 +167,7 @@ def _dispatch(args) -> int:
     if args.command == "g-map":
         datum = parse_type(args.type)
         seq = _parse_seq(datum, args.seq)
-        g = _parse_gvec(args.g)
+        g = dict(_read_list(args.g, "--g", "u:val"))
         if args.move == "shift":
             # --seq names the unshifted sequence; the input degrees live on
             # its forward shift and transport back onto it
@@ -190,7 +181,7 @@ def _dispatch(args) -> int:
         datum = parse_type(args.type)
         seq = _parse_seq(datum, args.seq)
         move = _move_from_args(seq, args.move, args.k)
-        c = tuple(int(t) for t in args.c.split(","))
+        c = tuple(n for (n,) in _read_list(args.c, "--c", "n"))
         print(",".join(str(v) for v in lusztig.cmap_apply(move, seq, c)))
         return 0
 
@@ -204,7 +195,8 @@ def _dispatch(args) -> int:
         if args.xi:
             if not args.dominant:
                 raise ValueError("check-fq: --xi needs --dominant")
-            dom, xi = _parse_dominant(args.dominant), _parse_xi(args.xi)
+            dom = {(i, p): e for i, p, e in _read_list(args.dominant, "--dominant", "i,p:e")}
+            xi = dict(_read_list(args.xi, "--xi", "i:h"))
         elif None in (args.i, args.p, args.s):
             raise ValueError("check-fq: give --i, --p and --s, or --xi with --dominant")
         datum = parse_type(args.type)
@@ -229,7 +221,7 @@ def _dispatch(args) -> int:
 
     if args.command == "check-kappa":
         datum = parse_type(args.type)
-        xi = _parse_xi(args.xi) if args.xi else _default_xi(datum)
+        xi = dict(_read_list(args.xi, "--xi", "i:h")) if args.xi else dict(parity_function(datum))
         witness = qgroth.kappa_witness(datum, xi, args.window)
         print(f"kappa comparison: {_verdict(witness)}")
         return 0 if witness is None else 1

@@ -44,15 +44,14 @@ def _target_frame(move: BraidMove, seq_src: IndexSequence) -> tuple[int, int, in
     """(i, j, k^-, (k+1)^-) of the target word, read off the source.
 
     The block k..k + span - 1 is swapped and every other letter is kept, so
-    i = i_{k+1} and j = i_k, k^- is the last position before k carrying i, and
-    (k+1)^- is the last position before k carrying j: the source's k^-.
+    i = i_{k+1} and j = i_k, and as i_k is not i, the target's k^- and
+    (k+1)^- are the source's (k+1)^- and k^-.
     """
     k, n = move.k, len(seq_src.letters)
     if not seq_src.periodic and k + move.span - 1 > n:
         raise BraidError(f"a {move.kind}-move at {k} does not fit in {n} letters")
     j, i = seq_src.letter(k), seq_src.letter(k + 1)
-    km = next((u for u in range(k - 1, 0, -1) if seq_src.letter(u) == i), 0)
-    return i, j, km, seq_src.uminus(k)
+    return i, j, seq_src.uminus(k + 1), seq_src.uminus(k)
 
 
 def gmap_apply(move: BraidMove, seq_src: IndexSequence, g_src: GVector) -> GVector:

@@ -378,9 +378,12 @@ def kappa_witness(datum: CartanDatum, xi: dict[int, int], window: int, tc: TCart
     ("lam", u, v, got, want) when Lambda_uv (u < v, row-major) is not the
     pairing of z_u and z_v, or ("image", u, hat, got, want) when column u of B
     carries the z's to another monomial than the inverse b-monomial one level
-    below pairs[u], at the lowest differing hat.
+    below pairs[u], at the lowest differing hat.  A ``tc`` of another datum
+    raises QGrothError.
     """
     tc = tc if tc is not None else TCartan(datum)
+    if tc.datum != datum:
+        raise QGrothError(f"a TCartan of {tc.datum.family}{tc.datum.rank} given for {datum.family}{datum.rank}")
     pairs = compatible_reading(datum, xi, window)
     seed = build_seed(IndexSequence(datum, tuple(i for i, _ in pairs)), window)
     gram = _kr_gram_rows(XTorus(tc), xi, pairs)

@@ -470,14 +470,12 @@ def leading_term(x: QLaurent) -> tuple[tuple[int, ...], QCoeff]:
     return a, x.terms[a]
 
 
-def divide_right_exact(
-    x: QLaurent, d: QLaurent, max_steps: int | None = None, stats: dict | None = None
-) -> QLaurent:
+def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None) -> QLaurent:
     """The unique y with y * d = x, by leading-term elimination.
 
     The divisor's leading coefficient must be a unit q-power (true for every
-    pointed cluster variable).  A nonzero remainder raises, which for cluster
-    exchange steps signals an implementation bug, not a data condition.
+    pointed cluster variable).  A remainder after 4(|x| + 1)(|d| + 1) + 64 steps
+    raises, which for exchange steps signals a bug, not a data condition.
 
     The remainder is kept as a dict of mutable coefficient dicts with a heap
     of its exponents in the term order (stale entries are skipped), so each
@@ -508,7 +506,7 @@ def divide_right_exact(
     out: dict[tuple[int, ...], QCoeff] = {}
     steps = 0
     peak = len(rem)
-    cap = max_steps if max_steps is not None else 4 * (len(x.terms) + 1) * (len(d.terms) + 1) + 64
+    cap = 4 * (len(x.terms) + 1) * (len(d.terms) + 1) + 64
     while heap:
         m = heapq.heappop(heap)[2]
         if m not in rem:

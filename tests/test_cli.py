@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qcab import braid
 from qcab.cli import main
 
 from test_qgroth import plant
@@ -173,18 +174,52 @@ def test_check_kappa_rejects_a_node_outside_the_diagram(capsys):
     assert captured.out == "" and captured.err == "error: height function names node 3 outside 1..2\n"
 
 
+GRAMMARS = {"--seq": "n", "--c": "n", "--g": "u:val", "--xi": "i:h", "--dominant": "i,p:e"}
+B2_G_MAP = ["g-map", "--type", "B2", "--seq", "alt", "--move", "4"]
+B2_KAPPA = ["check-kappa", "--type", "B2", "--window", "4"]
+B3_FQ = ["check-fq", str(FIXTURES / "b3_truncated_simple.txt"), "--type", "B3", "--xi", "1:0,2:-1,3:0"]
+
+
 @pytest.mark.parametrize(
     "argv, chunk",
     [
         (["g-map", "--type", "B2", "--seq", "alt", "--move", "4", "--g", ","], "--g entry ''"),
         (["g-map", "--type", "B2", "--seq", "alt", "--move", "shift", "--g", "1:1,2"], "--g entry '2'"),
         (["g-map", "--type", "B2", "--seq", "alt", "--move", "4", "--g", "1:x"], "--g entry '1:x'"),
+        ([*B2_G_MAP, "--g", "1:1:2"], "--g entry '1:1:2'"),
+        (["seed", "--type", "B2", "--seq", "1,x", "--window", "2"], "--seq entry 'x'"),
+        (["c-map", "--type", "B2", "--seq", "alt", "--move", "4", "--c", "1,2,x,4"], "--c entry 'x'"),
+        ([*B2_KAPPA, "--xi", "1:0,2"], "--xi entry '2'"),
+        ([*B2_KAPPA, "--xi", "1:0,2:x"], "--xi entry '2:x'"),
+        ([*B3_FQ, "--dominant", "2,-5:1;1,0"], "--dominant entry '1,0'"),
+        ([*B2_G_MAP, "--g", "1:1,1:5"], "--g entry '1:5' repeats key 1"),
+        ([*B2_KAPPA, "--xi", "1:0,2:1,1:2"], "--xi entry '1:2' repeats key 1"),
+        ([*B3_FQ, "--dominant", "2,-5:1;2,-5:2"], "--dominant entry '2,-5:2' repeats key 2,-5"),
     ],
 )
 def test_malformed_g_entry_is_named(capsys, argv, chunk):
+    """Every list argument names its bad entry: a malformed one with its grammar, a repeated key as such."""
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: malformed {chunk}; expected u:val\n"
+    want = chunk if "repeats" in chunk else f"malformed {chunk}; expected {GRAMMARS[chunk.split()[0]]}"
+    assert captured.out == "" and captured.err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [("Unable to allocate 3.0 GiB", "Unable to allocate 3.0 GiB"), ("", "MemoryError")],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_is_a_usage_error(capsys, monkeypatch, message, line):
+    """Running out of memory exits 2 with one error line: exit 1 means a failed check."""
+
+    def build_seed(seq, s):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(braid, "build_seed", build_seed)
+    assert main(["seed", "--type", "B2", "--seq", "alt", "--window", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,17 @@ def test_kappa_witness_names_a_planted_b_entry(monkeypatch):
     assert not check_kappa(d, xi, 18)
 
 
+@pytest.mark.parametrize("other", ["G2", "A3", "B3"])
+def test_kappa_refuses_a_tcartan_of_another_type(other):
+    """A TCartan carries its datum's pairing table; another datum's would give false mismatches."""
+    d, xi = build_cartan("B", 2), {1: 0, 2: 1}
+    tc = TCartan(build_cartan(other[0], int(other[1])))
+    for check in (kappa_witness, check_kappa):
+        with pytest.raises(QGrothError, match=f"a TCartan of {other} given for B2"):
+            check(d, xi, 8, tc=tc)
+    assert kappa_witness(d, xi, 8, tc=TCartan(build_cartan("B", 2))) is None
+
+
 @pytest.mark.parametrize("code", ALL_TYPES)
 def test_pairing_table_matches_npairing(code):
     """The periodic table equals the four-term formula and is antisymmetric, folded gaps included."""
