@@ -45,7 +45,6 @@ from .torus import (
     degree_of_pointed,
     divide_right_exact,
     mutate_state,
-    normal_monomial,
     predicted_degree,
 )
 from .gvectors import cone_contains, cone_generator, gmap_apply, gmap_shift, p_sum, psum_delta

@@ -207,7 +207,7 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
 def parse_type(code: str) -> CartanDatum:
     """Parse a string code like ``"B2"`` or ``"F4"``."""
     code = code.strip()
-    if len(code) < 2 or code[0].upper() not in FAMILIES:
+    if len(code) < 2 or code[0].upper() not in FAMILIES or not code[1:].isdecimal():
         raise CartanError(f"bad type code {code!r}")
     return build_cartan(code[0].upper(), int(code[1:]))
 

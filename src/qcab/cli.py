@@ -41,6 +41,8 @@ def _read_list(text: str, flag: str, grammar: str) -> list[tuple[int, ...]]:
 def _parse_seq(datum, text: str) -> braid.IndexSequence:
     if text == "alt":
         return braid.alternating(datum)
+    if not text:
+        raise ValueError("--seq is empty; expected \"alt\" or letters n,n,...")
     return braid.IndexSequence(datum, tuple(n for (n,) in _read_list(text, "--seq", "n")))
 
 
@@ -192,8 +194,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check-fq":
-        if args.xi:
-            if not args.dominant:
+        if args.xi is not None:
+            if args.dominant is None:
                 raise ValueError("check-fq: --xi needs --dominant")
             dom = {(i, p): e for i, p, e in _read_list(args.dominant, "--dominant", "i,p:e")}
             xi = dict(_read_list(args.xi, "--xi", "i:h"))
@@ -204,7 +206,7 @@ def _dispatch(args) -> int:
         ambient = qgroth.XTorus(tc)
         with open(args.fixture, encoding="utf-8") as fh:
             x = qgroth.xelement_from_text(ambient, fh.read().strip())
-        if args.xi:
+        if args.xi is not None:
             report = qgroth.verify_truncated_fixture(x, dom, xi)
         else:
             report = qgroth.verify_fq_fixture(x, args.i, args.p, args.s)
@@ -221,7 +223,7 @@ def _dispatch(args) -> int:
 
     if args.command == "check-kappa":
         datum = parse_type(args.type)
-        xi = dict(_read_list(args.xi, "--xi", "i:h")) if args.xi else dict(parity_function(datum))
+        xi = dict(_read_list(args.xi, "--xi", "i:h")) if args.xi is not None else dict(parity_function(datum))
         witness = qgroth.kappa_witness(datum, xi, args.window)
         print(f"kappa comparison: {_verdict(witness)}")
         return 0 if witness is None else 1

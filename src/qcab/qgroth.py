@@ -127,7 +127,7 @@ class XTorus:
     on the hat's first read and kept, so a product reads the table once per
     (hat, b) rather than once per term pair; ``twist(a, row(b))`` sums the
     exponents of a against that map; ``join`` inserts the shorter key into
-    the longer.
+    the longer; ``text`` prints the key's hats as X[i,p]^e factors.
     """
 
     __slots__ = ("tc", "datum", "table", "gram_table", "_parity", "_lim")
@@ -214,6 +214,11 @@ class XTorus:
             else:
                 out.insert(k, (u, e))
         return tuple(out)
+
+    @staticmethod
+    def text(a: ExpKey) -> str:
+        """The factors X[i,p]^e of the exponent a in its order, joined by '*'; empty for the identity."""
+        return "*".join(f"X[{i},{p}]" + (f"^{e}" if e != 1 else "") for (i, p), e in a)
 
 
 class _Row(dict):
@@ -507,10 +512,7 @@ def xelement_to_text(x: XElement) -> str:
             for t2 in range(t1 + 1, len(a)):
                 gamma -= a[t1][1] * a[t2][1] * x.torus.pairing(a[t1][0], a[t2][0])
         coeff = x.terms[a].shift(gamma)
-        mono = "*".join(
-            f"X[{u[0]},{u[1]}]" + (f"^{e}" if e != 1 else "") for u, e in a
-        )
-        parts.append(f"({qcoeff_to_text(coeff)}) {mono}".rstrip())
+        parts.append(f"({qcoeff_to_text(coeff)}) {x.torus.text(a)}".rstrip())
     return " + ".join(parts)
 
 

@@ -176,7 +176,8 @@ class WindowTorus:
     One object per Lambda, interned by its bytes while in use, so tori compare
     by identity.  The torus protocol of ``QLaurent``: ``key`` normalizes an
     exponent, ``row(b)`` is Lambda b, X^a X^b = q^{twist(a, row(b))/2} X^{join(a, b)},
-    and ``one`` is the identity exponent; ``qgroth.XTorus`` offers the same.
+    ``one`` is the identity exponent and ``text(a)`` prints an exponent's
+    factors; ``qgroth.XTorus`` offers the same.
     """
 
     __slots__ = ("lam", "rows", "weights", "one", "__weakref__")
@@ -212,10 +213,10 @@ class WindowTorus:
     def join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(add, a, b))
 
-
-def _torus(torus):
-    """The torus object; a bare Lambda, accepted by the constructors, becomes its WindowTorus."""
-    return WindowTorus(torus) if isinstance(torus, np.ndarray) else torus
+    @staticmethod
+    def text(a: tuple[int, ...]) -> str:
+        """The factors Z[u]^e of the exponent a, joined by '*'; empty for the identity."""
+        return "*".join(f"Z[{u}]" + (f"^{e}" if e != 1 else "") for u, e in enumerate(a, start=1) if e)
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ class QLaurent:
     ``torus`` is a torus object: a ``WindowTorus`` with dense tuple keys here,
     an ``XTorus`` with sparse keys for ``qgroth.XElement``.  Everything below
     (sums, the product, powers, bar and equality) goes through the torus
-    protocol, so it serves both.  The constructors also take a bare Lambda.
+    protocol, so it serves both.  The constructors take the torus object.
     """
 
     torus: WindowTorus  # an XTorus for XElement
@@ -237,18 +238,17 @@ class QLaurent:
 
     @classmethod
     def zero(cls, torus) -> "QLaurent":
-        return cls(_torus(torus), {})
+        return cls(torus, {})
 
     @classmethod
     def monomial(cls, torus, a, coeff: QCoeff | None = None) -> "QLaurent":
-        torus = _torus(torus)
+        """coeff X^a; the bar-invariant normalized monomial X^a when coeff is omitted."""
         c = QCoeff.one() if coeff is None else coeff
         return cls(torus, {torus.key(a): c} if c else {})
 
     @classmethod
     def generator(cls, torus, u: int, exp: int = 1) -> "QLaurent":
         """X_u^exp for the window position u, counted from 1."""
-        torus = _torus(torus)
         if not isinstance(torus, WindowTorus):
             raise TorusError("generator takes a window torus; use XElement.raw_generator on the (i,p) torus")
         a = list(torus.one)
@@ -311,11 +311,6 @@ class QLaurent:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QLaurent({qlaurent_to_text(self)})"
-
-
-def normal_monomial(lam: np.ndarray, a: tuple[int, ...]) -> QLaurent:
-    """The bar-invariant normalized monomial Z^a."""
-    return QLaurent.monomial(lam, a)
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +534,7 @@ def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None) -> Q
     if rem:  # the loop stopped at the cap; m led the remainder
         raise DivisionRemainderError(
             f"right division did not terminate: nonzero remainder after {steps} steps, "
-            f"leading term ({qcoeff_to_text(QCoeff(rem[m]))}) {_monomial_text(m) or '1'}"
+            f"leading term ({qcoeff_to_text(QCoeff(rem[m]))}) {torus.text(m) or '1'}"
         )
     return QLaurent(torus, out)
 
@@ -591,7 +586,7 @@ def q_structure_witness(x: QLaurent) -> str | None:
         bad = [a for a, c in x.terms.items() if not test(c)]
         if bad:
             a = min(bad)
-            return f"not {broken}: coefficient ({qcoeff_to_text(x.terms[a])}) of {_monomial_text(a) or '1'}"
+            return f"not {broken}: coefficient ({qcoeff_to_text(x.terms[a])}) of {x.torus.text(a) or '1'}"
     return None
 
 
@@ -705,36 +700,29 @@ def predicted_degree(state: ClusterState, position: int) -> tuple[int, ...]:
 # canonical text rendering
 
 
-def _monomial_text(a: tuple[int, ...], label: str = "Z") -> str:
-    factors = []
-    for u, e in enumerate(a, start=1):
-        if e == 0:
-            continue
-        factors.append(f"{label}[{u}]" + (f"^{e}" if e != 1 else ""))
-    return "*".join(factors)
-
-
 def qlaurent_to_text(x: QLaurent) -> str:
+    """The window format "(coeff) Z[u]^e*... + ..."; X factors are raw products in
+    fixture text, so an (i,p) element is written by ``qgroth.xelement_to_text``."""
     if x.is_zero:
         return "(0)"
     parts = []
     for a in sorted(x.terms):
-        mono = _monomial_text(a)
+        mono = WindowTorus.text(a)
         coeff = qcoeff_to_text(x.terms[a])
         parts.append(f"({coeff}) {mono}".rstrip())
     return " + ".join(parts)
 
 
-def qlaurent_from_text(lam: np.ndarray, text: str) -> QLaurent:
-    out = QLaurent.zero(lam)
-    s = len(out.torus.one)
+def qlaurent_from_text(torus: WindowTorus, text: str) -> QLaurent:
+    out = QLaurent.zero(torus)
+    s = len(torus.one)
     for coeff, factors in _parse_terms(text, "Z", 1):
         a = [0] * s
         for (u,), exp in factors:
             if not 1 <= u <= s:
                 raise TorusError(f"index {u} outside window")
             a[u - 1] += exp
-        out = out + QLaurent.monomial(out.torus, a, coeff)
+        out = out + QLaurent.monomial(torus, a, coeff)
     return out
 
 

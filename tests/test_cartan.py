@@ -47,6 +47,8 @@ def test_parse_type_and_errors():
     assert parse_type("F4").family == "F"
     with pytest.raises(CartanError):
         parse_type("H3")
+    with pytest.raises(CartanError, match="bad type code 'Bx'"):
+        parse_type("Bx")
     with pytest.raises(CartanError):
         build_cartan("B", 1)
     with pytest.raises(CartanError):

@@ -174,6 +174,45 @@ def test_check_kappa_rejects_a_node_outside_the_diagram(capsys):
     assert captured.out == "" and captured.err == "error: height function names node 3 outside 1..2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seed", "--type", "B2", "--window", "4"],
+        ["verify-move", "--type", "B2", "--k", "1", "--window", "4"],
+        ["g-map", "--type", "B2", "--move", "4", "--g", "1:1"],
+        ["c-map", "--type", "B2", "--move", "4", "--c", "0,1,0,0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_seq_is_a_usage_error(capsys, argv):
+    """An empty --seq is refused before a word is built, naming the flag."""
+    assert main([*argv, "--seq="]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == 'error: --seq is empty; expected "alt" or letters n,n,...\n'
+
+
+@pytest.mark.parametrize("code", ["Bx", "B2.5"])
+def test_bad_type_code_is_a_usage_error(capsys, code):
+    assert main(["seed", "--type", code, "--seq", "alt", "--window", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: bad type code {code!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-kappa", "--type", "B2", "--window", "4"],
+        ["check-fq", str(FIXTURES / "b3_truncated_simple.txt"), "--type", "B3", "--dominant", "2,-5:1;1,0:1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_xi_is_an_empty_height_function(capsys, argv):
+    """An empty --xi has no entries, as every empty list argument: it is read, not replaced by a default."""
+    assert main([*argv, "--xi="]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: height function misses node 1\n"
+
+
 GRAMMARS = {"--seq": "n", "--c": "n", "--g": "u:val", "--xi": "i:h", "--dominant": "i,p:e"}
 B2_G_MAP = ["g-map", "--type", "B2", "--seq", "alt", "--move", "4"]
 B2_KAPPA = ["check-kappa", "--type", "B2", "--window", "4"]

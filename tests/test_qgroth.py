@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import operator
 import pickle
 import random
@@ -35,7 +36,7 @@ from qcab.qgroth import (
     z_xi,
 )
 from qcab.seeds import make_pair
-from qcab.torus import QCoeff, QLaurent, TorusError, WindowTorus, qcoeff_from_text
+from qcab.torus import QCoeff, QLaurent, TorusError, WindowTorus, q_structure_witness, qcoeff_from_text
 
 from test_torus import _EDITS, coeff_runs, edit_text
 
@@ -442,6 +443,19 @@ def test_xelement_text_round_trip():
     assert xelement_from_text(amb, xelement_to_text(x)) == x
 
 
+@pytest.mark.parametrize(
+    "name, code, digest",
+    [
+        ("b4_fundamental_x10.txt", "B4", "63620705c05eabb1e6b6491c670d3c6df6f7f241c3a95293dcdad87dfed626dd"),
+        ("b3_truncated_simple.txt", "B3", "c78d1d632a7d79d181e639d8ffedc7ca8933854e5b32dbd697447ea6e3deecae"),
+    ],
+)
+def test_xelement_to_text_golden_digests(name, code, digest):
+    """The canonical text of each fixture, against a fixed SHA-256 of its rendering."""
+    x = xelement_from_text(ambient(code), (FIXTURES / name).read_text().strip())
+    assert hashlib.sha256(xelement_to_text(x).encode()).hexdigest() == digest
+
+
 B2 = ambient("B2")
 # B2 generators (1, even level) and (2, odd level): mostly near level 0, so terms collide, and
 # some up to 33 levels apart, past the 2h + 1 = 9 of the unfolded table
@@ -519,12 +533,22 @@ def test_tori_compare_by_cartan_datum():
     assert pickle.loads(pickle.dumps(x)) == x
     with pytest.raises(TorusError, match="window torus"):
         XElement.generator(B2, 1)  # (i,p) generators are built by raw_generator
-    window = QLaurent.generator(np.zeros((1, 1), dtype=np.int64), 1)
+    window = QLaurent.generator(WindowTorus(np.zeros((1, 1), dtype=np.int64)), 1)
     assert window != x and x != window
     with pytest.raises(TorusError, match="mismatched ambient tori"):
         window + x
     with pytest.raises(TorusError, match="mismatched ambient tori"):
         x + window
+
+
+def test_q_structure_witness_names_x_factors():
+    """On an XElement the witness names the monomial by its (i,p) hats, as XTorus.text prints them."""
+    x = XElement.monomial(B2, {(2, 1): -1, (1, 0): 1}, QCoeff.q_power(1))
+    assert B2.text(next(iter(x.terms))) == "X[1,0]*X[2,1]^-1" and B2.text(B2.one) == ""
+    assert q_structure_witness(x) == "not bar-invariant: coefficient (q^1/2) of X[1,0]*X[2,1]^-1"
+    assert q_structure_witness(x + x.bar()) is None
+    negative = XElement.monomial(B2, {}, QCoeff.integer(-1))
+    assert q_structure_witness(x + x.bar() + negative) == "not positive: coefficient (-1) of 1"
 
 
 def test_xelement_matches_window_torus():

@@ -28,7 +28,6 @@ from qcab.torus import (
     divide_right_exact,
     leading_term,
     mutate_state,
-    normal_monomial,
     predicted_degree,
     q_structure_witness,
     qcoeff_from_text,
@@ -42,9 +41,8 @@ def b2_pair(window=4):
     return build_seed(alternating(build_cartan("B", 2)), window)
 
 
-def small_lam():
-    lam = np.array([[0, 2, -1], [-2, 0, 3], [1, -3, 0]], dtype=np.int64)
-    return lam
+def small_torus():
+    return WindowTorus(np.array([[0, 2, -1], [-2, 0, 3], [1, -3, 0]], dtype=np.int64))
 
 
 def test_qcoeff_arithmetic_and_text():
@@ -61,30 +59,30 @@ def test_qcoeff_arithmetic_and_text():
 
 
 def test_normal_monomial_relations():
-    lam = small_lam()
-    z1 = QLaurent.generator(lam, 1)
-    z2 = QLaurent.generator(lam, 2)
-    z1i = QLaurent.generator(lam, 1, -1)
-    one = normal_monomial(lam, (0, 0, 0))
+    torus = small_torus()
+    z1 = QLaurent.generator(torus, 1)
+    z2 = QLaurent.generator(torus, 2)
+    z1i = QLaurent.generator(torus, 1, -1)
+    one = QLaurent.monomial(torus, (0, 0, 0))
     assert z1 * z1i == one
     # Z_1 Z_2 = q^{Lambda_12} Z_2 Z_1
     assert z1 * z2 == (z2 * z1).scale(QCoeff.q_power(2 * 2))
     # bar fixes normalized monomials
-    m = normal_monomial(lam, (2, -1, 3))
+    m = QLaurent.monomial(torus, (2, -1, 3))
     assert m.bar() == m
 
 
-def random_qlaurent(rng, lam, n_terms=3, span=2):
-    x = QLaurent.zero(lam)
+def random_qlaurent(rng, torus, n_terms=3, span=2):
+    x = QLaurent.zero(torus)
     for _ in range(n_terms):
-        a = tuple(rng.randrange(-span, span + 1) for _ in range(lam.shape[0]))
+        a = tuple(rng.randrange(-span, span + 1) for _ in range(len(torus.one)))
         coeff = QCoeff({rng.randrange(-3, 4): rng.randrange(-2, 3) or 1})
-        x = x + QLaurent.monomial(lam, a, coeff)
+        x = x + QLaurent.monomial(torus, a, coeff)
     return x
 
 
 def test_pickle_and_copy_keep_the_interned_torus():
-    x = random_qlaurent(random.Random(3), small_lam())
+    x = random_qlaurent(random.Random(3), small_torus())
     y = pickle.loads(pickle.dumps(x))
     assert y == x and y.torus is x.torus
     state = mutate_state(ClusterState.from_pair(b2_pair()), 1)
@@ -95,39 +93,39 @@ def test_pickle_and_copy_keep_the_interned_torus():
 
 def test_multiplication_associative_random():
     rng = random.Random(7)
-    lam = small_lam()
+    torus = small_torus()
     for _ in range(100):
-        x, y, z = (random_qlaurent(rng, lam) for _ in range(3))
+        x, y, z = (random_qlaurent(rng, torus) for _ in range(3))
         assert (x * y) * z == x * (y * z)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_bar_is_an_antiautomorphism(data):
-    lam = small_lam()
+    torus = small_torus()
     rng = random.Random(data.draw(st.integers(0, 10**6)))
-    x = random_qlaurent(rng, lam)
-    y = random_qlaurent(rng, lam)
+    x = random_qlaurent(rng, torus)
+    y = random_qlaurent(rng, torus)
     assert (x * y).bar() == y.bar() * x.bar()
 
 
 def test_exact_division_roundtrip():
     rng = random.Random(13)
-    lam = small_lam()
+    torus = small_torus()
     for _ in range(60):
-        d = random_qlaurent(rng, lam, n_terms=2)
+        d = random_qlaurent(rng, torus, n_terms=2)
         lead_exp = max(d.terms) if d.terms else None
         if d.is_zero:
             continue
         # force a unit leading coefficient
         a, _ = leading_term(d)
-        d = d + QLaurent.monomial(lam, a, QCoeff.q_power(1)) - QLaurent.monomial(lam, a, d.terms[a])
-        x = random_qlaurent(rng, lam, n_terms=3)
+        d = d + QLaurent.monomial(torus, a, QCoeff.q_power(1)) - QLaurent.monomial(torus, a, d.terms[a])
+        x = random_qlaurent(rng, torus, n_terms=3)
         assert divide_right_exact(x * d, d) == x
     with pytest.raises(DivisionRemainderError):
         divide_right_exact(
-            QLaurent.generator(small_lam(), 1) + QLaurent.generator(small_lam(), 3),
-            QLaurent.generator(small_lam(), 2) + normal_monomial(small_lam(), (0, 0, 0)),
+            QLaurent.generator(small_torus(), 1) + QLaurent.generator(small_torus(), 3),
+            QLaurent.generator(small_torus(), 2) + QLaurent.monomial(small_torus(), (0, 0, 0)),
         )
 
 
@@ -138,9 +136,9 @@ _coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), min_size=1, ma
 
 @st.composite
 def qlaurents(draw, max_terms=4):
-    x = QLaurent.zero(small_lam())
+    x = QLaurent.zero(small_torus())
     for a, c in draw(st.dictionaries(_exponents, _coeffs, max_size=max_terms)).items():
-        x = x + QLaurent.monomial(small_lam(), a, QCoeff(c))
+        x = x + QLaurent.monomial(small_torus(), a, QCoeff(c))
     return x
 
 
@@ -151,13 +149,13 @@ def assert_canonical(x):
 
 def _naive_product(x, y):
     """The product summed one term pair at a time, with numpy twists."""
-    lam = x.torus.lam
-    out = QLaurent.zero(lam)
+    torus = x.torus
+    out = QLaurent.zero(torus)
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            twist = int(np.array(a) @ lam @ np.array(b))
+            twist = int(np.array(a) @ torus.lam @ np.array(b))
             key = tuple(u + v for u, v in zip(a, b))
-            out = out + QLaurent.monomial(lam, key, (ca * cb).shift(twist))
+            out = out + QLaurent.monomial(torus, key, (ca * cb).shift(twist))
     return out
 
 
@@ -169,21 +167,21 @@ def test_product_ring_laws_and_canonical_form(x, y, z, w):
     assert products[2] == products[3]
     assert x * (y + z) == x * y + x * z == products[4]
     assert products[5] == y * x + z * x
-    assert (x * y + x * z) - x * w == QLaurent.zero(small_lam())
+    assert (x * y + x * z) - x * w == QLaurent.zero(small_torus())
     for p in products:
         assert_canonical(p)
 
 
 @given(_exponents, _exponents, _exponents)
 def test_product_drops_cancelled_terms(a, b, c):
-    lam = small_lam()
+    torus = small_torus()
     e = tuple(x + y - z for x, y, z in zip(c, a, b))
     key = tuple(x + y for x, y in zip(a, c))
     # X^a X^c and X^b X^e land on the same key; weight X^e to cancel it exactly.
-    (t1,) = (normal_monomial(lam, a) * normal_monomial(lam, c)).terms[key].terms
-    (t2,) = (normal_monomial(lam, b) * normal_monomial(lam, e)).terms[key].terms
-    u = normal_monomial(lam, a) + normal_monomial(lam, b)
-    v = normal_monomial(lam, c) - QLaurent.monomial(lam, e, QCoeff.q_power(t1 - t2))
+    (t1,) = (QLaurent.monomial(torus, a) * QLaurent.monomial(torus, c)).terms[key].terms
+    (t2,) = (QLaurent.monomial(torus, b) * QLaurent.monomial(torus, e)).terms[key].terms
+    u = QLaurent.monomial(torus, a) + QLaurent.monomial(torus, b)
+    v = QLaurent.monomial(torus, c) - QLaurent.monomial(torus, e, QCoeff.q_power(t1 - t2))
     p = u * v
     assert_canonical(p)
     assert key not in p.terms and len(p.terms) == (0 if a == b else 2)
@@ -207,7 +205,7 @@ def long_qlaurents(draw, step, max_terms=4):
     for a in draw(st.lists(_exponents, max_size=max_terms, unique=True)):
         if c := draw(coeff_runs(step)):
             terms[a] = c
-    return QLaurent(WindowTorus(small_lam()), terms)
+    return QLaurent(small_torus(), terms)
 
 
 @given(st.sampled_from([1, 2, 4]), st.data())
@@ -222,9 +220,9 @@ def test_packed_product_matches_termwise_sum(step, data):
 
 def test_packed_product_reads_entries_at_the_digit_bound():
     """One entry reaches 2^63 + 2^32, with M = 2^32 (2^31 + 4) just under 2^64."""
-    lam = small_lam()
-    x = QLaurent.monomial(lam, (1, 0, 0), QCoeff({0: 2**32}))
-    y = QLaurent.monomial(lam, (0, 1, 0), QCoeff({0: 2**31 + 1, 2: 1, 4: 1, 6: 1}))
+    torus = small_torus()
+    x = QLaurent.monomial(torus, (1, 0, 0), QCoeff({0: 2**32}))
+    y = QLaurent.monomial(torus, (0, 1, 0), QCoeff({0: 2**31 + 1, 2: 1, 4: 1, 6: 1}))
     assert _packs(x, y)
     p = x * y
     assert p == _naive_product(x, y)
@@ -235,10 +233,10 @@ def test_packed_product_reads_entries_at_the_digit_bound():
 def test_packed_product_leaves_sparse_and_spread_products_to_the_dict_path(gap, e):
     """Both pass the size rule.  A gap of 20,000 half-units in a 4-entry coefficient packs as
     20,001 digits; at exponent 500 the two products on key (e, e) lie 2 e^2 half-units apart."""
-    lam = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+    torus = WindowTorus(np.array([[0, 1], [-1, 0]], dtype=np.int64))
     c = QCoeff({0: 1, 1: -(2**64), 2: 3, gap: 1})
-    x = QLaurent.monomial(lam, (e, 0), c) + QLaurent.monomial(lam, (0, e), c)
-    y = QLaurent.monomial(lam, (0, e), c) + QLaurent.monomial(lam, (e, 0), c)
+    x = QLaurent.monomial(torus, (e, 0), c) + QLaurent.monomial(torus, (0, e), c)
+    y = QLaurent.monomial(torus, (0, e), c) + QLaurent.monomial(torus, (e, 0), c)
     assert _packs(x, y) and _packed_product(x, y) is None
     assert x * y == _naive_product(x, y)
 
@@ -252,14 +250,14 @@ def test_packed_product_cancels_whole_and_digitwise(a, b, c, coeff, cut, odd):
     different residues mod g = 2: the product takes the dict path, and nothing
     cancels.
     """
-    lam = small_lam()
+    torus = small_torus()
     e = tuple(x + y - z for x, y, z in zip(c, a, b))
     key = tuple(x + y for x, y in zip(a, c))
-    (t1,) = (normal_monomial(lam, a) * normal_monomial(lam, c)).terms[key].terms
-    (t2,) = (normal_monomial(lam, b) * normal_monomial(lam, e)).terms[key].terms
+    (t1,) = (QLaurent.monomial(torus, a) * QLaurent.monomial(torus, c)).terms[key].terms
+    (t2,) = (QLaurent.monomial(torus, b) * QLaurent.monomial(torus, e)).terms[key].terms
     part = QCoeff(dict(sorted(coeff.terms.items())[cut:]))
-    u = normal_monomial(lam, a) + normal_monomial(lam, b)
-    v = QLaurent.monomial(lam, c, coeff) - QLaurent.monomial(lam, e, part.shift(t1 - t2 + odd))
+    u = QLaurent.monomial(torus, a) + QLaurent.monomial(torus, b)
+    v = QLaurent.monomial(torus, c, coeff) - QLaurent.monomial(torus, e, part.shift(t1 - t2 + odd))
     p = u * v
     assert p == _naive_product(u, v)
     assert_canonical(p)
@@ -275,7 +273,7 @@ def test_division_inverts_product(x, d, k, sign):
     if d.is_zero:
         return
     a, c = leading_term(d)
-    d = d + QLaurent.monomial(small_lam(), a, QCoeff.q_power(k, sign) - c)
+    d = d + QLaurent.monomial(small_torus(), a, QCoeff.q_power(k, sign) - c)
     stats = {}
     y = divide_right_exact(x * d, d, stats=stats)
     assert y == x
@@ -286,21 +284,21 @@ def test_division_inverts_product(x, d, k, sign):
 
 def _naive_division_trace(x, d, max_steps=None):
     """Steps and largest remainder of leading-term division by whole products."""
-    lam = x.torus.lam
+    torus = x.torus
     lead, lead_coeff = leading_term(d)
     rem, steps, peak = x, 0, len(x.terms)
     while not rem.is_zero and steps != max_steps:
         m, c = leading_term(rem)
         t = tuple(u - v for u, v in zip(m, lead))
-        (twist,) = (normal_monomial(lam, t) * normal_monomial(lam, lead)).terms[m].terms
-        rem = rem - QLaurent.monomial(lam, t, (c * lead_coeff.q_power_inverse()).shift(-twist)) * d
+        (twist,) = (QLaurent.monomial(torus, t) * QLaurent.monomial(torus, lead)).terms[m].terms
+        rem = rem - QLaurent.monomial(torus, t, (c * lead_coeff.q_power_inverse()).shift(-twist)) * d
         steps += 1
         peak = max(peak, len(rem.terms))
     return steps, peak
 
 
 def test_division_stats_and_remainder_witness():
-    lam = small_lam()
+    torus = small_torus()
     pair = b2_pair()
     state = mutate_state(mutate_state(ClusterState.from_pair(pair), 1), 2)
     x, d = state.variables[0], state.variables[1]
@@ -310,15 +308,15 @@ def test_division_stats_and_remainder_witness():
     assert stats == {"steps": steps, "remainder_peak": peak, "output_terms": len(x.terms)}
     # 1 + Z_2 leads with 1, so 1 / (1 + Z_2) runs the series 1 - Z_2 + Z_2^2 - ...
     # up to the cap of 4 (1 + 1)(2 + 1) + 64 = 88 steps, and Z_2^88 leads the remainder.
-    one = normal_monomial(lam, (0, 0, 0))
+    one = QLaurent.monomial(torus, (0, 0, 0))
     stats = {}
     with pytest.raises(DivisionRemainderError, match=r"after 88 steps, leading term \(1\) Z\[2\]\^88$"):
-        divide_right_exact(one, one + QLaurent.generator(lam, 2), stats=stats)
+        divide_right_exact(one, one + QLaurent.generator(torus, 2), stats=stats)
     assert stats == {"steps": 88, "remainder_peak": 1, "output_terms": 88}
     # Each step trades the leading remainder term for Z_1 and Z_2 multiples,
     # up to the cap of 4 (1 + 1)(3 + 1) + 64 = 96 steps.
-    x = QLaurent.generator(lam, 3)
-    d = one + QLaurent.generator(lam, 1) + QLaurent.generator(lam, 2)
+    x = QLaurent.generator(torus, 3)
+    d = one + QLaurent.generator(torus, 1) + QLaurent.generator(torus, 2)
     with pytest.raises(DivisionRemainderError, match="after 96 steps"):
         divide_right_exact(x, d, stats=stats)
     peak = _naive_division_trace(x, d, max_steps=96)[1]
@@ -422,15 +420,15 @@ def test_mutation_involution_restores_variables():
 
 def test_not_pointed_detection():
     pair = b2_pair()
-    lam = pair.lam
-    one = normal_monomial(lam, (0, 0, 0, 0))
+    torus = WindowTorus(pair.lam)
+    one = QLaurent.monomial(torus, (0, 0, 0, 0))
     # B e_1 = (0, 2, -1, 0) and B e_2 = (-1, 0, 1, -1) on this seed.
-    assert degree_of_pointed(one + normal_monomial(lam, (0, 2, -1, 0)), pair) == (0, 0, 0, 0)
+    assert degree_of_pointed(one + QLaurent.monomial(torus, (0, 2, -1, 0)), pair) == (0, 0, 0, 0)
     planted = [
-        QLaurent.generator(lam, 1) + QLaurent.generator(lam, 2),
-        QLaurent.generator(lam, 1).scale(QCoeff({0: 2})),  # lead coefficient 2
-        one + normal_monomial(lam, (1, 2, -2, 1)),  # B (e_1 - e_2): n has a negative entry
-        one + QLaurent.generator(lam, 4, -1),  # Lambda (m - g) gives n = 0, but B n != m - g
+        QLaurent.generator(torus, 1) + QLaurent.generator(torus, 2),
+        QLaurent.generator(torus, 1).scale(QCoeff({0: 2})),  # lead coefficient 2
+        one + QLaurent.monomial(torus, (1, 2, -2, 1)),  # B (e_1 - e_2): n has a negative entry
+        one + QLaurent.generator(torus, 4, -1),  # Lambda (m - g) gives n = 0, but B n != m - g
     ]
     for x in planted:
         with pytest.raises(NotPointedError):
@@ -440,7 +438,7 @@ def test_not_pointed_detection():
 @pytest.mark.parametrize("u", [0, -1, 5])
 def test_generator_rejects_positions_outside_the_window(u):
     with pytest.raises(TorusError, match=f"position {u} outside the window 1..4"):
-        QLaurent.generator(b2_pair().lam, u)
+        QLaurent.generator(WindowTorus(b2_pair().lam), u)
 
 
 @pytest.mark.parametrize("u", [0, 5, -2])
@@ -452,13 +450,13 @@ def test_predicted_degree_rejects_positions_outside_the_window(u):
 
 def test_degree_of_pointed_checks_its_torus():
     pair = b2_pair()
-    foreign = -pair.lam  # same size, another torus
+    foreign = WindowTorus(-pair.lam)  # same size, another torus
     lone = QLaurent.generator(foreign, 1)  # pointed, but over another Lambda
     summed = lone + QLaurent.generator(foreign, 2)
     for x in (lone, summed):
         with pytest.raises(TorusError, match="mismatched ambient tori"):
             degree_of_pointed(x, pair)
-    assert degree_of_pointed(QLaurent.generator(np.array(pair.lam), 1), pair) == (1, 0, 0, 0)
+    assert degree_of_pointed(QLaurent.generator(WindowTorus(np.array(pair.lam)), 1), pair) == (1, 0, 0, 0)
 
 
 def _fraction_walk(pair0, walk):
@@ -536,13 +534,13 @@ def test_q1_specialization_matches_commutative_fractions(data):
 
 
 def test_q_structure_witness_names_the_smallest_bad_monomial():
-    lam = small_lam()
+    torus = small_torus()
     sym = QCoeff({-1: 2, 1: 2})
-    x = QLaurent.monomial(lam, (0, 1, 0), sym) + QLaurent.monomial(lam, (1, 0, 0), QCoeff({0: 1}))
+    x = QLaurent.monomial(torus, (0, 1, 0), sym) + QLaurent.monomial(torus, (1, 0, 0), QCoeff({0: 1}))
     assert q_structure_witness(x) is None
-    skew = x + QLaurent.monomial(lam, (0, 0, 1), QCoeff({1: 1})) + QLaurent.monomial(lam, (0, 0, 2), QCoeff({2: 1}))
+    skew = x + QLaurent.monomial(torus, (0, 0, 1), QCoeff({1: 1})) + QLaurent.monomial(torus, (0, 0, 2), QCoeff({2: 1}))
     assert q_structure_witness(skew) == "not bar-invariant: coefficient (q^1/2) of Z[3]"
-    negative = x - QLaurent.monomial(lam, (0, 1, 0), sym).scale(QCoeff({0: 2}))
+    negative = x - QLaurent.monomial(torus, (0, 1, 0), sym).scale(QCoeff({0: 2}))
     assert q_structure_witness(negative) == "not positive: coefficient (-2*q^1/2 - 2*q^-1/2) of Z[2]"
     assert q_structure_witness(negative + skew) == "not bar-invariant: coefficient (q^1/2) of Z[3]"
 
@@ -582,7 +580,7 @@ def test_equal_degree_equal_monomial_rank2():
 
 @given(qlaurents())
 def test_text_round_trip(x):
-    assert qlaurent_from_text(small_lam(), qlaurent_to_text(x)) == x
+    assert qlaurent_from_text(small_torus(), qlaurent_to_text(x)) == x
 
 
 # One character of a canonical text deleted, replaced or inserted.
@@ -598,7 +596,7 @@ def edit_text(text, edit):
 @given(qlaurents(), _EDITS)
 def test_malformed_text_raises_torus_error(x, edit):
     try:
-        qlaurent_from_text(small_lam(), edit_text(qlaurent_to_text(x), edit))
+        qlaurent_from_text(small_torus(), edit_text(qlaurent_to_text(x), edit))
     except TorusError:
         pass
 
@@ -619,4 +617,4 @@ def test_malformed_text_raises_torus_error(x, edit):
 )
 def test_text_parser_names_the_bad_part(text, named):
     with pytest.raises(TorusError, match=re.escape(named)):
-        qlaurent_from_text(small_lam(), text)
+        qlaurent_from_text(small_torus(), text)
