@@ -197,8 +197,12 @@ def _dispatch(args) -> int:
         if args.xi is not None:
             if args.dominant is None:
                 raise ValueError("check-fq: --xi needs --dominant")
+            if mixed := [f"--{flag}" for flag in "ips" if getattr(args, flag) is not None]:
+                raise ValueError(f"check-fq: {', '.join(mixed)} cannot go with --xi")
             dom = {(i, p): e for i, p, e in _read_list(args.dominant, "--dominant", "i,p:e")}
             xi = dict(_read_list(args.xi, "--xi", "i:h"))
+        elif args.dominant is not None:
+            raise ValueError("check-fq: --dominant needs --xi")
         elif None in (args.i, args.p, args.s):
             raise ValueError("check-fq: give --i, --p and --s, or --xi with --dominant")
         datum = parse_type(args.type)

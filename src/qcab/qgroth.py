@@ -18,7 +18,7 @@ from .braid import IndexSequence, build_seed
 from .cartan import CartanDatum, build_cartan, validate_height_function
 from .commutative import LaurentPoly, RationalX, _key
 from .seeds import mutate_pair
-from .torus import QCoeff, QLaurent, _parse_terms, qcoeff_to_text
+from .torus import QCoeff, QLaurent, Torus, _parse_terms, _q_structure_breaks, qcoeff_to_text
 
 HatIndex = tuple[int, int]  # (node, level)
 ExpKey = tuple[tuple[HatIndex, int], ...]  # sorted ((i,p), exponent) pairs
@@ -107,7 +107,7 @@ def _level_order(term: tuple[HatIndex, int]) -> tuple[int, int]:
     return p, i
 
 
-class XTorus:
+class XTorus(Torus):
     """The (i,p) torus of a Cartan datum: its pairing table and the torus protocol of ``QLaurent``.
 
     One object per datum, interned for the life of the process, so tori
@@ -419,12 +419,11 @@ def check_kappa(datum: CartanDatum, xi: dict[int, int], window: int, tc: TCartan
 # fixture verification
 
 
-def _is_dominant(key: ExpKey) -> bool:
-    return bool(key) and all(e > 0 for _, e in key)
-
-
-def _is_antidominant(key: ExpKey) -> bool:
-    return bool(key) and all(e < 0 for _, e in key)
+def _only_extreme(x: XElement, want: ExpKey, sign: int) -> QCoeff:
+    """The coefficient of ``want`` if it is the only monomial of x whose exponents all have the sign
+    ``sign``, else 0: the only dominant monomial for sign 1, the only anti-dominant one for -1."""
+    extreme = [a for a in x.terms if a and all(e * sign > 0 for _, e in a)]
+    return x.terms[want] if extreme == [want] else QCoeff()
 
 
 def verify_fq_fixture(x: XElement, i: int, p: int, s: int) -> dict[str, bool]:
@@ -432,41 +431,26 @@ def verify_fq_fixture(x: XElement, i: int, p: int, s: int) -> dict[str, bool]:
 
     Unique dominant monomial at the stated ladder with coefficient one,
     unique anti-dominant partner one Coxeter number up, support range with an
-    interior factor, bar-invariance and positivity.
+    interior factor, bar-invariance and positivity.  Raises QGrothError
+    unless (i, p) and (i, s) are generators with p <= s.
     """
     datum = x.torus.datum
     h = datum.coxeter_number
-    report: dict[str, bool] = {}
-
-    dominant = [a for a in x.terms if _is_dominant(a)]
-    want_dom = next(iter(kr_monomial(x.torus, i, p, s).terms))
-    report["dominant"] = (
-        len(dominant) == 1
-        and dominant[0] == want_dom
-        and x.terms.get(want_dom) == QCoeff.one()
-    )
-
-    anti = [a for a in x.terms if _is_antidominant(a)]
-    want_anti = _normkey(dict.fromkeys(_ladder(datum.star_of(i), p + h, s + h), -1))
-    report["antidominant"] = (
-        len(anti) == 1 and anti[0] == want_anti and x.terms.get(want_anti) == QCoeff.one()
-    )
-
-    rng = True
-    for a in x.terms:
-        if a in (want_dom, want_anti):
-            continue
-        levels = [u for (_, u), _ in a]
-        if not levels or not all(p <= u <= s + h for u in levels):
-            rng = False
-            break
-        if not any(p < u < s + h for u in levels):
-            rng = False
-            break
-    report["range"] = rng
-    report["bar_invariant"] = x == x.bar()
-    report["positive"] = all(c.is_nonnegative() for c in x.terms.values())
-    return report
+    (want_dom,) = kr_monomial(x.torus, i, p, s).terms
+    (top,) = kr_monomial(x.torus, datum.star_of(i), p + h, s + h).terms
+    want_anti = tuple((u, -e) for u, e in top)
+    breaks = _q_structure_breaks(x)
+    return {
+        "dominant": _only_extreme(x, want_dom, 1) == QCoeff.one(),
+        "antidominant": _only_extreme(x, want_anti, -1) == QCoeff.one(),
+        "range": all(
+            all(p <= u <= s + h for (_, u), _ in a) and any(p < u < s + h for (_, u), _ in a)
+            for a in x.terms
+            if a not in (want_dom, want_anti)
+        ),
+        "bar_invariant": not breaks["bar-invariant"],
+        "positive": not breaks["positive"],
+    }
 
 
 def verify_truncated_fixture(
@@ -481,20 +465,17 @@ def verify_truncated_fixture(
     and QGrothError unless each dominant hat is a generator.
     """
     validate_height_function(x.torus.datum, xi)
-    report: dict[str, bool] = {}
-    doms = [a for a in x.terms if _is_dominant(a)]
     want = x.torus.key(dominant)
     lead = x.terms.get(want, QCoeff())
-    report["dominant"] = len(doms) == 1 and doms[0] == want and lead.is_q_power()
-    twist = 0
-    if lead.is_q_power():
-        ((k0, _),) = lead.terms.items()
-        twist = -k0
-    xn = x.scale(QCoeff.q_power(twist))
-    report["bar_invariant"] = xn == xn.bar()
-    report["support"] = all(pp <= xi[j] for a in x.terms for (j, pp), _ in a)
-    report["positive"] = all(c.is_nonnegative() for c in x.terms.values())
-    return report
+    # the bar test reads x over its stated lead's q-power, even when that lead is not the only dominant one
+    twist = -next(iter(lead.terms)) if lead.is_q_power() else 0
+    breaks = _q_structure_breaks(x.scale(QCoeff.q_power(twist)))  # a shift by q^k keeps every entry's sign
+    return {
+        "dominant": _only_extreme(x, want, 1).is_q_power(),
+        "bar_invariant": not breaks["bar-invariant"],
+        "support": x.truncate(xi) == x,
+        "positive": not breaks["positive"],
+    }
 
 
 # ----------------------------------------------------------------------

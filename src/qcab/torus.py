@@ -91,6 +91,7 @@ class QCoeff:
         return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
 
     def is_nonnegative(self) -> bool:
+        """Every entry positive: the coefficient lies in Z>=0[q^{+-1/2}]."""
         return all(v > 0 for v in self.terms.values())
 
     def q_power_inverse(self) -> "QCoeff":
@@ -170,14 +171,22 @@ def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return sum(map(mul, u, v))
 
 
-class WindowTorus:
+class Torus:
+    """The torus protocol of ``QLaurent``, implemented by ``WindowTorus`` and ``qgroth.XTorus``.
+
+    ``key`` normalizes an exponent, ``row(b)`` is Lambda b,
+    X^a X^b = q^{twist(a, row(b))/2} X^{join(a, b)}, ``one`` is the identity
+    exponent and ``text(a)`` prints an exponent's factors.
+    """
+
+    __slots__ = ()
+
+
+class WindowTorus(Torus):
     """The quantum torus of a window: Lambda, its rows and order weights 1^T Lambda.
 
     One object per Lambda, interned by its bytes while in use, so tori compare
-    by identity.  The torus protocol of ``QLaurent``: ``key`` normalizes an
-    exponent, ``row(b)`` is Lambda b, X^a X^b = q^{twist(a, row(b))/2} X^{join(a, b)},
-    ``one`` is the identity exponent and ``text(a)`` prints an exponent's
-    factors; ``qgroth.XTorus`` offers the same.
+    by identity.
     """
 
     __slots__ = ("lam", "rows", "weights", "one", "__weakref__")
@@ -223,13 +232,14 @@ class WindowTorus:
 class QLaurent:
     """An element of a based quantum torus, X^a X^b = q^{<a,b>/2} X^{a+b}.
 
-    ``torus`` is a torus object: a ``WindowTorus`` with dense tuple keys here,
+    ``torus`` is a ``Torus``: a ``WindowTorus`` with dense tuple keys here,
     an ``XTorus`` with sparse keys for ``qgroth.XElement``.  Everything below
     (sums, the product, powers, bar and equality) goes through the torus
-    protocol, so it serves both.  The constructors take the torus object.
+    protocol, so it serves both.  The constructors refuse anything but a
+    ``Torus`` with TorusError.
     """
 
-    torus: WindowTorus  # an XTorus for XElement
+    torus: Torus
     terms: dict[tuple, QCoeff] = field(default_factory=dict)
 
     def _same(self, other: "QLaurent") -> None:
@@ -237,14 +247,19 @@ class QLaurent:
             raise TorusError("mismatched ambient tori")
 
     @classmethod
-    def zero(cls, torus) -> "QLaurent":
+    def zero(cls, torus: Torus) -> "QLaurent":
+        if not isinstance(torus, Torus):
+            raise TorusError(f"expected a torus object, got {type(torus).__name__}")
         return cls(torus, {})
 
     @classmethod
-    def monomial(cls, torus, a, coeff: QCoeff | None = None) -> "QLaurent":
+    def monomial(cls, torus: Torus, a, coeff: QCoeff | None = None) -> "QLaurent":
         """coeff X^a; the bar-invariant normalized monomial X^a when coeff is omitted."""
+        x = cls.zero(torus)
         c = QCoeff.one() if coeff is None else coeff
-        return cls(torus, {torus.key(a): c} if c else {})
+        if c:
+            x.terms[torus.key(a)] = c
+        return x
 
     @classmethod
     def generator(cls, torus, u: int, exp: int = 1) -> "QLaurent":
@@ -261,11 +276,12 @@ class QLaurent:
         self._same(other)
         out = dict(self.terms)
         for a, c in other.terms.items():
-            s = out.get(a, QCoeff()) + c
-            if s:
+            if a not in out:
+                out[a] = c  # no coefficient is written to once it is in an element
+            elif s := out[a] + c:
                 out[a] = s
             else:
-                out.pop(a, None)
+                del out[a]
         return type(self)(self.torus, out)
 
     def __neg__(self) -> "QLaurent":
@@ -335,15 +351,6 @@ def _packs(x: QLaurent, y: QLaurent) -> bool:
     return pairs > 0 and _entries(x) * _entries(y) >= _PACK_RATIO * pairs
 
 
-def _drop_cancelled(acc: dict[tuple, QCoeff]) -> None:
-    """Rebuild the coefficients summed in place that hold cancelled entries; drop the zero ones."""
-    for key in [k for k, c in acc.items() if 0 in c.terms.values()]:
-        if c := QCoeff(acc[key].terms):
-            acc[key] = c
-        else:
-            del acc[key]
-
-
 def _dict_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff]:
     """The terms of x y, one multiply-add per pair of coefficient entries."""
     torus = x.torus
@@ -359,8 +366,12 @@ def _dict_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff]:
                 out = acc[key] = QCoeff()
             _convolve_into(out.terms, ca, cb, twist(a, rb))  # X^a X^b = q^{twist/2} X^{a+b}
     # The coefficients are summed in place, so no second copy of a large
-    # product is held; the few with cancelled entries are rebuilt.
-    _drop_cancelled(acc)
+    # product is held; the few with cancelled entries are rebuilt, or dropped when zero.
+    for key in [k for k, c in acc.items() if 0 in c.terms.values()]:
+        if c := QCoeff(acc[key].terms):
+            acc[key] = c
+        else:
+            del acc[key]
     return acc
 
 
@@ -574,16 +585,27 @@ def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
     return g
 
 
-def q_structure_witness(x: QLaurent) -> str | None:
-    """Why x is not bar-invariant with every coefficient in Z>=0[q^{+-1/2}], or None.
+def _q_structure_breaks(x: QLaurent) -> dict[str, list[tuple]]:
+    """The monomials of x whose coefficient is not bar-invariant, then those whose coefficient is not positive.
 
     Quantum cluster variables are bar-invariant in the normalized basis
     (Berenstein & Zelevinsky 2005), and quantum Laurent positivity puts their
-    coefficients in Z>=0[q^{+-1/2}].  The witness names the smallest monomial
-    that breaks the first of the two, and its coefficient.
+    coefficients in Z>=0[q^{+-1/2}]: the two tests of ``q_structure_witness``
+    and of the fixture checks in ``qgroth``.
     """
-    for broken, test in (("bar-invariant", lambda c: c.bar() == c), ("positive", QCoeff.is_nonnegative)):
-        bad = [a for a, c in x.terms.items() if not test(c)]
+    return {
+        "bar-invariant": [a for a, c in x.terms.items() if c.bar() != c],
+        "positive": [a for a, c in x.terms.items() if not c.is_nonnegative()],
+    }
+
+
+def q_structure_witness(x: QLaurent) -> str | None:
+    """Why x is not bar-invariant with every coefficient in Z>=0[q^{+-1/2}], or None.
+
+    The witness names the smallest monomial that breaks the first of the two
+    tests of ``_q_structure_breaks``, and its coefficient.
+    """
+    for broken, bad in _q_structure_breaks(x).items():
         if bad:
             a = min(bad)
             return f"not {broken}: coefficient ({qcoeff_to_text(x.terms[a])}) of {x.torus.text(a) or '1'}"
@@ -643,7 +665,7 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
     col = cur.b[:, k - 1].tolist()
     col[k - 1] = 0
     old = state.variables[k - 1]
-    num: dict[tuple, QCoeff] = {}
+    num = None
     pairs = packed = 0
     for sign in (1, -1):
         m = [(u, sign * b) for u, b in enumerate(col) if sign * b > 0]  # the support of m, ascending
@@ -658,20 +680,12 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
                     pairs += n
                     packed += n if _packs(term, x) else 0
                 term = term * x
-        # Every coefficient of term is a new object, so M' + M'' is summed in place.
-        for a, c in term.terms.items():
-            if a not in num:
-                num[a] = c
-                continue
-            out = num[a].terms
-            for e, v in c.terms.items():
-                out[e] = out.get(e, 0) + v
-    _drop_cancelled(num)
+        num = term if num is None else num + term  # M' + M''
     division = {} if stats is not None else None
-    new = divide_right_exact(QLaurent(old.torus, num), old, stats=division)
+    new = divide_right_exact(num, old, stats=division)
     if stats is not None:
         stats.update(
-            numerator_terms=len(num),
+            numerator_terms=len(num.terms),
             term_pairs=pairs,
             packed_pairs=packed,
             longest_coefficient=max(len(c.terms) for c in new.terms.values()),

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ from qcab.cli import main
 
 from test_qgroth import plant
 
-FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def run(capsys, *argv):
@@ -390,6 +392,27 @@ def test_check_fq_usage_errors(capsys, args, named):
 B4_FQ = ["--type", "B4", "--i", "1", "--p", "0", "--s", "0"]
 
 
+B3_DOM = ["--dominant", "2,-5:1;1,0:1"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["check-fq", str(FIXTURES / "b4_fundamental_x10.txt"), *B4_FQ, "--dominant", "1,0:1"],
+         "--dominant needs --xi"),
+        (["check-fq", str(FIXTURES / "b3_truncated_simple.txt"), "--type", "B3", *B3_DOM], "--dominant needs --xi"),
+        ([*B3_FQ, *B3_DOM, "--i", "1", "--p", "0", "--s", "99"], "--i, --p, --s cannot go with --xi"),
+        ([*B3_FQ, *B3_DOM, "--s", "99"], "--s cannot go with --xi"),
+    ],
+    ids=["fundamental-dominant", "dominant-alone", "truncated-ips", "truncated-s"],
+)
+def test_check_fq_refuses_a_mix_of_its_modes(capsys, argv, named):
+    """--dominant belongs to the truncated mode and --i/--p/--s to the fundamental one: a mix is a usage error."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: check-fq: {named}\n"
+
+
 @pytest.mark.parametrize(
     "extra, args, named",
     [
@@ -423,3 +446,24 @@ def test_check_fq_names_a_wrong_parity_hat_once(tmp_path, capsys, hat):
     node, level = hat[2:].split("]")[0].split(",")
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: level {level} does not match the parity of node {node}"]
+
+
+def readme_cli_lines():
+    """The commands of the README's CLI shell block, comments dropped."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, capsys, monkeypatch):
+    """Every line of the README's CLI block exits 0; the seed file it mutates is the seed line's output."""
+    monkeypatch.chdir(ROOT)  # the examples name fixtures relative to the checkout
+    seed = tmp_path / "seed.json"
+    lines = readme_cli_lines()
+    assert [argv[:2] for argv in lines[:2]] == [["qcab", "seed"], ["qcab", "mutate"]]
+    for argv in lines:
+        assert argv[0] == "qcab"
+        args = [str(seed) if a == "seed.json" else a for a in argv[1:]]
+        assert main(args) == 0, argv
+        if args[0] == "seed":
+            seed.write_text(capsys.readouterr().out, encoding="utf-8")

@@ -437,6 +437,55 @@ def test_b3_truncated_fixture_checks():
     assert report["bar_invariant"] is False
 
 
+def fixture(name, code):
+    return xelement_from_text(ambient(code), (FIXTURES / name).read_text().strip())
+
+
+DOM, HEIGHTS = {(2, -5): 1, (1, 0): 1}, {1: 0, 2: -1, 3: 0}  # of the B3 truncated fixture
+_q = QCoeff.q_power
+
+
+def _b3(exps, coeff=None):
+    return XElement.monomial(ambient("B3"), exps, coeff)
+
+
+@pytest.mark.parametrize(
+    "plant, want",
+    [
+        (lambda x: x, (True, True, True, True, True)),
+        (lambda x: -x, (False, False, True, True, False)),
+        # the dominant coefficient made 2; a term at level 12 > s + h; the anti-dominant term removed
+        (lambda x: x + x.monomial(x.torus, {(1, 0): 1}), (False, True, True, True, True)),
+        (lambda x: x + x.monomial(x.torus, {(1, 12): 1, (2, 1): -1}), (True, True, False, True, True)),
+        (lambda x: x - x.monomial(x.torus, {(1, 8): -1}), (True, False, True, True, True)),
+    ],
+    ids=["as-is", "negated", "dominant-2", "outside-range", "no-antidominant"],
+)
+def test_fundamental_fixture_reports(plant, want):
+    """Planted B4 fixtures: each report's keys in order, and its values as they were before the checks were shared."""
+    report = verify_fq_fixture(plant(fixture("b4_fundamental_x10.txt", "B4")), 1, 0, 0)
+    assert list(report.items()) == list(zip(("dominant", "antidominant", "range", "bar_invariant", "positive"), want))
+
+
+@pytest.mark.parametrize(
+    "plant, want",
+    [
+        (lambda x: x, (True, False, True, True)),
+        (lambda x: -x, (True, False, True, False)),  # positivity is read off x, never off x over its lead
+        # the stated dominant monomial's q^1 is divided out before the bar test, though it is not the only dominant one
+        (lambda x: _b3(DOM, _q(2)) + _b3({(1, 0): 1}, _q(2)), (False, True, True, True)),
+        (lambda x: _b3(DOM, _q(2)) + _b3({(1, 0): 1}), (False, False, True, True)),
+        (lambda x: _b3(DOM, QCoeff.integer(2)), (False, True, True, True)),
+        (lambda x: x + _b3({(1, 2): 1, (2, -5): -1}), (True, False, False, True)),  # level 2 above xi_1 = 0
+    ],
+    ids=["as-is", "negated", "q-lead-not-only", "q-lead-not-only-other-1", "dominant-2", "above-xi"],
+)
+def test_truncated_fixture_reports(plant, want):
+    """Planted B3 truncated fixtures, as test_fundamental_fixture_reports."""
+    report = verify_truncated_fixture(plant(fixture("b3_truncated_simple.txt", "B3")), DOM, HEIGHTS)
+    assert list(report.items()) == list(zip(("dominant", "bar_invariant", "support", "positive"), want))
+
+
 def test_xelement_text_round_trip():
     amb = ambient("B3")
     x = xelement_from_text(amb, (FIXTURES / "b3_truncated_simple.txt").read_text().strip())
@@ -549,6 +598,14 @@ def test_q_structure_witness_names_x_factors():
     assert q_structure_witness(x + x.bar()) is None
     negative = XElement.monomial(B2, {}, QCoeff.integer(-1))
     assert q_structure_witness(x + x.bar() + negative) == "not positive: coefficient (-1) of 1"
+
+
+@given(xelements())
+def test_fixture_checks_agree_with_the_witness(x):
+    """The fixture checks and q_structure_witness read one pair of coefficient tests."""
+    report, witness = verify_fq_fixture(x, 1, 0, 0), q_structure_witness(x)
+    assert (report["bar_invariant"] and report["positive"]) == (witness is None)
+    assert (not report["bar_invariant"]) == (witness is not None and witness.startswith("not bar-invariant"))
 
 
 def test_xelement_matches_window_torus():

@@ -618,3 +618,20 @@ def test_malformed_text_raises_torus_error(x, edit):
 def test_text_parser_names_the_bad_part(text, named):
     with pytest.raises(TorusError, match=re.escape(named)):
         qlaurent_from_text(small_torus(), text)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: QLaurent.zero(t),
+        lambda t: QLaurent.monomial(t, (1, 0, 0)),
+        lambda t: qlaurent_from_text(t, "(1) Z[1]"),
+    ],
+    ids=["zero", "monomial", "from_text"],
+)
+def test_constructors_refuse_a_non_torus(build):
+    """A bare Lambda is not a torus: each constructor refuses it at once with TorusError."""
+    lam = small_torus().lam
+    with pytest.raises(TorusError, match="expected a torus object, got ndarray"):
+        build(np.array(lam))
+    assert build(small_torus()).torus is small_torus()
