@@ -459,7 +459,7 @@ def verify_truncated_fixture(
     """Checks applicable to a truncated simple-character fixture.
 
     A truncated element has no anti-dominant partner, so the applicable
-    checks are: unique dominant monomial as stated (with a q-power lead),
+    checks are: unique dominant monomial as stated (with a lead +q^k),
     support below the height function, bar-invariance up to a global q-power
     twist, and positivity.  Raises CartanError unless xi is a height function,
     and QGrothError unless each dominant hat is a generator.
@@ -470,8 +470,9 @@ def verify_truncated_fixture(
     # the bar test reads x over its stated lead's q-power, even when that lead is not the only dominant one
     twist = -next(iter(lead.terms)) if lead.is_q_power() else 0
     breaks = _q_structure_breaks(x.scale(QCoeff.q_power(twist)))  # a shift by q^k keeps every entry's sign
+    only = _only_extreme(x, want, 1)
     return {
-        "dominant": _only_extreme(x, want, 1).is_q_power(),
+        "dominant": only.is_q_power() and only.is_nonnegative(),  # is_q_power takes -q^k too
         "bar_invariant": not breaks["bar-invariant"],
         "support": x.truncate(xi) == x,
         "positive": not breaks["positive"],

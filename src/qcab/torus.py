@@ -625,13 +625,85 @@ def gvector_mutate(g_prime: tuple[int, ...], k: int, col: list[int]) -> tuple[in
 # cluster state
 
 
+class _LabelledRef(weakref.ref):
+    """A weak reference to an exchange's new variable, with its table key and its label."""
+
+    __slots__ = ("key", "label")
+
+    def __new__(cls, variable: QLaurent, callback, key: tuple, label: int) -> "_LabelledRef":
+        self = super().__new__(cls, variable, callback)
+        self.key, self.label = key, label
+        return self
+
+    def __init__(self, variable: QLaurent, callback, key: tuple, label: int) -> None:
+        super().__init__(variable, callback)
+
+
+class _ExchangeTable:
+    """The exchanges whose new variables are still alive, and the next free label.
+
+    One table serves every state grown from one ``ClusterState.from_pair``
+    call.  It holds each new variable weakly, so an entry goes when nothing
+    else holds its variable, and it never hands out a label twice.  A copy or
+    an unpickled table is a fresh, empty one.
+    """
+
+    __slots__ = ("entries", "next_label", "_forget", "__weakref__")
+
+    def __init__(self, next_label: int) -> None:
+        self.entries: dict[tuple, _LabelledRef] = {}
+        self.next_label = next_label
+        table = weakref.ref(self)  # a strong reference here would make every entry a cycle
+
+        def forget(ref: _LabelledRef) -> None:
+            owner = table()
+            if owner is not None and owner.entries.get(ref.key) is ref:
+                del owner.entries[ref.key]
+
+        self._forget = forget
+
+    def __reduce__(self):
+        return (_ExchangeTable, (self.next_label,))
+
+    def lookup(self, key: tuple) -> tuple[QLaurent, int] | None:
+        """The live variable stored under key and its label, or None."""
+        ref = self.entries.get(key)
+        variable = None if ref is None else ref()
+        return None if variable is None else (variable, ref.label)
+
+    def store(self, key: tuple, variable: QLaurent) -> int:
+        """Store variable under key with a fresh label, and return the label."""
+        label = self.next_label
+        self.next_label += 1
+        self.entries[key] = _LabelledRef(variable, self._forget, key, label)
+        return label
+
+
 @dataclass(frozen=True)
 class ClusterState:
-    """A seed reached by mutations, with variables kept in the initial torus."""
+    """A seed reached by mutations, with variables kept in the initial torus.
+
+    Besides the variables, the history and ``pair_chain``, a state carries
+    ``labels``, one int per position that names its variable within the
+    states grown from one ``from_pair`` call (equal labels, identical
+    variables); ``degrees``, the initial-seed degree of each variable by the
+    stepwise degree rule; and ``exchanges``, the ``_ExchangeTable`` shared by
+    those states.  The three take no part in equality.  A copy or an
+    unpickled state starts a table of its own: its variables take labels
+    0..s-1, and its degrees are kept.
+    """
 
     variables: tuple[QLaurent, ...]
     history: tuple[int, ...]
     pair_chain: tuple[CompatiblePair, ...]  # the seed before the first step and after each
+    labels: tuple[int, ...] = field(compare=False)
+    degrees: tuple[tuple[int, ...], ...] = field(compare=False)
+    exchanges: _ExchangeTable = field(compare=False, repr=False)
+
+    def __reduce__(self):
+        s = len(self.variables)
+        args = (self.variables, self.history, self.pair_chain, tuple(range(s)), self.degrees, _ExchangeTable(s))
+        return (ClusterState, args)
 
     @property
     def initial(self) -> CompatiblePair:
@@ -644,7 +716,15 @@ class ClusterState:
     @staticmethod
     def from_pair(pair: CompatiblePair) -> "ClusterState":
         torus = WindowTorus(pair.lam)
-        return ClusterState(tuple(QLaurent.generator(torus, u) for u in range(1, pair.size + 1)), (), (pair,))
+        s = pair.size
+        return ClusterState(
+            tuple(QLaurent.generator(torus, u) for u in range(1, s + 1)),
+            (),
+            (pair,),
+            tuple(range(s)),
+            tuple(tuple(int(u == v) for u in range(s)) for v in range(s)),
+            _ExchangeTable(s),
+        )
 
 
 def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> ClusterState:
@@ -652,11 +732,24 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
 
     Z^{m - e_k} = q^{shift/2} X_1^{m_1} ... X_s^{m_s} X_k^{-1} for m = [+-b_k]_+, the current
     variables X and shift = m Lambda e_k - sum_{u<v} m_u m_v lambda_uv in the current seed.
-    If ``stats`` is given, it receives ``numerator_terms``; ``term_pairs``,
-    the term pairs of the numerator's products, and ``packed_pairs``, those of
-    the products that the size rule packs; ``longest_coefficient``, the most
-    entries of a coefficient of the new variable; and the division's
-    ``steps`` and ``remainder_peak``.
+
+    The new variable is a function of X_k and of the shift and the factors
+    of M' and M'' alone, so the state's exchange table keys it by the label
+    of X_k and, for M' then M'', the shift and the (label, exponent) pairs
+    in position order.  While a variable stored under that key is alive, it
+    is returned as it is, with its label; otherwise the exchange is computed
+    and stored under a fresh label.  Mutations at j and k with b_jk = 0
+    commute, so walks that differ by such a swap share their exchanges.
+
+    The new variable's degree is the stepwise degree rule replayed along the
+    new history, back to the initial seed, on a reused step too.
+
+    If ``stats`` is given, it receives ``reused``.  A computed step also
+    fills ``numerator_terms``; ``term_pairs``, the term pairs of the
+    numerator's products, and ``packed_pairs``, those of the products that
+    the size rule packs; ``longest_coefficient``, the most entries of a
+    coefficient of the new variable; and the division's ``steps`` and
+    ``remainder_peak``.
     """
     cur = state.current
     if k not in cur.exchangeable:
@@ -664,16 +757,42 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
     lam = cur.lam.tolist()
     col = cur.b[:, k - 1].tolist()
     col[k - 1] = 0
-    old = state.variables[k - 1]
-    num = None
-    pairs = packed = 0
+    factors = []  # (shift, the support of m, ascending) for M' then M''
     for sign in (1, -1):
-        m = [(u, sign * b) for u, b in enumerate(col) if sign * b > 0]  # the support of m, ascending
+        m = [(u, sign * b) for u, b in enumerate(col) if sign * b > 0]
         shift = sum(mu * lam[u][k - 1] for u, mu in m)
         shift -= sum(mu * mv * lam[u][v] for i, (u, mu) in enumerate(m) for v, mv in m[i + 1 :])
+        factors.append((shift, m))
+    labels = state.labels
+    key = (labels[k - 1], *((shift, tuple((labels[u], mu) for u, mu in m)) for shift, m in factors))
+    found = state.exchanges.lookup(key)
+    if found is not None:
+        new, label = found
+        if stats is not None:
+            stats["reused"] = True
+    else:
+        new = _exchange(state.variables, k, factors, stats)
+        label = state.exchanges.store(key, new)
+    history = state.history + (k,)
+    pair_chain = state.pair_chain + (mutate_pair(cur, k),)
+    g = tuple(int(u == k) for u in range(1, cur.size + 1))
+    for t in range(len(history), 0, -1):
+        j = history[t - 1]
+        g = gvector_mutate(g, j, pair_chain[t].b[:, j - 1].tolist())
+    variables, new_labels, degrees = list(state.variables), list(labels), list(state.degrees)
+    variables[k - 1], new_labels[k - 1], degrees[k - 1] = new, label, g
+    return ClusterState(tuple(variables), history, pair_chain, tuple(new_labels), tuple(degrees), state.exchanges)
+
+
+def _exchange(variables: tuple[QLaurent, ...], k: int, factors: list, stats: dict | None) -> QLaurent:
+    """(M' + M'') right-divided by X_k, for M' and M'' given as (shift, [(u, m_u), ...])."""
+    old = variables[k - 1]
+    num = None
+    pairs = packed = 0
+    for shift, m in factors:
         term = QLaurent(old.torus, {old.torus.one: QCoeff.q_power(shift)})
         for u, mu in m:
-            x = state.variables[u]
+            x = variables[u]
             for _ in range(mu):
                 if stats is not None:
                     n = len(term.terms) * len(x.terms)
@@ -685,6 +804,7 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
     new = divide_right_exact(num, old, stats=division)
     if stats is not None:
         stats.update(
+            reused=False,
             numerator_terms=len(num.terms),
             term_pairs=pairs,
             packed_pairs=packed,
@@ -692,22 +812,19 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
             steps=division["steps"],
             remainder_peak=division["remainder_peak"],
         )
-    variables = list(state.variables)
-    variables[k - 1] = new
-    return ClusterState(tuple(variables), state.history + (k,), state.pair_chain + (mutate_pair(cur, k),))
+    return new
 
 
 def predicted_degree(state: ClusterState, position: int) -> tuple[int, ...]:
-    """Initial-seed degree of a current variable via the stepwise degree rule."""
+    """Initial-seed degree of a current variable by the stepwise degree rule.
+
+    ``mutate_state`` replays the rule back from each new variable's birth
+    and the state carries the result, so this reads ``state.degrees``.
+    """
     s = state.initial.size
     if not 1 <= position <= s:
         raise TorusError(f"position {position} outside the window 1..{s}")
-    born = max((t for t, k in enumerate(state.history, 1) if k == position), default=0)
-    g = tuple(1 if u == position else 0 for u in range(1, s + 1))
-    for t in range(born, 0, -1):
-        k = state.history[t - 1]
-        g = gvector_mutate(g, k, state.pair_chain[t].b[:, k - 1].tolist())
-    return g
+    return state.degrees[position - 1]
 
 
 # ----------------------------------------------------------------------

@@ -449,6 +449,10 @@ def _b3(exps, coeff=None):
     return XElement.monomial(ambient("B3"), exps, coeff)
 
 
+def _lead(x):
+    return x.terms[x.torus.key(DOM)]
+
+
 @pytest.mark.parametrize(
     "plant, want",
     [
@@ -471,14 +475,16 @@ def test_fundamental_fixture_reports(plant, want):
     "plant, want",
     [
         (lambda x: x, (True, False, True, True)),
-        (lambda x: -x, (True, False, True, False)),  # positivity is read off x, never off x over its lead
+        # a lead of -q^k is not dominant; positivity is read off x, never off x over its lead
+        (lambda x: -x, (False, False, True, False)),
+        (lambda x: x - _b3(DOM, _lead(x) * QCoeff.integer(2)), (False, False, True, False)),
         # the stated dominant monomial's q^1 is divided out before the bar test, though it is not the only dominant one
         (lambda x: _b3(DOM, _q(2)) + _b3({(1, 0): 1}, _q(2)), (False, True, True, True)),
         (lambda x: _b3(DOM, _q(2)) + _b3({(1, 0): 1}), (False, False, True, True)),
         (lambda x: _b3(DOM, QCoeff.integer(2)), (False, True, True, True)),
         (lambda x: x + _b3({(1, 2): 1, (2, -5): -1}), (True, False, False, True)),  # level 2 above xi_1 = 0
     ],
-    ids=["as-is", "negated", "q-lead-not-only", "q-lead-not-only-other-1", "dominant-2", "above-xi"],
+    ids=["as-is", "negated", "lead-negated", "q-lead-not-only", "q-lead-not-only-other-1", "dominant-2", "above-xi"],
 )
 def test_truncated_fixture_reports(plant, want):
     """Planted B3 truncated fixtures, as test_fundamental_fixture_reports."""

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import itertools
 import pickle
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcab.braid import alternating, build_seed
+import qcab.torus as torus_module
+from qcab.braid import IndexSequence, alternating, build_seed
 from qcab.cartan import build_cartan, parse_type
 from qcab.commutative import LaurentPoly, RationalX
-from qcab.seeds import mutate_pair
+from qcab.seeds import CompatiblePair, mutate_pair
 from qcab.torus import (
     ClusterState,
     DivisionRemainderError,
@@ -26,6 +28,7 @@ from qcab.torus import (
     _packs,
     degree_of_pointed,
     divide_right_exact,
+    gvector_mutate,
     leading_term,
     mutate_state,
     predicted_degree,
@@ -89,6 +92,23 @@ def test_pickle_and_copy_keep_the_interned_torus():
     clone = copy.deepcopy(state)
     assert clone.variables == state.variables
     assert all(v.torus is state.variables[0].torus for v in clone.variables)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"])
+def test_copied_states_start_their_own_exchange_table(clone):
+    """A copy keeps the variables, the history, the seeds and the degrees, and labels its variables 0..s-1."""
+    state = ClusterState.from_pair(build_seed(alternating(parse_type("G2")), 6))
+    for k in (2, 1, 3):
+        state = mutate_state(state, k)
+    copied = clone(state)
+    assert copied == state and copied.degrees == state.degrees
+    assert copied.labels == tuple(range(6)) and copied.exchanges is not state.exchanges
+    assert not copied.exchanges.entries
+    for k in (4, 1):
+        after, copied_after = mutate_state(state, k), mutate_state(copied, k)
+        assert copied_after.variables == after.variables
+        assert copied_after.degrees == after.degrees
+        assert copied_after.labels[k - 1] not in copied.labels
 
 
 def test_multiplication_associative_random():
@@ -369,6 +389,7 @@ def _replayed_stats(state, k):
     new = mutate_state(state, k).variables[k - 1]
     assert divide_right_exact(num, old) == new
     return {
+        "reused": False,
         "numerator_terms": len(num.terms),
         "term_pairs": pairs,
         "packed_pairs": packed,
@@ -384,7 +405,7 @@ def test_mutate_state_stats():
     after = mutate_state(state, 1, stats=stats)
     assert after == mutate_state(state, 1)
     assert stats == _replayed_stats(state, 1) == {
-        "numerator_terms": 2, "term_pairs": 3, "packed_pairs": 0,
+        "reused": False, "numerator_terms": 2, "term_pairs": 3, "packed_pairs": 0,
         "longest_coefficient": 1, "steps": 2, "remainder_peak": 2,
     }
     state = ClusterState.from_pair(build_seed(alternating(parse_type("G2")), 6))
@@ -393,9 +414,138 @@ def test_mutate_state_stats():
     stats = {}
     mutate_state(state, 3, stats=stats)
     assert stats == _replayed_stats(state, 3) == {
-        "numerator_terms": 367, "term_pairs": 550, "packed_pairs": 359,
+        "reused": False, "numerator_terms": 367, "term_pairs": 550, "packed_pairs": 359,
         "longest_coefficient": 34, "steps": 197, "remainder_peak": 367,
     }
+
+
+def _replayed_degree(state, position):
+    """The initial-seed degree of a current variable, replayed back from its birth by the stepwise degree rule."""
+    s = state.initial.size
+    born = max((t for t, k in enumerate(state.history, 1) if k == position), default=0)
+    g = tuple(1 if u == position else 0 for u in range(1, s + 1))
+    for t in range(born, 0, -1):
+        k = state.history[t - 1]
+        g = gvector_mutate(g, k, state.pair_chain[t].b[:, k - 1].tolist())
+    return g
+
+
+def test_reused_step_stats_and_identity():
+    """A step whose exchange is alive returns that very variable, and its record reads only reused."""
+    pair = build_seed(alternating(parse_type("G2")), 6)
+    root = ClusterState.from_pair(pair)
+    assert pair.b[0, 3] == 0  # mutations at 1 and 4 commute
+    one_four = mutate_state(mutate_state(root, 1), 4)
+    stats = {}
+    four = mutate_state(root, 4, stats=stats)
+    assert stats == {"reused": True}
+    assert four.variables[3] is one_four.variables[3]
+    assert four.labels[3] == one_four.labels[3]
+    stats = {}
+    four_one = mutate_state(four, 1, stats=stats)
+    assert stats == {"reused": True}
+    assert four_one.variables == one_four.variables and four_one.labels == one_four.labels
+    for state in (four, four_one):  # reused steps carry the degree replayed along their own path
+        for u in range(1, pair.size + 1):
+            assert predicted_degree(state, u) == _replayed_degree(state, u)
+            assert degree_of_pointed(state.variables[u - 1], pair) == predicted_degree(state, u)
+    stats = {}
+    mutate_state(four, 2, stats=stats)
+    assert stats["reused"] is False and set(stats) == set(_replayed_stats(four, 2))
+
+
+def _seed(code, window):
+    """The alternating seed of a rank-2 type, else the seed of the periodic word (1, 2, 3)^3."""
+    datum = parse_type(code)
+    word = alternating(datum) if datum.rank == 2 else IndexSequence(datum, (1, 2, 3) * 3, periodic=True)
+    return build_seed(word, window)
+
+
+def _walk_tree(positions, depth):
+    """Every walk of length <= depth with no immediate repeat, shortest first."""
+    level, walks = [()], []
+    for _ in range(depth):
+        level = [w + (k,) for w in level for k in positions if not w or w[-1] != k]
+        walks += level
+    return walks
+
+
+@pytest.mark.parametrize("code, window, depth", [("B2", 4, 5), ("G2", 6, 4), ("B3", 8, 3), ("C3", 8, 3)])
+def test_reused_exchanges_equal_recomputed(code, window, depth, monkeypatch):
+    """Every variable of a walk tree, whose states all stay alive, equals the one its walk gives alone.
+
+    The alone walk starts from a fresh ``from_pair`` and keeps only its
+    latest state.  Every tree but B2's must serve some steps from the
+    exchange table, and no label of a tree may name two variables.
+    """
+    pair = _seed(code, window)
+    walks = _walk_tree(sorted(pair.exchangeable), depth)
+    divisions = []
+
+    def counting(*args, **kwargs):
+        divisions.append(args)
+        return divide_right_exact(*args, **kwargs)
+
+    monkeypatch.setattr(torus_module, "divide_right_exact", counting)
+    states = {(): ClusterState.from_pair(pair)}
+    for walk in walks:
+        states[walk] = mutate_state(states[walk[:-1]], walk[-1])
+    monkeypatch.undo()
+    assert len(divisions) < len(walks) or code == "B2"  # B2's two positions never commute
+    named = {}  # a label names one variable across the tree
+    for state in states.values():
+        for label, x in zip(state.labels, state.variables):
+            assert named.setdefault(label, x) is x
+    for walk in walks:
+        alone = ClusterState.from_pair(pair)
+        for k in walk:
+            alone = mutate_state(alone, k)
+        assert states[walk].variables == alone.variables, walk
+
+
+DEGREE_SEEDS = {("B2", 4): 6, ("G2", 6): 5, ("B3", 8): 6, ("C3", 8): 6}  # (type, window): longest walk drawn
+
+
+@given(st.data())
+def test_carried_degrees_equal_the_replay(data):
+    """After every step of a drawn walk and of each walk with two adjacent steps swapped, every carried degree equals the replay.
+
+    All states stay alive, so the swapped walks are served from the exchange
+    table wherever the two swapped mutations commute.
+    """
+    code, window = data.draw(st.sampled_from(sorted(DEGREE_SEEDS)))
+    pair = _seed(code, window)
+    walk = data.draw(st.lists(st.sampled_from(sorted(pair.exchangeable)), max_size=DEGREE_SEEDS[(code, window)]))
+    root = ClusterState.from_pair(pair)
+    swapped = [walk[:t] + walk[t + 1 : t + 2] + walk[t : t + 1] + walk[t + 2 :] for t in range(len(walk) - 1)]
+    kept = []
+    for w in [walk, *swapped]:
+        state = root
+        for k in w:
+            state = mutate_state(state, k)
+            kept.append(state)
+            positions = range(1, pair.size + 1)
+            assert [predicted_degree(state, u) for u in positions] == [_replayed_degree(state, u) for u in positions]
+
+
+def test_exchange_key_holds_the_shift():
+    """A state over another Lambda that shares the table computes its own exchange.
+
+    On states reached by mutation the shift follows from the variables'
+    labels, since Lambda is their quasi-commutation.  Here the seed is
+    replaced by one with 3 Lambda and 3 D, still compatible, so only the
+    shift tells the two exchanges apart.
+    """
+    pair = b2_pair()
+    root = ClusterState.from_pair(pair)
+    tripled = CompatiblePair(pair.lam * 3, pair.b, pair.exchangeable, tuple(3 * d for d in pair.diag))
+    other = dataclasses.replace(root, pair_chain=(tripled,))
+    assert other.exchanges is root.exchanges
+    for k in sorted(pair.exchangeable):
+        theirs = mutate_state(other, k)
+        mine = mutate_state(root, k)
+        assert mine.variables == mutate_state(ClusterState.from_pair(pair), k).variables
+        assert theirs.variables[k - 1] != mine.variables[k - 1]
 
 
 def test_one_step_exchange_degree():
