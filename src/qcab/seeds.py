@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,17 @@ class CompatiblePair:
 
     def __hash__(self) -> int:  # pragma: no cover - not used as dict key
         return hash((self.exchangeable, self.diag, self.lam.tobytes(), self.b.tobytes()))
+
+    def __reduce__(self):
+        # A copied or unpickled pair gets read-only arrays of its own and no cached data.
+        return (_frozen_pair, (self.lam.copy(), self.b.copy(), self.exchangeable, self.diag))
+
+    @cached_property
+    def degree_check(self):
+        """The seed data of ``torus.degree_of_pointed`` for this pair, built on first use."""
+        from .torus import DegreeCheck  # the torus layer builds on this module
+
+        return DegreeCheck(self)
 
 
 def _frozen_pair(lam: np.ndarray, b: np.ndarray, ex: frozenset[int], diag: tuple[int, ...]) -> CompatiblePair:

@@ -16,7 +16,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .seeds import CompatiblePair, mutate_pair
+from .seeds import CompatiblePair, _amax, mutate_pair
 
 
 class TorusError(ValueError):
@@ -476,7 +476,7 @@ def leading_term(x: QLaurent) -> tuple[tuple[int, ...], QCoeff]:
     return a, x.terms[a]
 
 
-def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None) -> QLaurent:
+def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None, *, _consume: bool = False) -> QLaurent:
     """The unique y with y * d = x, by leading-term elimination.
 
     The divisor's leading coefficient must be a unit q-power (true for every
@@ -488,6 +488,11 @@ def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None) -> Q
     step costs one pass over the divisor (Johnson 1974; Monagan & Pearce 2007).
     If ``stats`` is given, it receives ``steps``, ``remainder_peak`` (terms)
     and ``output_terms``.
+
+    The remainder starts as a copy of x's coefficients.  ``mutate_state``,
+    which owns its numerator's coefficients, passes ``_consume=True`` to
+    have them worked on in place instead: x keeps its exponents, but its
+    coefficients are spent, each emptied once its term is eliminated.
     """
     x._same(d)
     if d.is_zero:
@@ -506,7 +511,7 @@ def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None) -> Q
     def entry(a: tuple[int, ...]):  # heapq is a min-heap: negate weight and exponent
         return -_dot(torus.weights, a), tuple(-v for v in a), a
 
-    rem = {a: dict(c.terms) for a, c in x.terms.items()}
+    rem = {a: c.terms if _consume else dict(c.terms) for a, c in x.terms.items()}
     heap = [entry(a) for a in rem]
     heapq.heapify(heap)
     out: dict[tuple[int, ...], QCoeff] = {}
@@ -524,6 +529,7 @@ def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None) -> Q
         t = tuple(map(sub, m, ld_exp))
         shift = ld_k - _dot(t, ld_row)  # X^t X^ld = q^{(t . Lambda ld)/2} X^m
         tc = {k + shift: ld_v * v for k, v in c.items()}
+        c.clear()  # a consumed dividend's coefficient is freed here, not when x goes
         out[t] = QCoeff(tc)
         # The leading term of X^t c d cancels m exactly; subtract the rest.
         for b, lb, cb in tail:
@@ -550,38 +556,78 @@ def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None) -> Q
     return QLaurent(torus, out)
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _read_only(a) -> np.ndarray:
+    """A read-only C-ordered int64 copy of a."""
+    a = np.array(a, dtype=np.int64, order="C")
+    a.setflags(write=False)
+    return a
+
+
+class DegreeCheck:
+    """The seed data of ``degree_of_pointed`` for one pair, kept as ``pair.degree_check``.
+
+    ``torus`` is the pair's ``WindowTorus``; ``lam_ex`` holds the exchangeable
+    columns of Lambda, ``d2`` the values 2 d_u and ``b_ex_t`` the exchangeable
+    columns of B as rows, all read-only int64 copies, in ascending position.
+    Exponent entries up to ``exp_bound`` in absolute value keep every partial
+    sum of (m - g) Lambda_ex in int64, and n entries up to ``n_bound`` keep
+    those of n B_ex^T there.
+    """
+
+    __slots__ = ("torus", "lam_ex", "d2", "b_ex_t", "exp_bound", "n_bound")
+
+    def __init__(self, pair: CompatiblePair) -> None:
+        cols = [u - 1 for u in sorted(pair.exchangeable)]
+        self.torus = WindowTorus(pair.lam)
+        self.lam_ex = _read_only(pair.lam[:, cols])
+        self.d2 = _read_only([2 * pair.diag[u] for u in cols])
+        self.b_ex_t = _read_only(pair.b[:, cols].T)
+        # |m - g| <= 2 exp_bound, and a row of m - g meets s entries of a column of Lambda_ex.
+        self.exp_bound = _INT64_MAX // (2 * max(pair.size * _amax(self.lam_ex) if cols else 0, 1))
+        self.n_bound = _INT64_MAX // max(len(cols) * _amax(self.b_ex_t) if cols else 0, 1)
+
+
 def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
     """The degree vector g of a pointed element, with certificate checks.
 
     Verifies x = q^{a/2} Z^g + sum_n p_n Z^{g + B n} over n >= 0 supported on
     the exchangeable positions, and that the lead coefficient is a q-power.
     By compatibility, (Lambda B n)_u = -2 d_u n_u at exchangeable u, which
-    gives n from Lambda (m - g).
+    gives n from Lambda (m - g).  The exponents m - g of all terms are checked
+    at once as int64 rows D: n = D Lambda_ex / 2d must divide exactly with
+    n >= 0, and n B_ex^T must give D back.  An exponent entry beyond
+    ``pair.degree_check.exp_bound``, or an n entry beyond its ``n_bound``,
+    raises TorusError instead of overflowing int64.
     """
-    torus = WindowTorus(pair.lam)
-    if x.torus is not torus:
+    check = pair.degree_check
+    if x.torus is not check.torus:
         raise TorusError("mismatched ambient tori")
     if x.is_zero:
         raise NotPointedError("zero element is not pointed")
-    g = _leading_exp(x.terms, torus.weights)
+    g = _leading_exp(x.terms, check.torus.weights)
     if not x.terms[g].is_q_power():
         raise NotPointedError("lead coefficient is not a q-power")
-    cols = pair.b.T.tolist()
-    # (row u of Lambda, 2 d_u, column u of B) for each exchangeable u
-    checks = [(torus.rows[u - 1], 2 * pair.diag[u - 1], cols[u - 1]) for u in sorted(pair.exchangeable)]
-    for m in x.terms:
-        if m == g:
-            continue
-        diff = tuple(map(sub, m, g))
-        bn = torus.one
-        for row, d2, col in checks:
-            n, r = divmod(-_dot(row, diff), d2)
-            if r or n < 0:
-                raise NotPointedError("an exponent is not of the form g + B n")
-            if n:
-                bn = tuple(v + n * c for v, c in zip(bn, col))
-        if bn != diff:
-            raise NotPointedError("an exponent is not of the form g + B n")
+    if len(x.terms) == 1:
+        return g
+    try:
+        e = np.array(list(x.terms), dtype=np.int64)
+    except OverflowError:
+        e = None
+    if e is None or _amax(e) > check.exp_bound:
+        raise TorusError(
+            f"an exponent entry is beyond {check.exp_bound} in absolute value, the int64 bound of the degree check"
+        )
+    d = e - g  # |d| <= 2 exp_bound < 2**63
+    n, r = np.divmod(d @ check.lam_ex, check.d2)
+    if r.any() or n.min(initial=0) < 0:
+        raise NotPointedError("an exponent is not of the form g + B n")
+    if n.max(initial=0) > check.n_bound:
+        raise TorusError(f"an entry of n is beyond {check.n_bound}, the int64 bound of the degree check")
+    if not (n @ check.b_ex_t == d).all():
+        raise NotPointedError("an exponent is not of the form g + B n")
     return g
 
 
@@ -800,8 +846,9 @@ def _exchange(variables: tuple[QLaurent, ...], k: int, factors: list, stats: dic
                     packed += n if _packs(term, x) else 0
                 term = term * x
         num = term if num is None else num + term  # M' + M''
+    del term  # num alone holds its coefficients, and the division spends them
     division = {} if stats is not None else None
-    new = divide_right_exact(num, old, stats=division)
+    new = divide_right_exact(num, old, stats=division, _consume=True)
     if stats is not None:
         stats.update(
             reused=False,

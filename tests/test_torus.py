@@ -302,6 +302,22 @@ def test_division_inverts_product(x, d, k, sign):
     assert stats == {"steps": steps, "remainder_peak": peak, "output_terms": len(x.terms)}
 
 
+@given(qlaurents(), qlaurents(max_terms=3), st.integers(-3, 3))
+def test_division_consumes_its_dividend_only_when_asked(x, d, k):
+    """The public division leaves its dividend as it was; ``_consume`` spends its coefficients and keeps its exponents."""
+    if d.is_zero:
+        return
+    a, c = leading_term(d)
+    d = d + QLaurent.monomial(small_torus(), a, QCoeff.q_power(k) - c)
+    dividend = x * d
+    kept = {b: QCoeff(c.terms) for b, c in dividend.terms.items()}
+    assert divide_right_exact(dividend, d) == x
+    assert dividend.terms == kept
+    assert divide_right_exact(dividend, d, _consume=True) == x
+    assert dividend.terms.keys() == kept.keys()
+    assert not any(c.terms for c in dividend.terms.values())
+
+
 def _naive_division_trace(x, d, max_steps=None):
     """Steps and largest remainder of leading-term division by whole products."""
     torus = x.torus
@@ -607,6 +623,173 @@ def test_degree_of_pointed_checks_its_torus():
         with pytest.raises(TorusError, match="mismatched ambient tori"):
             degree_of_pointed(x, pair)
     assert degree_of_pointed(QLaurent.generator(WindowTorus(np.array(pair.lam)), 1), pair) == (1, 0, 0, 0)
+
+
+def _per_term_degree(x, pair):
+    """The degree certificate of ``degree_of_pointed`` one term at a time in Python ints, as an oracle.
+
+    For each term m != g, n_u = -(row u of Lambda) . (m - g) / 2 d_u must
+    divide exactly with n_u >= 0 at every exchangeable u, and B n must equal
+    m - g.
+    """
+    torus = WindowTorus(pair.lam)
+    if x.torus is not torus:
+        raise TorusError("mismatched ambient tori")
+    if x.is_zero:
+        raise NotPointedError("zero element is not pointed")
+    g = leading_term(x)[0]
+    if not x.terms[g].is_q_power():
+        raise NotPointedError("lead coefficient is not a q-power")
+    cols = pair.b.T.tolist()
+    checks = [(torus.rows[u - 1], 2 * pair.diag[u - 1], cols[u - 1]) for u in sorted(pair.exchangeable)]
+    for m in x.terms:
+        diff = tuple(a - b for a, b in zip(m, g))
+        bn = torus.one
+        for row, d2, col in checks:
+            n, r = divmod(-sum(a * b for a, b in zip(row, diff)), d2)
+            if r or n < 0:
+                raise NotPointedError("an exponent is not of the form g + B n")
+            bn = tuple(v + n * c for v, c in zip(bn, col))
+        if bn != diff:
+            raise NotPointedError("an exponent is not of the form g + B n")
+    return g
+
+
+def _outcome(certify, x, pair):
+    try:
+        return certify(x, pair)
+    except TorusError as exc:
+        return type(exc)
+
+
+ORACLE_SEEDS = {("B2", 4): b2_pair(), ("G2", 6): build_seed(alternating(parse_type("G2")), 6)}
+BREAKS = ("indivisible", "negative n", "B n differs", "lead", "zero", "foreign")
+
+
+def _unit_rows(pair, keep):
+    """The unit vectors e_v whose row v of Lambda_ex satisfies keep(row, 2d)."""
+    ex = [u - 1 for u in sorted(pair.exchangeable)]
+    d2 = np.array([2 * pair.diag[u] for u in ex])
+    s = pair.size
+    return [tuple(int(v == w) for w in range(s)) for v in range(s) if keep(pair.lam[v, ex], d2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_SEEDS)), st.sampled_from((None, *BREAKS)), st.data())
+def test_degree_certificate_matches_the_per_term_oracle(seed, planted, data):
+    """Pointed elements g + B n (n >= 0) certify to g under both; each planted break raises the same class under both.
+
+    The breaks: a term whose Lambda (m - g) is not divisible by 2 d_u; a term
+    g + B n with n of mixed signs; a term g + B n + w with n >= 0 and w a unit
+    vector with w Lambda_ex = 0; a lead coefficient 2 q^k; zero; the element
+    over another torus.
+    """
+    pair = ORACLE_SEEDS[seed]
+    torus, s, r = WindowTorus(pair.lam), pair.size, len(pair.exchangeable)
+    b_ex = pair.b[:, [u - 1 for u in sorted(pair.exchangeable)]]
+    g = data.draw(st.tuples(*[st.integers(-3, 3)] * s))
+    ns = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * r).filter(any), unique=True, max_size=5))
+    lead = QCoeff.q_power(data.draw(st.integers(-4, 4)), data.draw(st.sampled_from([1, -1])))
+    terms = {g: lead}
+    for n in ns:
+        terms[tuple(int(v) for v in np.add(g, b_ex @ n))] = QCoeff(data.draw(_coeffs.filter(lambda c: any(c.values()))))
+    x = QLaurent(torus, terms)
+    if planted in ("indivisible", "negative n", "B n differs"):
+        n = data.draw(st.tuples(*[st.integers(0, 2)] * r))
+        if planted == "indivisible":
+            w = data.draw(st.sampled_from(_unit_rows(pair, lambda row, d2: (row % d2).any())))
+        elif planted == "negative n":
+            neg, pos = data.draw(st.permutations(range(r)))[:2]
+            n = tuple(-1 if u == neg else max(v, 1) if u == pos else v for u, v in enumerate(n))
+            w = torus.one
+        else:
+            w = data.draw(st.sampled_from(_unit_rows(pair, lambda row, d2: not row.any())))
+        m = tuple(int(v) for v in np.add(np.add(g, b_ex @ n), w))
+        x = x + QLaurent.monomial(torus, m)
+    elif planted == "lead":
+        x = QLaurent(torus, {**terms, g: lead * QCoeff.integer(2)})
+    elif planted == "zero":
+        x = QLaurent.zero(torus)
+    elif planted == "foreign":
+        x = QLaurent(WindowTorus(-pair.lam), terms)
+    got, want = _outcome(degree_of_pointed, x, pair), _outcome(_per_term_degree, x, pair)
+    assert got == want
+    if planted is None:
+        assert got == g
+    else:
+        assert want in (NotPointedError, TorusError)
+
+
+@pytest.mark.parametrize("big", [2**62, -(2**62), 2**64, -(2**64), "bound + 1"])
+def test_degree_certificate_refuses_exponents_past_its_int64_bound(big):
+    """An exponent entry past ``exp_bound`` raises TorusError naming the bound, however far past int64 it lies."""
+    pair = b2_pair()
+    bound = pair.degree_check.exp_bound
+    big = bound + 1 if big == "bound + 1" else big
+    torus = WindowTorus(pair.lam)
+    x = QLaurent.monomial(torus, (0, 0, 0, 0)) + QLaurent.monomial(torus, (0, 2, -1, big))
+    with pytest.raises(TorusError, match=f"beyond {bound} in absolute value") as info:
+        degree_of_pointed(x, pair)
+    assert not isinstance(info.value, NotPointedError)
+    assert degree_of_pointed(QLaurent.monomial(torus, (0, 2, -1, big)), pair) == (0, 2, -1, big)  # one term: no product
+
+
+def test_degree_certificate_is_exact_at_its_int64_bound():
+    """Entries of exactly +-exp_bound certify as the oracle does; n past ``n_bound`` raises TorusError naming it."""
+    pair = b2_pair()
+    bound = pair.degree_check.exp_bound
+    torus = WindowTorus(pair.lam)
+    g = (0, 0, bound, -bound)
+    x = QLaurent.monomial(torus, g, QCoeff.q_power(3))
+    for k, c in ((1, QCoeff({0: 2})), (2, QCoeff({-1: 1, 1: 1}))):  # g + k B e_1, B e_1 = (0, 2, -1, 0)
+        x = x + QLaurent.monomial(torus, (0, 2 * k, bound - k, -bound), c)
+    assert degree_of_pointed(x, pair) == _per_term_degree(x, pair) == g
+    # On G2 window 6, v = (-1, 1, 0, 1, 0, 0) has v Lambda_ex = (6, 6, 4, 0), so the
+    # element Z^{-h v} + Z^{h v} asks for n_1 = 6 h, which passes n_bound at h = exp_bound.
+    pair = ORACLE_SEEDS[("G2", 6)]
+    check = pair.degree_check
+    h = check.exp_bound
+    assert 6 * h > check.n_bound
+    torus = WindowTorus(pair.lam)
+    v = np.array((-1, 1, 0, 1, 0, 0))
+    x = QLaurent.monomial(torus, -h * v) + QLaurent.monomial(torus, h * v)
+    with pytest.raises(TorusError, match=f"beyond {check.n_bound}, the int64 bound") as info:
+        degree_of_pointed(x, pair)
+    assert not isinstance(info.value, NotPointedError)
+
+
+@pytest.mark.parametrize(
+    "clone, frozen",
+    [
+        (copy.copy, True),
+        (copy.deepcopy, True),
+        (lambda p: pickle.loads(pickle.dumps(p)), True),
+        (lambda p: dataclasses.replace(p, lam=np.array(p.lam)), False),  # handed a writable Lambda
+    ],
+    ids=["copy", "deepcopy", "pickle", "replace"],
+)
+def test_copied_pairs_rebuild_their_degree_check(clone, frozen):
+    """A copied, unpickled or replaced pair carries no certificate data of the original and certifies the same variables.
+
+    Its own data, built on first use, is read-only and shares no memory with
+    either pair; a copied or unpickled pair's Lambda and B are read-only too.
+    """
+    pair = build_seed(alternating(parse_type("G2")), 6)
+    original = pair.degree_check
+    copied = clone(pair)
+    assert copied == pair and "degree_check" not in vars(copied)
+    state = ClusterState.from_pair(pair)
+    for k in (2, 1, 3, 4, 1, 2):
+        state = mutate_state(state, k)
+        for u in range(1, pair.size + 1):
+            assert degree_of_pointed(state.variables[u - 1], copied) == predicted_degree(state, u)
+    check = copied.degree_check
+    assert check is not original and check.torus is original.torus
+    for a in (check.lam_ex, check.d2, check.b_ex_t):
+        assert not a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in (copied.lam, copied.b, pair.lam, pair.b))
+    assert (check.exp_bound, check.n_bound) == (original.exp_bound, original.n_bound)
+    assert copied.lam.flags.writeable is not frozen and not copied.b.flags.writeable
 
 
 def _fraction_walk(pair0, walk):
