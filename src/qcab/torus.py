@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from operator import add, mul, sub
 
@@ -325,8 +326,18 @@ class QLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"QLaurent({qlaurent_to_text(self)})"
+    @cached_property
+    def term_rows(self) -> dict[tuple, tuple]:
+        """Each exponent b of the element and its row ``torus.row(b)``, built on first use."""
+        row = self.torus.row
+        return {b: row(b) for b in self.terms}
+
+    def __repr__(self) -> str:
+        if isinstance(self.torus, WindowTorus):
+            return f"QLaurent({qlaurent_to_text(self)})"
+        from .qgroth import xelement_to_text  # the (i,p) text format builds on this module
+
+        return f"QLaurent({xelement_to_text(self)})"
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +366,8 @@ def _dict_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff]:
     """The terms of x y, one multiply-add per pair of coefficient entries."""
     torus = x.torus
     twist, join = torus.twist, torus.join
-    right = [(b, torus.row(b), c.terms.items()) for b, c in y.terms.items()]
+    rows = y.term_rows
+    right = [(b, rows[b], c.terms.items()) for b, c in y.terms.items()]
     acc: dict[tuple, QCoeff] = {}
     for a, c in x.terms.items():
         ca = c.terms.items()
@@ -414,7 +426,8 @@ def _packed_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff] | None:
 
     torus = x.torus
     twist, join = torus.twist, torus.join
-    right = [(b, torus.row(b), *pack(c)) for b, c in y.terms.items()]
+    rows = y.term_rows
+    right = [(b, rows[b], *pack(c)) for b, c in y.terms.items()]
     sums: dict[tuple, list[int]] = {}  # key -> [lowest exponent, packed sum]
     for a, c in x.terms.items():
         lo_a, pa = pack(c)
@@ -446,9 +459,15 @@ def _packed_product(x: QLaurent, y: QLaurent) -> dict[tuple, QCoeff] | None:
             n = (n >> width) + (v < 0)
             k += g
         if terms:
-            acc[key] = c = QCoeff()
-            c.terms = terms
+            acc[key] = _adopt(terms)
     return acc
+
+
+def _adopt(terms: dict[int, int]) -> QCoeff:
+    """A QCoeff holding terms itself, for a dict built here whose entries are all nonzero."""
+    c = QCoeff()
+    c.terms = terms
+    return c
 
 
 def _convolve_into(acc: dict[int, int], ca, cb, shift: int) -> None:
@@ -469,10 +488,20 @@ def _leading_exp(terms: dict[tuple[int, ...], QCoeff], weights: tuple[int, ...])
     return max(terms, key=lambda a: (_dot(weights, a), a))
 
 
+def _weights(torus: Torus) -> tuple[int, ...]:
+    """The order weights 1^T Lambda of a window torus; other tori have no term order."""
+    if not isinstance(torus, WindowTorus):
+        raise TorusError(
+            f"leading terms and division need a window torus's term order; {type(torus).__name__} has none"
+        )
+    return torus.weights
+
+
 def leading_term(x: QLaurent) -> tuple[tuple[int, ...], QCoeff]:
+    weights = _weights(x.torus)
     if x.is_zero:
         raise TorusError("zero element has no leading term")
-    a = _leading_exp(x.terms, x.torus.weights)
+    a = _leading_exp(x.terms, weights)
     return a, x.terms[a]
 
 
@@ -495,21 +524,23 @@ def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None, *, _
     coefficients are spent, each emptied once its term is eliminated.
     """
     x._same(d)
+    torus = x.torus
+    weights = _weights(torus)
     if d.is_zero:
         raise TorusError("division by zero")
-    torus = x.torus
     ld_exp, ld_coeff = leading_term(d)
     ((ld_k, ld_v),) = ld_coeff.q_power_inverse().terms.items()
-    ld_row = torus.row(ld_exp)
+    rows = d.term_rows
+    ld_row = rows[ld_exp]
     # The terms of -d below its leading one, each with Lambda b for the twist.
     tail = [
-        (b, torus.row(b), [(k, -v) for k, v in c.terms.items()])
+        (b, rows[b], [(k, -v) for k, v in c.terms.items()])
         for b, c in d.terms.items()
         if b != ld_exp
     ]
 
     def entry(a: tuple[int, ...]):  # heapq is a min-heap: negate weight and exponent
-        return -_dot(torus.weights, a), tuple(-v for v in a), a
+        return -_dot(weights, a), tuple(-v for v in a), a
 
     rem = {a: c.terms if _consume else dict(c.terms) for a, c in x.terms.items()}
     heap = [entry(a) for a in rem]
@@ -530,7 +561,7 @@ def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None, *, _
         shift = ld_k - _dot(t, ld_row)  # X^t X^ld = q^{(t . Lambda ld)/2} X^m
         tc = {k + shift: ld_v * v for k, v in c.items()}
         c.clear()  # a consumed dividend's coefficient is freed here, not when x goes
-        out[t] = QCoeff(tc)
+        out[t] = _adopt(tc)  # ld_v is +-1 and the remainder keeps no zero entry
         # The leading term of X^t c d cancels m exactly; subtract the rest.
         for b, lb, cb in tail:
             key = tuple(map(add, t, b))
@@ -790,12 +821,16 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
     The new variable's degree is the stepwise degree rule replayed along the
     new history, back to the initial seed, on a reused step too.
 
+    M' and M'' each start as q^{shift/2} times their first factor (the unit
+    q^{shift/2} when m is 0), so only the products by the later factors are
+    formed.
+
     If ``stats`` is given, it receives ``reused``.  A computed step also
     fills ``numerator_terms``; ``term_pairs``, the term pairs of the
-    numerator's products, and ``packed_pairs``, those of the products that
-    the size rule packs; ``longest_coefficient``, the most entries of a
-    coefficient of the new variable; and the division's ``steps`` and
-    ``remainder_peak``.
+    products formed for the numerator, and ``packed_pairs``, those of the
+    products that the size rule packs; ``longest_coefficient``, the most
+    entries of a coefficient of the new variable; and the division's
+    ``steps`` and ``remainder_peak``.
     """
     cur = state.current
     if k not in cur.exchangeable:
@@ -833,18 +868,21 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
 def _exchange(variables: tuple[QLaurent, ...], k: int, factors: list, stats: dict | None) -> QLaurent:
     """(M' + M'') right-divided by X_k, for M' and M'' given as (shift, [(u, m_u), ...])."""
     old = variables[k - 1]
+    torus = old.torus
     num = None
     pairs = packed = 0
     for shift, m in factors:
-        term = QLaurent(old.torus, {old.torus.one: QCoeff.q_power(shift)})
-        for u, mu in m:
-            x = variables[u]
-            for _ in range(mu):
-                if stats is not None:
-                    n = len(term.terms) * len(x.terms)
-                    pairs += n
-                    packed += n if _packs(term, x) else 0
-                term = term * x
+        powers = [variables[u] for u, mu in m for _ in range(mu)]
+        if powers:  # q^{shift/2} times the first factor, on fresh coefficients the division may spend
+            term = QLaurent(torus, {a: c.shift(shift) for a, c in powers[0].terms.items()})
+        else:
+            term = QLaurent(torus, {torus.one: QCoeff.q_power(shift)})
+        for x in powers[1:]:
+            if stats is not None:
+                n = len(term.terms) * len(x.terms)
+                pairs += n
+                packed += n if _packs(term, x) else 0
+            term = term * x
         num = term if num is None else num + term  # M' + M''
     del term  # num alone holds its coefficients, and the division spends them
     division = {} if stats is not None else None
@@ -880,7 +918,13 @@ def predicted_degree(state: ClusterState, position: int) -> tuple[int, ...]:
 
 def qlaurent_to_text(x: QLaurent) -> str:
     """The window format "(coeff) Z[u]^e*... + ..."; X factors are raw products in
-    fixture text, so an (i,p) element is written by ``qgroth.xelement_to_text``."""
+    fixture text, so an (i,p) element is written by ``qgroth.xelement_to_text``
+    and refused here with TorusError."""
+    if not isinstance(x.torus, WindowTorus):
+        raise TorusError(
+            "qlaurent_to_text writes window-torus elements; "
+            f"write an element over {type(x.torus).__name__} with qgroth.xelement_to_text"
+        )
     if x.is_zero:
         return "(0)"
     parts = []

@@ -36,7 +36,17 @@ from qcab.qgroth import (
     z_xi,
 )
 from qcab.seeds import make_pair
-from qcab.torus import QCoeff, QLaurent, TorusError, WindowTorus, q_structure_witness, qcoeff_from_text
+from qcab.torus import (
+    QCoeff,
+    QLaurent,
+    TorusError,
+    WindowTorus,
+    divide_right_exact,
+    leading_term,
+    q_structure_witness,
+    qcoeff_from_text,
+    qlaurent_to_text,
+)
 
 from test_torus import _EDITS, coeff_runs, edit_text
 
@@ -116,6 +126,19 @@ def test_xelement_products_and_bar():
     a = x * y + XElement.monomial(amb, {(1, -2): 2}, QCoeff({1: 3}))
     b = y * x
     assert (a * b).bar() == b.bar() * a.bar()
+
+
+def test_window_only_functions_refuse_an_xtorus_element():
+    """Window text and the term order of the division are refused on the (i,p) torus; repr still prints."""
+    amb = ambient("B2")
+    x = XElement.raw_generator(amb, 1, 0) * XElement.raw_generator(amb, 2, 1, -1)
+    assert xelement_to_text(x) == "(1) X[1,0]*X[2,1]^-1"
+    with pytest.raises(TorusError, match="qgroth.xelement_to_text"):
+        qlaurent_to_text(x)
+    assert repr(QLaurent(amb, dict(x.terms))) == "QLaurent((1) X[1,0]*X[2,1]^-1)"
+    for window_only in (lambda: leading_term(x), lambda: divide_right_exact(x, x)):
+        with pytest.raises(TorusError, match="window torus's term order; XTorus has none"):
+            window_only()
 
 
 def test_compatible_reading_order():

@@ -15,7 +15,8 @@ import qcab.torus as torus_module
 from qcab.braid import IndexSequence, alternating, build_seed
 from qcab.cartan import build_cartan, parse_type
 from qcab.commutative import LaurentPoly, RationalX
-from qcab.seeds import CompatiblePair, mutate_pair
+from qcab.qgroth import TCartan, XElement, XTorus
+from qcab.seeds import CompatiblePair, check_compatible, make_pair, mutate_pair
 from qcab.torus import (
     ClusterState,
     DivisionRemainderError,
@@ -313,9 +314,53 @@ def test_division_consumes_its_dividend_only_when_asked(x, d, k):
     kept = {b: QCoeff(c.terms) for b, c in dividend.terms.items()}
     assert divide_right_exact(dividend, d) == x
     assert dividend.terms == kept
+    rows = dividend.term_rows
     assert divide_right_exact(dividend, d, _consume=True) == x
-    assert dividend.terms.keys() == kept.keys()
+    assert dividend.terms.keys() == kept.keys() == rows.keys()  # the cached rows still name every term
     assert not any(c.terms for c in dividend.terms.values())
+
+
+_CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@st.composite
+def xelements(draw, max_terms=3):
+    """Small B3 (i,p)-torus elements: node 2 at odd levels, nodes 1 and 3 at even ones."""
+    amb = XTorus(TCartan(build_cartan("B", 3)))
+    hats = st.tuples(st.integers(1, 3), st.integers(-2, 2)).map(lambda t: (t[0], 2 * t[1] + (t[0] == 2)))
+    x = XElement.zero(amb)
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.dictionaries(hats, st.integers(-2, 2), max_size=3))
+        x = x + XElement.monomial(amb, exps, QCoeff(draw(_coeffs)))
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(qlaurents(), qlaurents()), st.tuples(xelements(), xelements())), st.sampled_from(sorted(_CLONES)))
+def test_cached_term_rows_agree_with_the_torus(xy, clone):
+    """term_rows[b] twists like torus.row(b), on a window and on the (i,p) torus, read or unread, copied or not."""
+    x, y = xy
+    torus = y.torus
+
+    def assert_rows(z):
+        assert z.term_rows.keys() == z.terms.keys()
+        for a in x.terms:
+            for b in z.terms:
+                assert torus.twist(a, z.term_rows[b]) == torus.twist(a, torus.row(b))
+
+    unread = type(y)(torus, dict(y.terms))
+    assert "term_rows" not in vars(unread)
+    assert_rows(y)
+    product = x * y
+    assert x * unread == product  # unread's rows are first built by this product
+    copied = _CLONES[clone](y)  # a copy of an element whose rows were read
+    assert copied == y and copied.torus is torus
+    assert_rows(copied)
+    assert x * copied == product
 
 
 def _naive_division_trace(x, d, max_steps=None):
@@ -383,7 +428,12 @@ def test_heavy_g2_walk_golden_digests():
 
 
 def _replayed_stats(state, k):
-    """mutate_state's record, recomputed from whole products and sums and the division trace."""
+    """mutate_state's record, recomputed from whole products and sums and the division trace.
+
+    The numerator is built from unit-started products, but the pairs are
+    counted as ``mutate_state`` forms them: M' and M'' start from their first
+    factor, so the product by a first factor is not counted.
+    """
     cur = state.current
     col = cur.b[:, k - 1].tolist()
     lam = cur.lam.tolist()
@@ -394,12 +444,11 @@ def _replayed_stats(state, k):
         shift = sum(mu * lam[u][k - 1] for u, mu in m)
         shift -= sum(mu * mv * lam[u][v] for i, (u, mu) in enumerate(m) for v, mv in m[i + 1 :])
         term = QLaurent.monomial(old.torus, old.torus.one, QCoeff.q_power(shift))
-        for u, mu in m:
-            for _ in range(mu):
-                x = state.variables[u]
+        for i, x in enumerate(state.variables[u] for u, mu in m for _ in range(mu)):
+            if i:
                 pairs += len(term.terms) * len(x.terms)
                 packed += len(term.terms) * len(x.terms) if _packs(term, x) else 0
-                term = term * x
+            term = term * x
         num = num + term
     steps, peak = _naive_division_trace(num, old)
     new = mutate_state(state, k).variables[k - 1]
@@ -421,7 +470,7 @@ def test_mutate_state_stats():
     after = mutate_state(state, 1, stats=stats)
     assert after == mutate_state(state, 1)
     assert stats == _replayed_stats(state, 1) == {
-        "reused": False, "numerator_terms": 2, "term_pairs": 3, "packed_pairs": 0,
+        "reused": False, "numerator_terms": 2, "term_pairs": 1, "packed_pairs": 0,
         "longest_coefficient": 1, "steps": 2, "remainder_peak": 2,
     }
     state = ClusterState.from_pair(build_seed(alternating(parse_type("G2")), 6))
@@ -430,9 +479,26 @@ def test_mutate_state_stats():
     stats = {}
     mutate_state(state, 3, stats=stats)
     assert stats == _replayed_stats(state, 3) == {
-        "reused": False, "numerator_terms": 367, "term_pairs": 550, "packed_pairs": 359,
+        "reused": False, "numerator_terms": 367, "term_pairs": 174, "packed_pairs": 0,
         "longest_coefficient": 34, "steps": 197, "remainder_peak": 367,
     }
+
+
+def test_exchange_with_a_unit_numerator_monomial():
+    """M'' is the unit q^{shift/2} when b_k has no negative entry; M' = q X_2 forms no product."""
+    pair = make_pair(np.array([[0, -2], [2, 0]]), np.array([[0, 0], [1, 0]]), {1}, (1, 1))
+    assert check_compatible(pair)
+    state = ClusterState.from_pair(pair)
+    stats = {}
+    after = mutate_state(state, 1, stats=stats)
+    assert stats == _replayed_stats(state, 1) == {
+        "reused": False, "numerator_terms": 2, "term_pairs": 0, "packed_pairs": 0,
+        "longest_coefficient": 1, "steps": 2, "remainder_peak": 2,
+    }
+    torus = state.variables[0].torus
+    assert after.variables[0] == qlaurent_from_text(torus, "(1) Z[1]^-1 + (1) Z[1]^-1*Z[2]")
+    assert after.variables[0] * state.variables[0] == qlaurent_from_text(torus, "(1) + (q) Z[2]")
+    assert degree_of_pointed(after.variables[0], pair) == predicted_degree(after, 1) == (-1, 0)
 
 
 def _replayed_degree(state, position):
