@@ -247,10 +247,6 @@ class RationalX:
             return RationalX(num, den)
         return RationalX(quotient, LaurentPoly.const(1))
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.const(1)
-
     def __add__(self, other: "RationalX") -> "RationalX":
         if self.den == other.den:
             return RationalX.make(self.num + other.num, self.den)

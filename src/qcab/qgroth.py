@@ -270,14 +270,6 @@ class XElement(QLaurent):
             out[key] = c
         return XElement(self.torus, out)
 
-    def dq_shift(self, direction: int = 1) -> "XElement":
-        """The automorphism sending (i, p) to (i*, p +- h)."""
-        if direction not in (1, -1):
-            raise QGrothError("direction must be +1 or -1")
-        h = self.torus.datum.coxeter_number
-        star = self.torus.datum.star_of
-        return self.relabel(lambda u: (star(u[0]), u[1] + direction * h))
-
     def tr_shift(self, r: int) -> "XElement":
         if r % 2:
             raise QGrothError("level shifts must be even")

@@ -45,20 +45,6 @@ class CompatiblePair:
     def frozen(self) -> frozenset[int]:
         return frozenset(range(1, self.size + 1)) - self.exchangeable
 
-    def _check_entry(self, u: int, v: int) -> None:
-        if not 1 <= u <= self.size >= v >= 1:
-            raise SeedError(f"entry ({u},{v}) outside the window 1..{self.size}")
-
-    def b_entry(self, u: int, v: int) -> int:
-        self._check_entry(u, v)
-        if v not in self.exchangeable:
-            raise SeedError(f"column {v} is frozen")
-        return int(self.b[u - 1, v - 1])
-
-    def lam_entry(self, u: int, v: int) -> int:
-        self._check_entry(u, v)
-        return int(self.lam[u - 1, v - 1])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompatiblePair):
             return NotImplemented
@@ -118,7 +104,11 @@ def _adopt_pair(
             raise SeedError(f"frozen column {v} must be zero")
     if len(diag) != s:
         raise SeedError("diagonal length mismatch")
-    return _frozen_pair(lam, b, ex, tuple(int(d) for d in diag))
+    diag = tuple(int(d) for d in diag)
+    for u, d in enumerate(diag, 1):
+        if d < 1:
+            raise SeedError(f"diag entry {d} at position {u} is below 1")
+    return _frozen_pair(lam, b, ex, diag)
 
 
 def check_compatible(pair: CompatiblePair) -> bool:

@@ -721,8 +721,11 @@ class _ExchangeTable:
 
     One table serves every state grown from one ``ClusterState.from_pair``
     call.  It holds each new variable weakly, so an entry goes when nothing
-    else holds its variable, and it never hands out a label twice.  A copy or
-    an unpickled table is a fresh, empty one.
+    else holds its variable, and it never hands out a label twice.  What
+    keeps a variable alive is the states: each one that holds it, and each
+    one that was mutated into it (``ClusterState.exchanged``).  A strong
+    table would instead keep every variable of a long walk.  A copy or an
+    unpickled table is a fresh, empty one.
     """
 
     __slots__ = ("entries", "next_label", "_forget", "__weakref__")
@@ -764,10 +767,17 @@ class ClusterState:
     ``labels``, one int per position that names its variable within the
     states grown from one ``from_pair`` call (equal labels, identical
     variables); ``degrees``, the initial-seed degree of each variable by the
-    stepwise degree rule; and ``exchanges``, the ``_ExchangeTable`` shared by
-    those states.  The three take no part in equality.  A copy or an
-    unpickled state starts a table of its own: its variables take labels
-    0..s-1, and its degrees are kept.
+    stepwise degree rule; ``exchanges``, the ``_ExchangeTable`` shared by
+    those states; and ``exchanged``, which maps each position k that
+    ``mutate_state(state, k)`` was called at to the new variable it returned.
+    The four take no part in equality.  ``exchanged`` keeps an exchange's
+    result alive for at least as long as the state it was computed from, so
+    sibling walks that meet the same exchange share it even after the state
+    holding it is gone.  It costs at most one variable per live state and
+    position.  A copy or an unpickled state starts a table of its own and an
+    empty ``exchanged``: its variables take labels 0..s-1, and its degrees
+    are kept.  One made by ``dataclasses.replace`` shares the table and
+    starts an empty ``exchanged``.
     """
 
     variables: tuple[QLaurent, ...]
@@ -776,6 +786,7 @@ class ClusterState:
     labels: tuple[int, ...] = field(compare=False)
     degrees: tuple[tuple[int, ...], ...] = field(compare=False)
     exchanges: _ExchangeTable = field(compare=False, repr=False)
+    exchanged: dict[int, QLaurent] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __reduce__(self):
         s = len(self.variables)
@@ -815,8 +826,12 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
     of X_k and, for M' then M'', the shift and the (label, exponent) pairs
     in position order.  While a variable stored under that key is alive, it
     is returned as it is, with its label; otherwise the exchange is computed
-    and stored under a fresh label.  Mutations at j and k with b_jk = 0
-    commute, so walks that differ by such a swap share their exchanges.
+    and stored under a fresh label.  Either way, ``state.exchanged[k]`` then
+    holds the new variable, so it lives at least as long as ``state``: a
+    repeated step at k returns the identical variable, and a walk that meets
+    the exchange again while ``state`` lives reuses it, even once the
+    returned state is gone.  Mutations at j and k with b_jk = 0 commute, so
+    walks that differ by such a swap share their exchanges.
 
     The new variable's degree is the stepwise degree rule replayed along the
     new history, back to the initial seed, on a reused step too.
@@ -854,6 +869,7 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
     else:
         new = _exchange(state.variables, k, factors, stats)
         label = state.exchanges.store(key, new)
+    state.exchanged[k] = new
     history = state.history + (k,)
     pair_chain = state.pair_chain + (mutate_pair(cur, k),)
     g = tuple(int(u == k) for u in range(1, cur.size + 1))
@@ -933,19 +949,6 @@ def qlaurent_to_text(x: QLaurent) -> str:
         coeff = qcoeff_to_text(x.terms[a])
         parts.append(f"({coeff}) {mono}".rstrip())
     return " + ".join(parts)
-
-
-def qlaurent_from_text(torus: WindowTorus, text: str) -> QLaurent:
-    out = QLaurent.zero(torus)
-    s = len(torus.one)
-    for coeff, factors in _parse_terms(text, "Z", 1):
-        a = [0] * s
-        for (u,), exp in factors:
-            if not 1 <= u <= s:
-                raise TorusError(f"index {u} outside window")
-            a[u - 1] += exp
-        out = out + QLaurent.monomial(torus, a, coeff)
-    return out
 
 
 def _parse_terms(text: str, label: str, arity: int):

@@ -39,6 +39,7 @@ from qcab.seeds import SeedError, check_compatible, mutate_pair, permute_pair, t
 
 import weyl_oracle
 from test_qgroth import ALL_TYPES
+from test_seeds import lam_entry
 from weyl_oracle import b_infinite_entry, lambda_closed_form, uplus
 
 G2_LAMBDA_8 = np.array(
@@ -270,7 +271,7 @@ def test_lambda_closed_form_extension():
         for v in range(1, 9):
             vp = uplus(seq, v, 12)
             for u in range(v + 1, min(vp, 9)):
-                assert pair.lam_entry(u, v) == lambda_closed_form(seq, u, v)
+                assert lam_entry(pair, u, v) == lambda_closed_form(seq, u, v)
     rng = random.Random(13)
     for code in ("A3", "B3", "C3", "D4", "F4", "G2", "E6"):
         d = build_cartan(code[0], int(code[1]))
@@ -282,7 +283,7 @@ def test_lambda_closed_form_extension():
             for u in range(1, s + 1):
                 for v in range(1, s + 1):
                     if u < uplus(seq, v, s):
-                        assert pair.lam_entry(u, v) == lambda_closed_form(seq, u, v), (code, letters, u, v)
+                        assert lam_entry(pair, u, v) == lambda_closed_form(seq, u, v), (code, letters, u, v)
 
 
 def test_seed_compatibility_across_types():

@@ -338,6 +338,9 @@ GOOD_SEED = {"window": 2, "lambda": [[0, 1], [-1, 0]], "b": [[2, 1, -2]], "froze
         {"lambda": [[0, 1, 0], [-1, 0, 0]]},  # not square
         {"frozen": [99]},
         {"frozen": [0, 2]},
+        {"b": [], "diag": [0, 1]},  # compatible, since 2 d_1 = 0
+        {"b": [[2, 1, 2]], "diag": [-1, 1]},  # compatible, since 2 d_1 = b_21 Lambda_21 = -2
+        {"diag": [1, 0]},  # a frozen position's entry
     ],
 )
 def test_mutate_rejects_bad_seed_file(tmp_path, capsys, change):
@@ -345,6 +348,8 @@ def test_mutate_rejects_bad_seed_file(tmp_path, capsys, change):
     doc = {k: v for k, v in {**GOOD_SEED, **change}.items() if v is not None}
     path.write_text(json.dumps(doc))
     assert main(["mutate", str(path), "--at", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     path.write_text(json.dumps(GOOD_SEED))
     assert main(["mutate", str(path), "--at", "1"]) == 0
 
@@ -358,8 +363,9 @@ def test_mutate_rejects_bad_seed_file(tmp_path, capsys, change):
         (json.dumps({**GOOD_SEED, "lambda": [[0, 1], [-1]]}), "lambda is not a 2 x 2 matrix"),
         (json.dumps({**GOOD_SEED, "lambda": []}), "lambda is not a 2 x 2 matrix"),  # before B is allocated
         (json.dumps({**GOOD_SEED, "frozen": [99]}), "frozen positions [99] outside the window 1..2"),
+        (json.dumps({**GOOD_SEED, "b": [], "diag": [0, 1]}), "diag entry 0 at position 1 is below 1"),
     ],
-    ids=["json", "sequence", "window", "ragged", "no-rows", "frozen"],
+    ids=["json", "sequence", "window", "ragged", "no-rows", "frozen", "diag"],
 )
 def test_mutate_names_the_bad_seed_file_part(tmp_path, capsys, text, named):
     path = tmp_path / "seed.json"

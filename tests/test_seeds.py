@@ -25,6 +25,25 @@ from qcab.seeds import (
 )
 
 
+def _check_entry(pair, u, v):
+    if not 1 <= u <= pair.size >= v >= 1:
+        raise SeedError(f"entry ({u},{v}) outside the window 1..{pair.size}")
+
+
+def b_entry(pair, u, v):
+    """B_uv of an exchangeable column v, read 1-based; a position outside the window raises SeedError."""
+    _check_entry(pair, u, v)
+    if v not in pair.exchangeable:
+        raise SeedError(f"column {v} is frozen")
+    return int(pair.b[u - 1, v - 1])
+
+
+def lam_entry(pair, u, v):
+    """Lambda_uv read 1-based; a position outside the window raises SeedError, where a bare index would wrap."""
+    _check_entry(pair, u, v)
+    return int(pair.lam[u - 1, v - 1])
+
+
 def random_skew_symmetrizable(rng, n, n_frozen=0, max_entry=2):
     """A random exchange window with known symmetrizer, plus its Lambda-free pair."""
     d = [rng.choice([1, 1, 2, 3]) for _ in range(n)]
@@ -58,6 +77,18 @@ def test_make_pair_validation():
         make_pair(lam, b2, {1, 2}, (1, 1, 1))  # frozen column 3 must be zero
 
 
+@pytest.mark.parametrize("diag, u", [((0, 1), 1), ((1, 0), 2), ((-1, 1), 1)])
+def test_seeds_refuse_a_diag_entry_below_one(diag, u):
+    """Both boundaries name the position; the first pair is compatible, since 2 d_1 = 0 when b_1 = 0."""
+    named = re.escape(f"diag entry {diag[u - 1]} at position {u} is below 1")
+    lam, b = np.array([[0, 1], [-1, 0]]), np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(SeedError, match=named):
+        make_pair(lam, b, {1}, diag)
+    text = f'{{"window": 2, "lambda": [[0, 1], [-1, 0]], "b": [], "frozen": [2], "diag": [{diag[0]}, {diag[1]}]}}'
+    with pytest.raises(SeedError, match=named):
+        pair_from_json(text)
+
+
 def test_make_pair_leaves_caller_arrays_writable():
     lam = np.zeros((2, 2), dtype=np.int64)
     b = np.zeros((2, 2), dtype=np.int64)
@@ -65,7 +96,7 @@ def test_make_pair_leaves_caller_arrays_writable():
     assert lam.flags.writeable and b.flags.writeable
     assert not pair.lam.flags.writeable and not pair.b.flags.writeable
     lam[0, 1] = 5  # the pair keeps its own copy
-    assert pair.lam_entry(1, 2) == 0
+    assert lam_entry(pair, 1, 2) == 0
 
 
 @pytest.mark.parametrize("entry", ["lam_entry", "b_entry"])
@@ -73,7 +104,7 @@ def test_make_pair_leaves_caller_arrays_writable():
 def test_pair_entries_reject_positions_outside_the_window(entry, u, v):
     pair = build_seed(alternating(build_cartan("B", 2)), 4)
     with pytest.raises(SeedError, match=re.escape(f"entry ({u},{v}) outside the window 1..4")):
-        getattr(pair, entry)(u, v)
+        {"lam_entry": lam_entry, "b_entry": b_entry}[entry](pair, u, v)
 
 
 def test_check_compatible_vacuous_and_perturbed():

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import itertools
 import pickle
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -36,9 +38,22 @@ from qcab.torus import (
     q_structure_witness,
     qcoeff_from_text,
     qcoeff_to_text,
-    qlaurent_from_text,
     qlaurent_to_text,
 )
+
+
+def qlaurent_from_text(torus, text):
+    """The window-torus element written by ``qlaurent_to_text``; a bad term or index raises TorusError."""
+    out = QLaurent.zero(torus)
+    s = len(torus.one)
+    for coeff, factors in torus_module._parse_terms(text, "Z", 1):
+        a = [0] * s
+        for (u,), exp in factors:
+            if not 1 <= u <= s:
+                raise TorusError(f"index {u} outside window")
+            a[u - 1] += exp
+        out = out + QLaurent.monomial(torus, a, coeff)
+    return out
 
 
 def b2_pair(window=4):
@@ -552,6 +567,13 @@ def _walk_tree(positions, depth):
     return walks
 
 
+# Divisions of each tree below when only states with children are held and a
+# state keeps none of the variables it was mutated into: a leaf's variable
+# then dies with the leaf, and a sibling walk that meets its exchange again
+# divides anew.
+DIVISIONS_WITH_UNKEPT_LEAVES = {"B2": 10, "G2": 130, "B3": 63, "C3": 63}
+
+
 @pytest.mark.parametrize("code, window, depth", [("B2", 4, 5), ("G2", 6, 4), ("B3", 8, 3), ("C3", 8, 3)])
 def test_reused_exchanges_equal_recomputed(code, window, depth, monkeypatch):
     """Every variable of a walk tree, whose states all stay alive, equals the one its walk gives alone.
@@ -559,21 +581,37 @@ def test_reused_exchanges_equal_recomputed(code, window, depth, monkeypatch):
     The alone walk starts from a fresh ``from_pair`` and keeps only its
     latest state.  Every tree but B2's must serve some steps from the
     exchange table, and no label of a tree may name two variables.
+
+    The tree is then walked again holding only the states that have
+    children, as exchange_walks does.  Each state keeps the variables it was
+    mutated into, so this walk runs as many divisions as the one holding
+    every state, and fewer than ``DIVISIONS_WITH_UNKEPT_LEAVES``; each of its
+    states equals the first walk's, compared before it is dropped.
     """
     pair = _seed(code, window)
     walks = _walk_tree(sorted(pair.exchangeable), depth)
-    divisions = []
+    divisions = [0]
 
     def counting(*args, **kwargs):
-        divisions.append(args)
+        divisions[0] += 1
         return divide_right_exact(*args, **kwargs)
 
     monkeypatch.setattr(torus_module, "divide_right_exact", counting)
     states = {(): ClusterState.from_pair(pair)}
     for walk in walks:
         states[walk] = mutate_state(states[walk[:-1]], walk[-1])
+    held_all = divisions[0]
+    assert held_all < len(walks) or code == "B2"  # B2's two positions never commute
+    divisions[0] = 0
+    parents = {(): ClusterState.from_pair(pair)}
+    for walk in walks:
+        state = mutate_state(parents[walk[:-1]], walk[-1])
+        assert state.variables == states[walk].variables, walk
+        if len(walk) < depth:
+            parents[walk] = state
     monkeypatch.undo()
-    assert len(divisions) < len(walks) or code == "B2"  # B2's two positions never commute
+    assert divisions[0] == held_all
+    assert divisions[0] < DIVISIONS_WITH_UNKEPT_LEAVES[code] or code == "B2"
     named = {}  # a label names one variable across the tree
     for state in states.values():
         for label, x in zip(state.labels, state.variables):
@@ -583,6 +621,75 @@ def test_reused_exchanges_equal_recomputed(code, window, depth, monkeypatch):
         for k in walk:
             alone = mutate_state(alone, k)
         assert states[walk].variables == alone.variables, walk
+
+
+def test_a_state_keeps_the_variables_it_was_mutated_into():
+    """A repeated step returns the identical variable, and ``exchanged`` holds one entry per position.
+
+    The map is filled on a reused step too, so a variable computed from
+    another state outlives that state while the reusing state lives.
+    """
+    pair = build_seed(alternating(parse_type("G2")), 6)
+    root = ClusterState.from_pair(pair)
+    two = mutate_state(root, 2)
+    stats = {}
+    again = mutate_state(root, 2, stats=stats)
+    assert stats == {"reused": True}
+    assert again.variables[1] is two.variables[1] and again.labels == two.labels
+    for k in (1, 3, 1, 2, 3):
+        mutate_state(root, k)
+    assert sorted(root.exchanged) == [1, 2, 3] and root.exchanged[2] is two.variables[1]
+    assert pair.b[0, 3] == 0  # mutations at 1 and 4 commute
+    one = mutate_state(root, 1)
+    four = mutate_state(mutate_state(one, 4), 1)  # the exchange at 4 is computed from one
+    ref = weakref.ref(four.variables[3])
+    stats = {}
+    assert mutate_state(root, 4, stats=stats).variables[3] is ref()
+    assert stats == {"reused": True} and root.exchanged[4] is ref()
+    del one, four
+    gc.collect()
+    assert ref() is root.exchanged[4]
+
+
+def test_a_result_dies_with_its_source_and_its_own_state():
+    """Once the state a variable was computed from and the state holding it are gone, so are the variable and its entry."""
+    pair = build_seed(alternating(parse_type("G2")), 6)
+    root = ClusterState.from_pair(pair)
+    source = mutate_state(root, 2)
+    result = mutate_state(source, 1)
+    ref = weakref.ref(result.variables[0])
+    key = next(key for key, entry in root.exchanges.entries.items() if entry() is ref())
+    del result
+    gc.collect()
+    assert ref() is source.exchanged[1]  # the source keeps it
+    result = mutate_state(source, 1)
+    del source
+    gc.collect()
+    assert ref() is result.variables[0]  # the result's own state keeps it
+    del result
+    gc.collect()
+    assert ref() is None and key not in root.exchanges.entries
+    assert list(root.exchanged) == [2]  # the source's own variable lives on in its parent
+    stats = {}
+    mutate_state(root, 2, stats=stats)
+    assert stats == {"reused": True}
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)), dataclasses.replace],
+    ids=["copy", "deepcopy", "pickle", "replace"],
+)
+def test_copied_states_start_an_empty_exchanged_map(clone):
+    """A copied, pickled or replaced state keeps none of the variables its original was mutated into, and shares no map."""
+    state = mutate_state(ClusterState.from_pair(build_seed(alternating(parse_type("G2")), 6)), 2)
+    for k in (1, 3):
+        mutate_state(state, k)
+    assert sorted(state.exchanged) == [1, 3]
+    copied = clone(state)
+    assert copied == state and copied.exchanged == {}
+    mutate_state(copied, 4)
+    assert sorted(state.exchanged) == [1, 3] and sorted(copied.exchanged) == [4]
 
 
 DEGREE_SEEDS = {("B2", 4): 6, ("G2", 6): 5, ("B3", 8): 6, ("C3", 8): 6}  # (type, window): longest walk drawn
@@ -898,7 +1005,7 @@ def test_fraction_walk_stays_laurent(code, window, steps):
     pair = build_seed(alternating(parse_type(code)), window)
     walk = list(itertools.islice(itertools.cycle(sorted(pair.exchangeable)), steps))
     for xs in _fraction_walk(pair, walk):
-        assert all(x.is_polynomial for x in xs)
+        assert all(x.den == LaurentPoly.const(1) for x in xs)
 
 
 def _at_q1(x):
