@@ -252,12 +252,6 @@ class RationalX:
             return RationalX.make(self.num + other.num, self.den)
         return RationalX.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __neg__(self) -> "RationalX":
-        return RationalX.make(-self.num, self.den)
-
-    def __sub__(self, other: "RationalX") -> "RationalX":
-        return self + (-other)
-
     def __mul__(self, other: "RationalX") -> "RationalX":
         return RationalX.make(self.num * other.num, self.den * other.den)
 

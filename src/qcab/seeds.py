@@ -108,11 +108,19 @@ def _adopt_pair(
     for u, d in enumerate(diag, 1):
         if d < 1:
             raise SeedError(f"diag entry {d} at position {u} is below 1")
+        if 2 * d >= 2**63:
+            raise SeedError(f"diag entry {d} at position {u} is too large: 2 d must fit in int64")
     return _frozen_pair(lam, b, ex, diag)
 
 
 def check_compatible(pair: CompatiblePair) -> bool:
-    """Whether sum_k b_{k,u} Lambda_{k,v} = 2 d_u delta_{u,v} for u exchangeable."""
+    """Whether sum_k b_{k,u} Lambda_{k,v} = 2 d_u delta_{u,v} for u exchangeable.
+
+    Raises SeedError unless s max|b| max|Lambda| is below 2**63, which keeps
+    every partial sum of B^T Lambda in int64.
+    """
+    if pair.size * _amax(pair.b) * _amax(pair.lam) >= 2**63:
+        raise SeedError("B^T Lambda would overflow int64: s max|b| max|Lambda| reaches 2**63")
     m = pair.b.T @ pair.lam
     for u in pair.exchangeable:
         row = m[u - 1]
@@ -125,7 +133,7 @@ def check_compatible(pair: CompatiblePair) -> bool:
 
 def _amax(a: np.ndarray) -> int:
     """max |a| as a Python int; the unsigned view reads |-2**63| as 2**63."""
-    return int(np.abs(a).view(np.uint64).max())
+    return int(np.abs(a).view(np.uint64).max(initial=0))
 
 
 def mutate_arrays(lam: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

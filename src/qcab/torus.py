@@ -702,61 +702,20 @@ def gvector_mutate(g_prime: tuple[int, ...], k: int, col: list[int]) -> tuple[in
 # cluster state
 
 
-class _LabelledRef(weakref.ref):
-    """A weak reference to an exchange's new variable, with its table key and its label."""
-
-    __slots__ = ("key", "label")
-
-    def __new__(cls, variable: QLaurent, callback, key: tuple, label: int) -> "_LabelledRef":
-        self = super().__new__(cls, variable, callback)
-        self.key, self.label = key, label
-        return self
-
-    def __init__(self, variable: QLaurent, callback, key: tuple, label: int) -> None:
-        super().__init__(variable, callback)
-
-
 class _ExchangeTable:
-    """The exchanges whose new variables are still alive, and the next free label.
+    """The exchanges computed in one family of states, and the next free label.
 
     One table serves every state grown from one ``ClusterState.from_pair``
-    call.  It holds each new variable weakly, so an entry goes when nothing
-    else holds its variable, and it never hands out a label twice.  What
-    keeps a variable alive is the states: each one that holds it, and each
-    one that was mutated into it (``ClusterState.exchanged``).  A strong
-    table would instead keep every variable of a long walk.  A copy or an
-    unpickled table is a fresh, empty one.
+    call, its family.  ``entries`` maps an exchange key to the new variable
+    and its label.  The table keeps every exchange it computed, for as long
+    as any state of the family lives, and it never hands out a label twice.
     """
 
-    __slots__ = ("entries", "next_label", "_forget", "__weakref__")
+    __slots__ = ("entries", "next_label")
 
     def __init__(self, next_label: int) -> None:
-        self.entries: dict[tuple, _LabelledRef] = {}
+        self.entries: dict[tuple, tuple[QLaurent, int]] = {}
         self.next_label = next_label
-        table = weakref.ref(self)  # a strong reference here would make every entry a cycle
-
-        def forget(ref: _LabelledRef) -> None:
-            owner = table()
-            if owner is not None and owner.entries.get(ref.key) is ref:
-                del owner.entries[ref.key]
-
-        self._forget = forget
-
-    def __reduce__(self):
-        return (_ExchangeTable, (self.next_label,))
-
-    def lookup(self, key: tuple) -> tuple[QLaurent, int] | None:
-        """The live variable stored under key and its label, or None."""
-        ref = self.entries.get(key)
-        variable = None if ref is None else ref()
-        return None if variable is None else (variable, ref.label)
-
-    def store(self, key: tuple, variable: QLaurent) -> int:
-        """Store variable under key with a fresh label, and return the label."""
-        label = self.next_label
-        self.next_label += 1
-        self.entries[key] = _LabelledRef(variable, self._forget, key, label)
-        return label
 
 
 @dataclass(frozen=True)
@@ -767,17 +726,15 @@ class ClusterState:
     ``labels``, one int per position that names its variable within the
     states grown from one ``from_pair`` call (equal labels, identical
     variables); ``degrees``, the initial-seed degree of each variable by the
-    stepwise degree rule; ``exchanges``, the ``_ExchangeTable`` shared by
-    those states; and ``exchanged``, which maps each position k that
-    ``mutate_state(state, k)`` was called at to the new variable it returned.
-    The four take no part in equality.  ``exchanged`` keeps an exchange's
-    result alive for at least as long as the state it was computed from, so
-    sibling walks that meet the same exchange share it even after the state
-    holding it is gone.  It costs at most one variable per live state and
-    position.  A copy or an unpickled state starts a table of its own and an
-    empty ``exchanged``: its variables take labels 0..s-1, and its degrees
-    are kept.  One made by ``dataclasses.replace`` shares the table and
-    starts an empty ``exchanged``.
+    stepwise degree rule; and ``exchanges``, the ``_ExchangeTable`` shared
+    by those states, the family's memo.  The three take no part in equality.
+    A family's memo keeps every exchange it computed, for as long as any of
+    its states lives, so walks that meet the same exchange share it whichever
+    states they keep; a long walk that keeps only its latest state still
+    holds one variable per exchange it computed.  A copy or an unpickled
+    state starts a memo of its own: its variables take labels 0..s-1, and
+    its degrees are kept.  One made by ``dataclasses.replace`` shares the
+    memo.
     """
 
     variables: tuple[QLaurent, ...]
@@ -786,7 +743,6 @@ class ClusterState:
     labels: tuple[int, ...] = field(compare=False)
     degrees: tuple[tuple[int, ...], ...] = field(compare=False)
     exchanges: _ExchangeTable = field(compare=False, repr=False)
-    exchanged: dict[int, QLaurent] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __reduce__(self):
         s = len(self.variables)
@@ -824,14 +780,13 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
     The new variable is a function of X_k and of the shift and the factors
     of M' and M'' alone, so the state's exchange table keys it by the label
     of X_k and, for M' then M'', the shift and the (label, exponent) pairs
-    in position order.  While a variable stored under that key is alive, it
-    is returned as it is, with its label; otherwise the exchange is computed
-    and stored under a fresh label.  Either way, ``state.exchanged[k]`` then
-    holds the new variable, so it lives at least as long as ``state``: a
-    repeated step at k returns the identical variable, and a walk that meets
-    the exchange again while ``state`` lives reuses it, even once the
-    returned state is gone.  Mutations at j and k with b_jk = 0 commute, so
-    walks that differ by such a swap share their exchanges.
+    in position order.  A variable stored under that key is returned as it
+    is, with its label; otherwise the exchange is computed and stored under
+    a fresh label.  The memo keeps it for as long as any state of the family
+    lives, so a repeated step at k returns the identical variable, and so
+    does any later walk of the family that meets the exchange again.
+    Mutations at j and k with b_jk = 0 commute, so walks that differ by such
+    a swap share their exchanges.
 
     The new variable's degree is the stepwise degree rule replayed along the
     new history, back to the initial seed, on a reused step too.
@@ -861,15 +816,17 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
         factors.append((shift, m))
     labels = state.labels
     key = (labels[k - 1], *((shift, tuple((labels[u], mu) for u, mu in m)) for shift, m in factors))
-    found = state.exchanges.lookup(key)
+    memo = state.exchanges
+    found = memo.entries.get(key)
     if found is not None:
         new, label = found
         if stats is not None:
             stats["reused"] = True
     else:
         new = _exchange(state.variables, k, factors, stats)
-        label = state.exchanges.store(key, new)
-    state.exchanged[k] = new
+        label = memo.next_label
+        memo.next_label += 1
+        memo.entries[key] = new, label
     history = state.history + (k,)
     pair_chain = state.pair_chain + (mutate_pair(cur, k),)
     g = tuple(int(u == k) for u in range(1, cur.size + 1))

@@ -60,6 +60,13 @@ def test_g_map_rejects_positions_outside_the_sequence(capsys, g):
     assert captured.out == "" and captured.err.startswith("error: degree position")
 
 
+def test_g_map_refuses_a_move_of_another_kind(capsys):
+    """B2's letters 1,2,1,2 make a four-move, so asking for a six-move there is a usage error."""
+    assert main(["g-map", "--move", "6", "--k", "1", "--type", "B2", "--seq", "1,2,1,2", "--g", "1:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: position 1 carries a four-move, not a 6-move\n"
+
+
 def test_c_map_fixture(capsys):
     code, out = run(
         capsys, "c-map", "--move", "6", "--k", "1", "--type", "G2",
@@ -341,6 +348,9 @@ GOOD_SEED = {"window": 2, "lambda": [[0, 1], [-1, 0]], "b": [[2, 1, -2]], "froze
         {"b": [], "diag": [0, 1]},  # compatible, since 2 d_1 = 0
         {"b": [[2, 1, 2]], "diag": [-1, 1]},  # compatible, since 2 d_1 = b_21 Lambda_21 = -2
         {"diag": [1, 0]},  # a frozen position's entry
+        {"diag": [2**62, 1]},  # 2 d_1 past int64
+        # B^T Lambda is 2**64 + 2 at (1, 1), which wraps to a compatible 2 in int64
+        {"lambda": [[0, -3074457345618258603], [3074457345618258603, 0]], "b": [[2, 1, 6]]},
     ],
 )
 def test_mutate_rejects_bad_seed_file(tmp_path, capsys, change):

@@ -89,6 +89,32 @@ def test_seeds_refuse_a_diag_entry_below_one(diag, u):
         pair_from_json(text)
 
 
+@pytest.mark.parametrize("u", [1, 2])
+def test_seeds_refuse_a_diag_entry_whose_double_leaves_int64(u):
+    """2 d_u must fit in int64, as the compatibility check and the degree check hold it there; both boundaries name the position."""
+    diag = tuple(2**62 if v == u else 1 for v in (1, 2))
+    named = re.escape(f"diag entry {2**62} at position {u} is too large")
+    lam, b = np.array([[0, 1], [-1, 0]]), np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(SeedError, match=named):
+        make_pair(lam, b, {1}, diag)
+    text = f'{{"window": 2, "lambda": [[0, 1], [-1, 0]], "b": [], "frozen": [2], "diag": [{diag[0]}, {diag[1]}]}}'
+    with pytest.raises(SeedError, match=named):
+        pair_from_json(text)
+    largest = tuple(2**62 - 1 if v == u else 1 for v in (1, 2))
+    assert make_pair(lam, b, {1}, largest).diag == largest
+
+
+def test_check_compatible_refuses_a_product_past_int64():
+    """Over Z, (B^T Lambda)_11 = 6 c = 2**64 + 2; in int64 it wraps to 2 = 2 d_1, which read as compatible."""
+    c = 3074457345618258603
+    lam, b = np.array([[0, -c], [c, 0]]), np.array([[0, 0], [6, 0]])
+    with pytest.raises(SeedError, match=r"B\^T Lambda would overflow int64"):
+        check_compatible(make_pair(lam, b, {1}, (1, 1)))
+    text = f'{{"window": 2, "lambda": [[0, {-c}], [{c}, 0]], "b": [[2, 1, 6]], "frozen": [2], "diag": [1, 1]}}'
+    with pytest.raises(SeedError, match=r"B\^T Lambda would overflow int64"):
+        pair_from_json(text)
+
+
 def test_make_pair_leaves_caller_arrays_writable():
     lam = np.zeros((2, 2), dtype=np.int64)
     b = np.zeros((2, 2), dtype=np.int64)

@@ -567,8 +567,8 @@ def _walk_tree(positions, depth):
     return walks
 
 
-# Divisions of each tree below when only states with children are held and a
-# state keeps none of the variables it was mutated into: a leaf's variable
+# Divisions of each tree below when only states with children are held and an
+# exchange is kept only while some state holds its variable: a leaf's variable
 # then dies with the leaf, and a sibling walk that meets its exchange again
 # divides anew.
 DIVISIONS_WITH_UNKEPT_LEAVES = {"B2": 10, "G2": 130, "B3": 63, "C3": 63}
@@ -583,10 +583,11 @@ def test_reused_exchanges_equal_recomputed(code, window, depth, monkeypatch):
     exchange table, and no label of a tree may name two variables.
 
     The tree is then walked again holding only the states that have
-    children, as exchange_walks does.  Each state keeps the variables it was
-    mutated into, so this walk runs as many divisions as the one holding
-    every state, and fewer than ``DIVISIONS_WITH_UNKEPT_LEAVES``; each of its
-    states equals the first walk's, compared before it is dropped.
+    children, as exchange_walks does.  A family's memo keeps every exchange
+    it computed, for as long as any of its states lives, so this walk runs
+    as many divisions as the one holding every state, and fewer than
+    ``DIVISIONS_WITH_UNKEPT_LEAVES``; each of its states equals the first
+    walk's, compared before it is dropped.
     """
     pair = _seed(code, window)
     walks = _walk_tree(sorted(pair.exchangeable), depth)
@@ -624,10 +625,10 @@ def test_reused_exchanges_equal_recomputed(code, window, depth, monkeypatch):
 
 
 def test_a_state_keeps_the_variables_it_was_mutated_into():
-    """A repeated step returns the identical variable, and ``exchanged`` holds one entry per position.
+    """A repeated step returns the identical variable, and the memo holds one entry per distinct exchange.
 
-    The map is filled on a reused step too, so a variable computed from
-    another state outlives that state while the reusing state lives.
+    A step reused from another state returns the variable computed there,
+    and the memo keeps it while the reusing state lives.
     """
     pair = build_seed(alternating(parse_type("G2")), 6)
     root = ClusterState.from_pair(pair)
@@ -638,41 +639,57 @@ def test_a_state_keeps_the_variables_it_was_mutated_into():
     assert again.variables[1] is two.variables[1] and again.labels == two.labels
     for k in (1, 3, 1, 2, 3):
         mutate_state(root, k)
-    assert sorted(root.exchanged) == [1, 2, 3] and root.exchanged[2] is two.variables[1]
+    memo = root.exchanges.entries
+    assert len(memo) == 3 and sum(x is two.variables[1] for x, _ in memo.values()) == 1
     assert pair.b[0, 3] == 0  # mutations at 1 and 4 commute
     one = mutate_state(root, 1)
     four = mutate_state(mutate_state(one, 4), 1)  # the exchange at 4 is computed from one
     ref = weakref.ref(four.variables[3])
     stats = {}
     assert mutate_state(root, 4, stats=stats).variables[3] is ref()
-    assert stats == {"reused": True} and root.exchanged[4] is ref()
+    assert stats == {"reused": True} and len(memo) == 5  # the steps at 4 from one and at 1 after it
     del one, four
     gc.collect()
-    assert ref() is root.exchanged[4]
+    assert sum(x is ref() for x, _ in memo.values()) == 1
 
 
-def test_a_result_dies_with_its_source_and_its_own_state():
-    """Once the state a variable was computed from and the state holding it are gone, so are the variable and its entry."""
+def test_the_memo_outlives_the_states_an_exchange_was_computed_from():
+    """With only the root left, a step at 4 reuses the variable that mu_4(mu_1(root)) computed from mu_1(root)."""
     pair = build_seed(alternating(parse_type("G2")), 6)
+    assert pair.b[0, 3] == 0  # mutations at 1 and 4 commute
     root = ClusterState.from_pair(pair)
-    source = mutate_state(root, 2)
-    result = mutate_state(source, 1)
-    ref = weakref.ref(result.variables[0])
-    key = next(key for key, entry in root.exchanges.entries.items() if entry() is ref())
-    del result
+    four = mutate_state(mutate_state(root, 1), 4)
+    ref, label = weakref.ref(four.variables[3]), four.labels[3]
+    del four
     gc.collect()
-    assert ref() is source.exchanged[1]  # the source keeps it
-    result = mutate_state(source, 1)
-    del source
-    gc.collect()
-    assert ref() is result.variables[0]  # the result's own state keeps it
-    del result
-    gc.collect()
-    assert ref() is None and key not in root.exchanges.entries
-    assert list(root.exchanged) == [2]  # the source's own variable lives on in its parent
     stats = {}
-    mutate_state(root, 2, stats=stats)
+    state = mutate_state(root, 4, stats=stats)
     assert stats == {"reused": True}
+    assert ref() is not None and state.variables[3] is ref() and state.labels[3] == label
+
+
+@pytest.mark.parametrize("code, window, depth", [("B2", 4, 5), ("G2", 6, 3), ("B3", 8, 3)])
+def test_the_memo_holds_one_entry_per_division(code, window, depth, monkeypatch):
+    """A walk tree that keeps only the states with children leaves its root's memo one entry per division run."""
+    pair = _seed(code, window)
+    divisions = [0]
+
+    def counting(*args, **kwargs):
+        divisions[0] += 1
+        return divide_right_exact(*args, **kwargs)
+
+    monkeypatch.setattr(torus_module, "divide_right_exact", counting)
+    root = ClusterState.from_pair(pair)
+    parents = {(): root}
+    for walk in _walk_tree(sorted(pair.exchangeable), depth):
+        state = mutate_state(parents[walk[:-1]], walk[-1])
+        if len(walk) < depth:
+            parents[walk] = state
+    del parents, state
+    gc.collect()
+    assert divisions[0] > 0 and len(root.exchanges.entries) == divisions[0]
+    labels = sorted(label for _, label in root.exchanges.entries.values())
+    assert labels == list(range(window, root.exchanges.next_label))
 
 
 @pytest.mark.parametrize(
@@ -681,15 +698,19 @@ def test_a_result_dies_with_its_source_and_its_own_state():
     ids=["copy", "deepcopy", "pickle", "replace"],
 )
 def test_copied_states_start_an_empty_exchanged_map(clone):
-    """A copied, pickled or replaced state keeps none of the variables its original was mutated into, and shares no map."""
+    """A copied or pickled state starts an empty memo of its own; a replaced one shares its original's."""
     state = mutate_state(ClusterState.from_pair(build_seed(alternating(parse_type("G2")), 6)), 2)
     for k in (1, 3):
         mutate_state(state, k)
-    assert sorted(state.exchanged) == [1, 3]
+    assert len(state.exchanges.entries) == 3
     copied = clone(state)
-    assert copied == state and copied.exchanged == {}
+    assert copied == state
     mutate_state(copied, 4)
-    assert sorted(state.exchanged) == [1, 3] and sorted(copied.exchanged) == [4]
+    if clone is dataclasses.replace:
+        assert copied.exchanges is state.exchanges and len(state.exchanges.entries) == 4
+    else:
+        assert copied.exchanges is not state.exchanges
+        assert len(state.exchanges.entries) == 3 and len(copied.exchanges.entries) == 1
 
 
 DEGREE_SEEDS = {("B2", 4): 6, ("G2", 6): 5, ("B3", 8): 6, ("C3", 8): 6}  # (type, window): longest walk drawn
@@ -785,6 +806,29 @@ def test_predicted_degree_rejects_positions_outside_the_window(u):
     state = mutate_state(ClusterState.from_pair(b2_pair()), 1)
     with pytest.raises(TorusError, match=f"position {u} outside the window 1..4"):
         predicted_degree(state, u)
+
+
+@pytest.mark.parametrize("k", [0, 3, 4, 5])
+def test_mutate_state_refuses_a_frozen_or_outside_position(k):
+    state = ClusterState.from_pair(b2_pair())
+    assert k not in state.current.exchangeable
+    with pytest.raises(TorusError, match=f"position {k} is frozen or out of range"):
+        mutate_state(state, k)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda x: divide_right_exact(x, QLaurent.zero(x.torus)), "division by zero"),
+        (lambda x: leading_term(QLaurent.zero(x.torus)), "zero element has no leading term"),
+        (lambda x: x ** -1, "negative powers only exist for monomials"),
+    ],
+    ids=["divide-by-zero", "leading-term-of-zero", "negative-power"],
+)
+def test_zero_and_negative_power_raise(call, named):
+    x = QLaurent.generator(small_torus(), 1) + QLaurent.generator(small_torus(), 2)
+    with pytest.raises(TorusError, match=named):
+        call(x)
 
 
 def test_degree_of_pointed_checks_its_torus():
