@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 import numpy as np
 
@@ -210,9 +210,15 @@ class WindowTorus(Torus):
     def __reduce__(self):
         return (WindowTorus, (self.lam,))  # a copy or unpickled torus goes back through the interning
 
-    @staticmethod
-    def key(a) -> tuple[int, ...]:
-        return tuple(int(x) for x in a)
+    def key(self, a) -> tuple[int, ...]:
+        """a as an exponent of this window: one integer per position, else TorusError."""
+        a = tuple(a)
+        if len(a) != len(self.one):
+            raise TorusError(f"an exponent of the window 1..{len(self.one)} has {len(self.one)} entries, got {len(a)}")
+        try:
+            return tuple(map(index, a))
+        except TypeError:
+            raise TorusError(f"an exponent entry is not an integer in {a!r}") from None
 
     def row(self, b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(_dot(r, b) for r in self.rows)
@@ -689,15 +695,6 @@ def q_structure_witness(x: QLaurent) -> str | None:
     return None
 
 
-def gvector_mutate(g_prime: tuple[int, ...], k: int, col: list[int]) -> tuple[int, ...]:
-    """Degree transport along one mutation; ``col`` is column k of the mutated B."""
-    gk = g_prime[k - 1]
-    sign = 1 if gk >= 0 else -1
-    out = [g + gk * max(sign * c, 0) for g, c in zip(g_prime, col)]
-    out[k - 1] = -gk
-    return tuple(out)
-
-
 # ----------------------------------------------------------------------
 # cluster state
 
@@ -722,12 +719,13 @@ class _ExchangeTable:
 class ClusterState:
     """A seed reached by mutations, with variables kept in the initial torus.
 
-    Besides the variables, the history and ``pair_chain``, a state carries
-    ``labels``, one int per position that names its variable within the
-    states grown from one ``from_pair`` call (equal labels, identical
-    variables); ``degrees``, the initial-seed degree of each variable by the
-    stepwise degree rule; and ``exchanges``, the ``_ExchangeTable`` shared
-    by those states, the family's memo.  The three take no part in equality.
+    Besides the variables, the history and two seeds, the ``initial`` and
+    the ``current`` one, a state carries ``labels``, one int per position
+    that names its variable within the states grown from one ``from_pair``
+    call (equal labels, identical variables); ``degrees``, the initial-seed
+    degree of each variable, fixed at its exchange; and ``exchanges``, the
+    ``_ExchangeTable`` shared by those states, the family's memo.  The three
+    take no part in equality.
     A family's memo keeps every exchange it computed, for as long as any of
     its states lives, so walks that meet the same exchange share it whichever
     states they keep; a long walk that keeps only its latest state still
@@ -739,23 +737,16 @@ class ClusterState:
 
     variables: tuple[QLaurent, ...]
     history: tuple[int, ...]
-    pair_chain: tuple[CompatiblePair, ...]  # the seed before the first step and after each
+    initial: CompatiblePair
+    current: CompatiblePair
     labels: tuple[int, ...] = field(compare=False)
     degrees: tuple[tuple[int, ...], ...] = field(compare=False)
     exchanges: _ExchangeTable = field(compare=False, repr=False)
 
     def __reduce__(self):
         s = len(self.variables)
-        args = (self.variables, self.history, self.pair_chain, tuple(range(s)), self.degrees, _ExchangeTable(s))
-        return (ClusterState, args)
-
-    @property
-    def initial(self) -> CompatiblePair:
-        return self.pair_chain[0]
-
-    @property
-    def current(self) -> CompatiblePair:
-        return self.pair_chain[-1]
+        args = (self.variables, self.history, self.initial, self.current, tuple(range(s)), self.degrees)
+        return (ClusterState, (*args, _ExchangeTable(s)))
 
     @staticmethod
     def from_pair(pair: CompatiblePair) -> "ClusterState":
@@ -764,7 +755,8 @@ class ClusterState:
         return ClusterState(
             tuple(QLaurent.generator(torus, u) for u in range(1, s + 1)),
             (),
-            (pair,),
+            pair,
+            pair,
             tuple(range(s)),
             tuple(tuple(int(u == v) for u in range(s)) for v in range(s)),
             _ExchangeTable(s),
@@ -788,8 +780,9 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
     Mutations at j and k with b_jk = 0 commute, so walks that differ by such
     a swap share their exchanges.
 
-    The new variable's degree is the stepwise degree rule replayed along the
-    new history, back to the initial seed, on a reused step too.
+    The new variable's degree is deg M - g_k, where g_k is the carried
+    degree of X_k and M is whichever of M' and M'' leads the numerator; it
+    is fixed this way on a reused step too.
 
     M' and M'' each start as q^{shift/2} times their first factor (the unit
     q^{shift/2} when m is 0), so only the products by the later factors are
@@ -827,15 +820,15 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
         label = memo.next_label
         memo.next_label += 1
         memo.entries[key] = new, label
-    history = state.history + (k,)
-    pair_chain = state.pair_chain + (mutate_pair(cur, k),)
-    g = tuple(int(u == k) for u in range(1, cur.size + 1))
-    for t in range(len(history), 0, -1):
-        j = history[t - 1]
-        g = gvector_mutate(g, j, pair_chain[t].b[:, j - 1].tolist())
+    # M' and M'' are pointed, and deg M' - deg M'' = B_0 c for this step's c-vector c, which is
+    # sign-coherent (Gross-Hacking-Keel-Kontsevich 2018); so by compatibility their order weights
+    # differ by 1^T Lambda_0 B_0 c = -2 sum_u d_u c_u != 0, and the heavier one leads the numerator.
+    degs = [[sum(mu * state.degrees[u][v] for u, mu in m) for v in range(cur.size)] for _, m in factors]
+    g = tuple(map(sub, max(degs, key=lambda a: _dot(new.torus.weights, a)), state.degrees[k - 1]))
     variables, new_labels, degrees = list(state.variables), list(labels), list(state.degrees)
     variables[k - 1], new_labels[k - 1], degrees[k - 1] = new, label, g
-    return ClusterState(tuple(variables), history, pair_chain, tuple(new_labels), tuple(degrees), state.exchanges)
+    history, current = state.history + (k,), mutate_pair(cur, k)
+    return ClusterState(tuple(variables), history, state.initial, current, tuple(new_labels), tuple(degrees), state.exchanges)
 
 
 def _exchange(variables: tuple[QLaurent, ...], k: int, factors: list, stats: dict | None) -> QLaurent:
@@ -874,10 +867,11 @@ def _exchange(variables: tuple[QLaurent, ...], k: int, factors: list, stats: dic
 
 
 def predicted_degree(state: ClusterState, position: int) -> tuple[int, ...]:
-    """Initial-seed degree of a current variable by the stepwise degree rule.
+    """Initial-seed degree of a current variable, as its exchange step fixed it.
 
-    ``mutate_state`` replays the rule back from each new variable's birth
-    and the state carries the result, so this reads ``state.degrees``.
+    ``mutate_state`` gives each new variable the degree of the leading
+    monomial of its numerator less that of the variable it replaces, and the
+    state carries the result, so this reads ``state.degrees``.
     """
     s = state.initial.size
     if not 1 <= position <= s:

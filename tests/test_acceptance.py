@@ -39,6 +39,8 @@ from qcab.qgroth import (
 from qcab.seeds import mutate_pair, permute_pair, transpositions
 from qcab.torus import ClusterState, degree_of_pointed, mutate_state, predicted_degree, q_structure_witness
 
+from degree_oracle import replayed_degree, seed_chain
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -387,10 +389,12 @@ def test_criterion_7_lusztig_consistency():
 def _exchange_walks(rng, configs):
     """Random exchange walks on alternating rank-2 seeds, checking every step.
 
-    ``configs`` lists (type, window, walks).  Each step checks the degree of
-    every position and the q-structure (bar-invariance and positivity) of
-    the new variable.  Yields a witness naming the walk, the step and the
-    position for each failure, and None after each walk.
+    ``configs`` lists (type, window, walks).  Each step checks the
+    q-structure (bar-invariance and positivity) of the new variable and, at
+    every position, the predicted degree against the certified one and
+    against the replay of the degree oracle.  Yields a witness naming the
+    walk, the step and the position for each failure, and None after each
+    walk.
     """
     for code, window, n_walks in configs:
         pair = build_seed(alternating(build_cartan(code[0], 2)), window)
@@ -402,10 +406,13 @@ def _exchange_walks(rng, configs):
                 where = f"{code} walk {walk} {','.join(map(str, state.history))} step {step}"
                 if witness := q_structure_witness(state.variables[k - 1]):
                     yield f"{where} position {k}: {witness}"
+                chain = seed_chain(state)
                 for u in range(1, pair.size + 1):
                     got, want = degree_of_pointed(state.variables[u - 1], pair), predicted_degree(state, u)
                     if got != want:
                         yield f"{where} position {u}: degree {got}, predicted {want}"
+                    if want != (replayed := replayed_degree(state, u, chain)):
+                        yield f"{where} position {u}: predicted {want}, replayed {replayed}"
             yield None
 
 

@@ -31,7 +31,6 @@ from qcab.torus import (
     _packs,
     degree_of_pointed,
     divide_right_exact,
-    gvector_mutate,
     leading_term,
     mutate_state,
     predicted_degree,
@@ -40,6 +39,8 @@ from qcab.torus import (
     qcoeff_to_text,
     qlaurent_to_text,
 )
+
+from degree_oracle import replayed_degree, seed_chain
 
 
 def qlaurent_from_text(torus, text):
@@ -516,17 +517,6 @@ def test_exchange_with_a_unit_numerator_monomial():
     assert degree_of_pointed(after.variables[0], pair) == predicted_degree(after, 1) == (-1, 0)
 
 
-def _replayed_degree(state, position):
-    """The initial-seed degree of a current variable, replayed back from its birth by the stepwise degree rule."""
-    s = state.initial.size
-    born = max((t for t, k in enumerate(state.history, 1) if k == position), default=0)
-    g = tuple(1 if u == position else 0 for u in range(1, s + 1))
-    for t in range(born, 0, -1):
-        k = state.history[t - 1]
-        g = gvector_mutate(g, k, state.pair_chain[t].b[:, k - 1].tolist())
-    return g
-
-
 def test_reused_step_stats_and_identity():
     """A step whose exchange is alive returns that very variable, and its record reads only reused."""
     pair = build_seed(alternating(parse_type("G2")), 6)
@@ -544,7 +534,7 @@ def test_reused_step_stats_and_identity():
     assert four_one.variables == one_four.variables and four_one.labels == one_four.labels
     for state in (four, four_one):  # reused steps carry the degree replayed along their own path
         for u in range(1, pair.size + 1):
-            assert predicted_degree(state, u) == _replayed_degree(state, u)
+            assert predicted_degree(state, u) == replayed_degree(state, u)
             assert degree_of_pointed(state.variables[u - 1], pair) == predicted_degree(state, u)
     stats = {}
     mutate_state(four, 2, stats=stats)
@@ -735,7 +725,26 @@ def test_carried_degrees_equal_the_replay(data):
             state = mutate_state(state, k)
             kept.append(state)
             positions = range(1, pair.size + 1)
-            assert [predicted_degree(state, u) for u in positions] == [_replayed_degree(state, u) for u in positions]
+            assert [predicted_degree(state, u) for u in positions] == [replayed_degree(state, u) for u in positions]
+
+
+@pytest.mark.parametrize("code, steps", [("B2", 300), ("G2", 200)])
+def test_long_walk_degrees_equal_the_replay(code, steps):
+    """A long random walk on window 4, immediate repeats allowed: every step's new variable carries the replayed degree.
+
+    The walk keeps only its latest state, and the seeds for the replay are
+    rebuilt one step at a time beside it.
+    """
+    pair = build_seed(alternating(parse_type(code)), 4)
+    rng = random.Random(2901)
+    state, chain = ClusterState.from_pair(pair), [pair]
+    for _ in range(steps):
+        k = rng.choice(sorted(pair.exchangeable))
+        state = mutate_state(state, k)
+        chain.append(mutate_pair(chain[-1], k))
+        assert predicted_degree(state, k) == replayed_degree(state, k, chain)
+        assert degree_of_pointed(state.variables[k - 1], pair) == predicted_degree(state, k)
+    assert state.current == chain[-1] and seed_chain(state) == chain
 
 
 def test_exchange_key_holds_the_shift():
@@ -749,7 +758,7 @@ def test_exchange_key_holds_the_shift():
     pair = b2_pair()
     root = ClusterState.from_pair(pair)
     tripled = CompatiblePair(pair.lam * 3, pair.b, pair.exchangeable, tuple(3 * d for d in pair.diag))
-    other = dataclasses.replace(root, pair_chain=(tripled,))
+    other = dataclasses.replace(root, initial=tripled, current=tripled)
     assert other.exchanges is root.exchanges
     for k in sorted(pair.exchangeable):
         theirs = mutate_state(other, k)
@@ -793,6 +802,25 @@ def test_not_pointed_detection():
     for x in planted:
         with pytest.raises(NotPointedError):
             degree_of_pointed(x, pair)
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda t: QLaurent.monomial(t, (1, 0, 0)) * QLaurent.generator(t, 4), "has 4 entries, got 3"),
+        (lambda t: QLaurent.monomial(t, (0, 0, 0, 0, 1)) * QLaurent.generator(t, 4), "has 4 entries, got 5"),
+        (lambda t: QLaurent.monomial(t, (1.5, 0, 0, 0)), "an exponent entry is not an integer in (1.5, 0, 0, 0)"),
+        (lambda t: QLaurent.generator(t, 2, 1.5), "an exponent entry is not an integer in (0, 1.5, 0, 0)"),
+    ],
+    ids=["short", "long", "fractional", "fractional-generator"],
+)
+def test_window_key_refuses_a_wrong_length_or_a_non_integer_entry(make, named):
+    """Unchecked, a short or long exponent is cut to the shorter length in products, and 1.5 reads as 1."""
+    torus = WindowTorus(b2_pair().lam)
+    with pytest.raises(TorusError, match=re.escape(named)):
+        make(torus)
+    (a,) = QLaurent.monomial(torus, np.array([1, 0, 0, -2])).terms
+    assert a == (1, 0, 0, -2) and all(type(e) is int for e in a)
 
 
 @pytest.mark.parametrize("u", [0, -1, 5])
