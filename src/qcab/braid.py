@@ -131,13 +131,14 @@ def _windows(
     n, off = datum.rank, datum.coupling
 
     # x_u = pi_i - w_u pi_i in simple-root coordinates, for i = i_u and
-    # w_u = s_{i_1} ... s_{i_u}: the walk's y_i right after letter u.  last[t]
-    # holds, per letter j + 1, its last position (0 if none) in the first t
-    # letters of the current word, so after t letters the walk's y_j is the
-    # x row at last[t][j], or zero; hist holds the word's x rows, flat
+    # w_u = s_{i_1} ... s_{i_u}: the walk's y_i right after letter u, packed
+    # into one int.  last[t] holds, per letter j + 1, its last position (0 if
+    # none) in the first t letters of the current word, so after t letters
+    # the walk's y_j is the x row at last[t][j], or zero; hist holds the
+    # word's x rows, one packed int per position
     walk = WeylWalk(datum)
     step, last, hist, prev = walk.step, [[0] * n], [], ()
-    xs = [0] * (size * s * n)  # the x rows of all words, in their order
+    xs = [0] * (size * s)  # the packed x rows of all words, in their order
     # (letters past t, walk state after t letters) -> where in xs the x rows
     # past t of the first word with them start
     suffixes: dict[tuple, int] = {}
@@ -152,25 +153,23 @@ def _windows(
             if a != c:
                 break
             p += 1
-        del last[p + 1 :], hist[p * n :]
-        walk.y = [hist[(q - 1) * n : q * n] if q else [0] * n for q in last[p]]
+        del last[p + 1 :], hist[p:]
+        walk.y = [hist[q - 1] if q else 0 for q in last[p]]
         rest = w[p:]  # the letters still to walk
         if t is not None and p <= t < s:
-            for i in w[p:t]:
-                hist += step(i)
+            hist += map(step, w[p:t])
             rest = w[t:]
-            own = (m * s + t) * n
-            start = suffixes.setdefault((rest, tuple(map(tuple, walk.y))), own)
+            own = m * s + t
+            start = suffixes.setdefault((rest, tuple(walk.y)), own)
             if start != own:
-                hist += xs[start : start + (s - t) * n]
+                hist += xs[start : start + s - t]
                 rest = ()
-        for i in rest:
-            hist += step(i)
+        hist += map(step, rest)
         for u in range(p, s):
             row = last[u][:]
             row[w[u] - 1] = u + 1
             last.append(row)
-        xs[m * s * n : (m + 1) * s * n] = hist
+        xs[m * s : (m + 1) * s] = hist
         prev = w
 
         # u^+ in the window; s + 1 when there is none
@@ -209,7 +208,7 @@ def _windows(
 
     # pi_i + w_u pi_i = 2 pi_i - x_u has the pi-coordinates 2 e_i - C x_u
     neg_ct, sym = _pairing_arrays(datum)
-    x = np.array(xs, dtype=np.int64).reshape(size, s, n)
+    x = walk.decode(xs).reshape(size, s, n)
     plus = x @ neg_ct
     hot = np.fromiter(chain.from_iterable(words), np.intp, size * s)  # i_u
     hot += np.arange(-1, size * s * n - 1, n)  # and its entry in the row of u

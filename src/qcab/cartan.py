@@ -2,7 +2,8 @@
 
 All node labels and word positions are 1-based, matching the usual tables.
 Roots, the beta sequence of a word and the vectors of ``WeylWalk`` are exact
-integer vectors in the simple-root basis; fractions appear only while the
+integer vectors in the simple-root basis; the walk packs each of its vectors
+into one Python int of fixed-width fields.  Fractions appear only while the
 minimal symmetrizer is found.
 """
 
@@ -13,7 +14,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from types import MappingProxyType
+
+import numpy as np
 
 FAMILIES = "ABCDEFG"
 
@@ -39,6 +43,7 @@ class CartanDatum:
     star: tuple[int, ...]  # Dynkin involution, star[i-1] = i*
     positive_roots: tuple[tuple[int, ...], ...]  # alpha-basis coordinates
     w0_word: tuple[int, ...]
+    field_bytes: int  # bytes per coordinate of a packed WeylWalk vector
 
     # -- basic tables -------------------------------------------------
 
@@ -196,12 +201,25 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
         star=(0,) * rank,  # placeholder, replaced below
         positive_roots=tuple(pos),
         w0_word=(),
+        # a reduced word for any w has at most |Phi+| letters, and each adds
+        # a positive root (at most the highest root) to one y_j: ample fields
+        # for the walk to w0, whose rows then fix the fields for good
+        field_bytes=_field_bytes(len(pos) * max(map(max, pos))),
     )
     w0, walk = _ascending_word(datum)
     star = tuple(walk.root(i).index(-1) + 1 for i in range(1, n + 1))  # w0(alpha_i) = -alpha_{i*}
     object.__setattr__(datum, "star", star)
     object.__setattr__(datum, "w0_word", w0)
+    object.__setattr__(datum, "field_bytes", _field_bytes(int(walk.decode(walk.y).max())))
     return datum
+
+
+def _field_bytes(bound: int) -> int:
+    """The fewest bytes, 1, 2, 4 or 8, of an int64-safe field holding 0..bound."""
+    for width in (1, 2, 4, 8):
+        if bound < 2 ** min(8 * width, 63):
+            return width
+    raise CartanError(f"Weyl walk coordinates up to {bound} do not fit in int64")
 
 
 def parse_type(code: str) -> CartanDatum:
@@ -218,56 +236,92 @@ def parse_type(code: str) -> CartanDatum:
 
 class WeylWalk:
     """w = s_{i_1} ... s_{i_u} of a word read letter by letter, held as the
-    integer vectors y_j = pi_j - w pi_j (j = 1..n) in simple-root coordinates.
+    vectors y_j = pi_j - w pi_j (j = 1..n) in simple-root coordinates.
 
     Appending s_i changes only y_i, by the root w(alpha_i) = alpha_i -
     sum_k c_ki y_k; l(w s_i) > l(w) exactly when that root is positive
     (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).
+
+    Each y_j is packed into one Python int, ``y[j - 1]``: coordinate j' is
+    the field of ``datum.field_bytes`` bytes at byte (j' - 1) * field_bytes,
+    little-endian.  For a dominant weight lambda and any w in W,
+    0 <= lambda - w lambda <= lambda - w0 lambda coordinatewise in Q+
+    (Humphreys, Introduction to Lie Algebras, 13.2), reduced word or not, and
+    the fields are sized to hold every coordinate of the rows pi_j - w0 pi_j.
+    So every field of a y_j stays in its range, and linear integer updates of
+    the packed ints are exact field by field: no carry or sign crosses a field.
+    A root w(alpha_i) = y_i' - y_i has coordinates of one sign, so its packed
+    int has that sign too and positivity is one integer comparison.
     """
 
-    __slots__ = ("y", "_coupling")
+    __slots__ = ("y", "_rule", "_row_bytes", "_dtype")
 
     def __init__(self, datum: CartanDatum) -> None:
-        self.y = [[0] * datum.rank for _ in range(datum.rank)]
-        self._coupling = datum.coupling
+        self.y = [0] * datum.rank
+        self._rule, self._row_bytes, self._dtype = _packing(datum.coupling, datum.field_bytes)
 
-    def _next(self, i: int) -> list[int]:
-        """y_i of w s_i: e_i - y_i - sum_{k != i} c_ki y_k."""
+    def _root(self, i: int) -> int:
+        """w(alpha_i), packed; its sign is the sign of every coordinate."""
+        r, terms = self._rule[i - 1]
         y = self.y
-        out = [-a for a in y[i - 1]]
-        out[i - 1] += 1
-        for k, cki in self._coupling[i - 1]:
-            out = [a - cki * b for a, b in zip(out, y[k])]
-        return out
+        for k, m in terms:
+            r += m * y[k]
+        return r
 
     def root(self, i: int) -> list[int]:
         """w(alpha_i) in simple-root coordinates."""
-        return [a - b for a, b in zip(self._next(i), self.y[i - 1])]
+        r = self._root(i)
+        return (self.decode([r])[0] if r > 0 else -self.decode([-r])[0]).tolist()
 
-    def step(self, i: int) -> list[int]:
-        """Append s_i to w and return the new y_i = pi_i - w s_i pi_i."""
-        self.y[i - 1] = self._next(i)
+    def step(self, i: int) -> int:
+        """Append s_i to w and return the new y_i = pi_i - w s_i pi_i, packed."""
+        self.y[i - 1] += self._root(i)
         return self.y[i - 1]
+
+    def decode(self, rows: list[int]) -> np.ndarray:
+        """Packed rows with nonnegative fields (rows y_j, or positive roots)
+        as one (len(rows), n) int64 array, in one pass over their bytes."""
+        buf = b"".join(map(int.to_bytes, rows, repeat(self._row_bytes), repeat("little")))
+        return np.frombuffer(buf, self._dtype).astype(np.int64).reshape(len(rows), len(self.y))
+
+
+@lru_cache(maxsize=None)
+def _packing(coupling: tuple, width: int) -> tuple[tuple, int, np.dtype]:
+    """A walk's per-letter rule, row bytes and field dtype, made once per
+    coupling table and field width.
+
+    The rule of letter i is alpha_i packed and the terms (k, m) of
+    w(alpha_i) = alpha_i + sum_k m y_k: m = -2 at k = i and -c_ki else.
+    """
+    n = len(coupling)
+    rule = tuple((1 << 8 * width * i, ((i, -2),) + tuple((k, -cki) for k, cki in coupling[i])) for i in range(n))
+    return rule, n * width, np.dtype(f"<u{width}")
+
+
+def _packed_betas(datum: CartanDatum, word: tuple[int, ...]) -> tuple[WeylWalk, list[int]]:
+    """The walk of a reduced word and its roots beta_k, packed; raises
+    CartanError at the first letter whose root is negative."""
+    walk, betas = WeylWalk(datum), []
+    for k, i in enumerate(word, 1):
+        datum._check_node(i)
+        before = walk.y[i - 1]
+        b = walk.step(i) - before
+        if b < 0:
+            raise CartanError(f"word {word} is not reduced (position {k})")
+        betas.append(b)
+    return walk, betas
 
 
 def beta_sequence(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> list[tuple[int, ...]]:
     """beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) in simple-root
     coordinates; requires a reduced word."""
-    word = tuple(word)
-    walk, betas = WeylWalk(datum), []
-    for k, i in enumerate(word, 1):
-        datum._check_node(i)
-        yi = walk.y[i - 1]
-        b = tuple(a - c for a, c in zip(walk.step(i), yi))
-        if any(a < 0 for a in b):
-            raise CartanError(f"word {word} is not reduced (position {k})")
-        betas.append(b)
-    return betas
+    walk, betas = _packed_betas(datum, tuple(word))
+    return list(map(tuple, walk.decode(betas).tolist()))
 
 
 def is_reduced(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> bool:
     try:
-        beta_sequence(datum, word)
+        _packed_betas(datum, tuple(word))
     except CartanError:
         return False
     return True
@@ -286,7 +340,7 @@ def _ascending_word(datum: CartanDatum, xi: dict[int, int] | None = None) -> tup
         if xi is not None:
             sources = (i for i in nodes if all(xi[i] > xi[k + 1] for k, _ in datum.coupling[i - 1]))
             candidates = sorted(sources, key=lambda i: (-xi[i], i))
-        i = next((i for i in candidates if any(a > 0 for a in walk.root(i))), 0)
+        i = next((i for i in candidates if walk._root(i) > 0), 0)
         if not i:
             break
         walk.step(i)

@@ -235,7 +235,7 @@ def test_lambda_grid_is_exact_up_to_its_bound(code):
     scales Lambda exactly, and the next factor raises instead of rounding."""
     d = parse_type(code)
     letters, walk, n = longest_word(d), WeylWalk(d), d.rank
-    xs = [list(walk.step(i)) for i in letters]
+    xs = walk.decode([walk.step(i) for i in letters]).tolist()
     plus = [[2 * (j == i - 1) - sum(d.cartan[j][c] * x[c] for c in range(n)) for j in range(n)] for i, x in zip(letters, xs)]
     bound = n * max(map(abs, itertools.chain(*xs))) * max(d.symmetrizer) * max(map(abs, itertools.chain(*plus)))
     f = (2**53 - 1) // bound

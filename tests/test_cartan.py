@@ -109,11 +109,14 @@ def test_w0_star():
 @given(data=st.data())
 def test_weyl_walk_matches_weyl_act(fam, n, data):
     """The walk against the reflection reference, on words that need not be
-    reduced: y_j = pi_j - w pi_j for every j after each letter, the root of
-    the letter is w(alpha_i) before it, and reducedness is the per-prefix rule."""
+    reduced: y_j = pi_j - w pi_j for every j after each letter, read through
+    the walk's decoder, with every coordinate between 0 and that of
+    pi_j - w0 pi_j; the root of the letter is w(alpha_i) before it, and
+    reducedness is the per-prefix rule."""
     d = build_cartan(fam, n)
     word = data.draw(st.lists(st.integers(1, n), max_size=min(2 * d.longest_length, 24)))
     walk = WeylWalk(d)
+    top = [_alpha_drop(d, d.w0_word, j) for j in range(1, n + 1)]
     first_descent = None
     for u, i in enumerate(word, 1):
         beta = list(to_alpha(d, weyl_act(d, word[: u - 1], simple_root(d, i))))
@@ -122,10 +125,12 @@ def test_weyl_walk_matches_weyl_act(fam, n, data):
         assert walk.root(i) == beta
         before = walk.y[i - 1]
         after = walk.step(i)
+        after, before = walk.decode([after, before]).tolist()
         assert [a - b for a, b in zip(after, before)] == beta
+        rows = walk.decode(walk.y).tolist()
         for j in range(1, n + 1):
-            pi = fundamental_weight(d, j)
-            assert walk.y[j - 1] == list(to_alpha(d, tuple(p - x for p, x in zip(pi, weyl_act(d, word[:u], pi)))))
+            assert rows[j - 1] == _alpha_drop(d, word[:u], j)
+            assert all(0 <= a <= b for a, b in zip(rows[j - 1], top[j - 1]))
     assert is_reduced(d, word) == (first_descent is None)
     if first_descent is None:
         assert beta_sequence(d, word) == [
@@ -134,6 +139,33 @@ def test_weyl_walk_matches_weyl_act(fam, n, data):
     else:
         with pytest.raises(CartanError, match=f"position {first_descent}\\)"):
             beta_sequence(d, word)
+
+
+def _alpha_drop(d, word, j) -> list[int]:
+    """pi_j - w pi_j in simple-root coordinates, for w the product of word."""
+    pi = fundamental_weight(d, j)
+    return list(to_alpha(d, tuple(p - x for p, x in zip(pi, weyl_act(d, word, pi)))))
+
+
+@pytest.mark.parametrize("fam,n", ALL_TYPES)
+def test_packed_root_sign_is_the_coordinate_rule(fam, n):
+    """On words that need not be reduced, the packed root's integer sign says
+    what its coordinates say: positive exactly when w(alpha_i), from the
+    reflection reference, has no negative coordinate.  A word is a prefix of
+    the w0 word (all of it, half, none), so the walk reaches coordinates up
+    to the bound, then random letters; it ends with the walk's rows decoded
+    to the reference's pi_j - w pi_j."""
+    d = build_cartan(fam, n)
+    rng = random.Random(f"{fam}{n}")
+    ell = d.longest_length
+    for head in (d.w0_word, d.w0_word[: ell // 2], ()):
+        walk, word = WeylWalk(d), []
+        for i in head + tuple(rng.randrange(1, n + 1) for _ in range(ell + n - len(head))):
+            beta = to_alpha(d, weyl_act(d, word, simple_root(d, i)))
+            assert (walk._root(i) > 0) == (min(beta) >= 0)
+            walk.step(i)
+            word.append(i)
+        assert walk.decode(walk.y).tolist() == [_alpha_drop(d, word, j) for j in range(1, n + 1)]
 
 
 def test_weyl_act_b2_example():

@@ -1,7 +1,7 @@
 """Reference Weyl-group arithmetic, the independent oracle of the tests.
 
-The library walks words with ``cartan.WeylWalk`` in integer simple-root
-coordinates.  This module checks it the textbook way: a weight is a plain
+The library walks words with ``cartan.WeylWalk`` in simple-root coordinates
+packed into Python ints.  This module checks it the textbook way: a weight is a plain
 tuple of its coordinates in the fundamental-weight basis, the simple root
 alpha_j is column j of the Cartan matrix C[i][j] = <h_i, alpha_j>, a word acts
 by simple reflections, and ``to_alpha`` inverts C exactly over the rationals.
