@@ -182,9 +182,13 @@ class XTorus(Torus):
             if (p - self._parity[i]) % 2:
                 raise QGrothError(f"level {p} does not match the parity of node {i}")
 
-    def key(self, exps: dict[HatIndex, int]) -> ExpKey:
-        self.check(*exps)
-        return _normkey(exps)
+    def key(self, exps) -> ExpKey:
+        """The ``ExpKey`` of a {(i, p): exponent} dict or of (hat, exponent) pairs, each hat checked."""
+        hats = dict(exps)
+        if len(hats) != len(exps):
+            raise QGrothError(f"a hat appears twice in {exps!r}")
+        self.check(*hats)
+        return _normkey(hats)
 
     def row(self, b: ExpKey) -> "_Row":
         return _Row(self, b)
@@ -249,7 +253,7 @@ class XElement(QLaurent):
     def raw_generator(ambient: XTorus, i: int, p: int, exp: int = 1) -> "XElement":
         """The plain generator power, q^{-e d_i / 2} times the basis monomial."""
         a = ambient.key({(i, p): exp})  # checks the generator before d_i is read
-        return XElement(ambient, {a: QCoeff.q_power(-exp * ambient.datum.d(i))})
+        return XElement._unchecked(ambient, {a: QCoeff.q_power(-exp * ambient.datum.d(i))})
 
     # -- structure maps ---------------------------------------------------
 
@@ -259,7 +263,7 @@ class XElement(QLaurent):
             for a, c in self.terms.items()
             if all(p <= xi[i] for (i, p), _ in a)
         }
-        return XElement(self.torus, out)
+        return XElement._unchecked(self.torus, out)
 
     def relabel(self, f) -> "XElement":
         out: dict[ExpKey, QCoeff] = {}
@@ -268,7 +272,7 @@ class XElement(QLaurent):
             if key in out:
                 raise QGrothError("relabelling collides")  # pragma: no cover
             out[key] = c
-        return XElement(self.torus, out)
+        return XElement._unchecked(self.torus, out)
 
     def tr_shift(self, r: int) -> "XElement":
         if r % 2:

@@ -235,7 +235,7 @@ class WindowTorus(Torus):
         return "*".join(f"Z[{u}]" + (f"^{e}" if e != 1 else "") for u, e in enumerate(a, start=1) if e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QLaurent:
     """An element of a based quantum torus, X^a X^b = q^{<a,b>/2} X^{a+b}.
 
@@ -244,10 +244,39 @@ class QLaurent:
     (sums, the product, powers, bar and equality) goes through the torus
     protocol, so it serves both.  The constructors refuse anything but a
     ``Torus`` with TorusError.
+
+    ``QLaurent(torus, terms)`` is the checked way in: it runs ``torus.key``
+    on every key and refuses a zero coefficient.  The library builds its own
+    results, whose keys are already the torus's, with ``_unchecked``.  An
+    element's terms are not written once it is returned, so what is derived
+    from them (``term_rows``, ``certified_degrees``) is kept with it.
     """
 
     torus: Torus
-    terms: dict[tuple, QCoeff] = field(default_factory=dict)
+    terms: dict[tuple, QCoeff]
+
+    def __init__(self, torus: Torus, terms: dict | None = None) -> None:
+        if not isinstance(torus, Torus):
+            raise TorusError(f"expected a torus object, got {type(torus).__name__}")
+        out = {}
+        for a, c in (terms or {}).items():
+            if not isinstance(c, QCoeff) or not c:
+                raise TorusError(f"the coefficient of {a!r} is {c!r}, not a nonzero QCoeff")
+            key = torus.key(a)
+            if key in out:
+                raise TorusError(f"two keys name the exponent {key!r}")
+            out[key] = c
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "terms", out)
+
+    @classmethod
+    def _unchecked(cls, torus: Torus, terms: dict) -> "QLaurent":
+        """The element with these terms, as they are: keys of the torus and nonzero coefficients."""
+        x = object.__new__(cls)
+        d = x.__dict__
+        d["torus"] = torus
+        d["terms"] = terms
+        return x
 
     def _same(self, other: "QLaurent") -> None:
         if self.torus is not other.torus:
@@ -255,9 +284,7 @@ class QLaurent:
 
     @classmethod
     def zero(cls, torus: Torus) -> "QLaurent":
-        if not isinstance(torus, Torus):
-            raise TorusError(f"expected a torus object, got {type(torus).__name__}")
-        return cls(torus, {})
+        return cls(torus)
 
     @classmethod
     def monomial(cls, torus: Torus, a, coeff: QCoeff | None = None) -> "QLaurent":
@@ -289,10 +316,10 @@ class QLaurent:
                 out[a] = s
             else:
                 del out[a]
-        return type(self)(self.torus, out)
+        return self._unchecked(self.torus, out)
 
     def __neg__(self) -> "QLaurent":
-        return type(self)(self.torus, {a: -c for a, c in self.terms.items()})
+        return self._unchecked(self.torus, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         return self + (-other)
@@ -300,25 +327,25 @@ class QLaurent:
     def scale(self, c: QCoeff) -> "QLaurent":
         if not c:
             return self.zero(self.torus)
-        return type(self)(self.torus, {a: cc * c for a, cc in self.terms.items()})
+        return self._unchecked(self.torus, {a: cc * c for a, cc in self.terms.items()})
 
     def __mul__(self, other: "QLaurent") -> "QLaurent":
         self._same(other)
         acc = _packed_product(self, other) if _packs(self, other) else None
         if acc is None:
             acc = _dict_product(self, other)
-        return type(self)(self.torus, acc)
+        return self._unchecked(self.torus, acc)
 
     def __pow__(self, n: int) -> "QLaurent":
         if n < 0:
             raise TorusError("negative powers only exist for monomials")
-        out = type(self)(self.torus, {self.torus.one: QCoeff.one()})
+        out = self._unchecked(self.torus, {self.torus.one: QCoeff.one()})
         for _ in range(n):
             out = out * self
         return out
 
     def bar(self) -> "QLaurent":
-        return type(self)(self.torus, {a: c.bar() for a, c in self.terms.items()})
+        return self._unchecked(self.torus, {a: c.bar() for a, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QLaurent):
@@ -327,6 +354,9 @@ class QLaurent:
 
     def __hash__(self) -> int:  # pragma: no cover
         return hash(frozenset(self.terms))
+
+    def __reduce__(self):
+        return (self._unchecked, (self.torus, self.terms))  # a copy starts without the kept derived data
 
     @property
     def is_zero(self) -> bool:
@@ -337,6 +367,11 @@ class QLaurent:
         """Each exponent b of the element and its row ``torus.row(b)``, built on first use."""
         row = self.torus.row
         return {b: row(b) for b in self.terms}
+
+    @cached_property
+    def certified_degrees(self) -> dict["DegreeCheck", tuple]:
+        """The degree that ``degree_of_pointed`` certified, keyed by each pair's ``DegreeCheck``; filled on use."""
+        return {}
 
     def __repr__(self) -> str:
         if isinstance(self.torus, WindowTorus):
@@ -590,7 +625,7 @@ def divide_right_exact(x: QLaurent, d: QLaurent, stats: dict | None = None, *, _
             f"right division did not terminate: nonzero remainder after {steps} steps, "
             f"leading term ({qcoeff_to_text(QCoeff(rem[m]))}) {torus.text(m) or '1'}"
         )
-    return QLaurent(torus, out)
+    return QLaurent._unchecked(torus, out)
 
 
 _INT64_MAX = 2**63 - 1
@@ -638,8 +673,21 @@ def degree_of_pointed(x: QLaurent, pair: CompatiblePair) -> tuple[int, ...]:
     n >= 0, and n B_ex^T must give D back.  An exponent entry beyond
     ``pair.degree_check.exp_bound``, or an n entry beyond its ``n_bound``,
     raises TorusError instead of overflowing int64.
+
+    Each element is certified once per pair object: the certified g is kept
+    in ``x.certified_degrees`` under ``pair.degree_check``, and a repeat call
+    returns it.  A failure is not kept, so it raises again on every call.
     """
     check = pair.degree_check
+    certified = x.certified_degrees
+    g = certified.get(check)
+    if g is None:
+        g = certified[check] = _certify_pointed(x, check)
+    return g
+
+
+def _certify_pointed(x: QLaurent, check: DegreeCheck) -> tuple[int, ...]:
+    """The checks of ``degree_of_pointed``, run on every term of x."""
     if x.torus is not check.torus:
         raise TorusError("mismatched ambient tori")
     if x.is_zero:
@@ -700,19 +748,27 @@ def q_structure_witness(x: QLaurent) -> str | None:
 
 
 class _ExchangeTable:
-    """The exchanges computed in one family of states, and the next free label.
+    """The exchanges computed in one family of states, its variables by degree, and the next free label.
 
     One table serves every state grown from one ``ClusterState.from_pair``
     call, its family.  ``entries`` maps an exchange key to the new variable
-    and its label.  The table keeps every exchange it computed, for as long
-    as any state of the family lives, and it never hands out a label twice.
+    and its label.  ``named`` maps (the initial pair's ``DegreeCheck``, a
+    degree) to the family's variable of that degree in that pair's torus,
+    and its label; it starts with the given variables, labelled 0..s-1, and
+    a computed exchange of a degree it already holds takes that variable and
+    label once their terms are checked equal.  So one label names one
+    variable and one variable has one label.  The table keeps every variable
+    and exchange it holds, for as long as any state of the family lives, and
+    it never hands out a label twice.
     """
 
-    __slots__ = ("entries", "next_label")
+    __slots__ = ("entries", "named", "next_label")
 
-    def __init__(self, next_label: int) -> None:
+    def __init__(self, initial: CompatiblePair, variables: tuple[QLaurent, ...], degrees: tuple[tuple, ...]) -> None:
+        check = initial.degree_check
         self.entries: dict[tuple, tuple[QLaurent, int]] = {}
-        self.next_label = next_label
+        self.named = {(check, g): (x, label) for label, (x, g) in enumerate(zip(variables, degrees))}
+        self.next_label = len(variables)
 
 
 @dataclass(frozen=True)
@@ -722,17 +778,20 @@ class ClusterState:
     Besides the variables, the history and two seeds, the ``initial`` and
     the ``current`` one, a state carries ``labels``, one int per position
     that names its variable within the states grown from one ``from_pair``
-    call (equal labels, identical variables); ``degrees``, the initial-seed
-    degree of each variable, fixed at its exchange; and ``exchanges``, the
-    ``_ExchangeTable`` shared by those states, the family's memo.  The three
-    take no part in equality.
-    A family's memo keeps every exchange it computed, for as long as any of
-    its states lives, so walks that meet the same exchange share it whichever
-    states they keep; a long walk that keeps only its latest state still
-    holds one variable per exchange it computed.  A copy or an unpickled
-    state starts a memo of its own: its variables take labels 0..s-1, and
-    its degrees are kept.  One made by ``dataclasses.replace`` shares the
-    memo.
+    call (equal labels, identical variables, and equal variables, equal
+    labels); ``degrees``, the initial-seed degree of each variable, fixed at
+    its exchange; and ``exchanges``, the ``_ExchangeTable`` shared by those
+    states, the family's memo.  The three take no part in equality.
+    A family's memo keeps every exchange it computed and every variable it
+    named, for as long as any of its states lives, so walks that meet the
+    same exchange share it whichever states they keep, and a walk that
+    returns to a cluster finds its exchanges in the memo.  A long walk that
+    keeps only its latest state holds one variable per distinct variable it
+    met.  A copy or an unpickled state starts a memo of its own, which names
+    its variables 0..s-1 by their kept degrees.  One made by
+    ``dataclasses.replace`` shares the memo; the memo names variables per
+    initial pair object, so one with another initial seed never takes the
+    variables of the first.
     """
 
     variables: tuple[QLaurent, ...]
@@ -744,23 +803,20 @@ class ClusterState:
     exchanges: _ExchangeTable = field(compare=False, repr=False)
 
     def __reduce__(self):
-        s = len(self.variables)
-        args = (self.variables, self.history, self.initial, self.current, tuple(range(s)), self.degrees)
-        return (ClusterState, (*args, _ExchangeTable(s)))
+        return (_named_state, (self.variables, self.history, self.initial, self.current, self.degrees))
 
     @staticmethod
     def from_pair(pair: CompatiblePair) -> "ClusterState":
         torus = WindowTorus(pair.lam)
         s = pair.size
-        return ClusterState(
-            tuple(QLaurent.generator(torus, u) for u in range(1, s + 1)),
-            (),
-            pair,
-            pair,
-            tuple(range(s)),
-            tuple(tuple(int(u == v) for u in range(s)) for v in range(s)),
-            _ExchangeTable(s),
-        )
+        generators = tuple(QLaurent.generator(torus, u) for u in range(1, s + 1))
+        return _named_state(generators, (), pair, pair, tuple(tuple(int(u == v) for u in range(s)) for v in range(s)))
+
+
+def _named_state(variables, history, initial, current, degrees) -> ClusterState:
+    """A state with these fields and a memo of its own, whose labels 0..s-1 name its variables."""
+    labels = tuple(range(len(variables)))
+    return ClusterState(variables, history, initial, current, labels, degrees, _ExchangeTable(initial, variables, degrees))
 
 
 def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> ClusterState:
@@ -773,12 +829,17 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
     of M' and M'' alone, so the state's exchange table keys it by the label
     of X_k and, for M' then M'', the shift and the (label, exponent) pairs
     in position order.  A variable stored under that key is returned as it
-    is, with its label; otherwise the exchange is computed and stored under
-    a fresh label.  The memo keeps it for as long as any state of the family
-    lives, so a repeated step at k returns the identical variable, and so
-    does any later walk of the family that meets the exchange again.
-    Mutations at j and k with b_jk = 0 commute, so walks that differ by such
-    a swap share their exchanges.
+    is, with its label.  Otherwise the exchange is computed, and named by
+    its degree: a cluster variable is fixed by its g-vector
+    (Gross-Hacking-Keel-Kontsevich 2018), so if the family already holds a
+    variable of that degree over this initial seed, the result's terms must
+    equal that variable's, and it is returned with its label (unequal terms
+    raise TorusError); else it takes a fresh label.  Either way it is stored
+    under the key.  The memo keeps it for as long as any state of the
+    family lives, so a repeated step at k returns the identical variable,
+    and so does any later walk of the family that meets the exchange again
+    or returns to a cluster it has seen.  Mutations at j and k with b_jk = 0
+    commute, so walks that differ by such a swap share their exchanges.
 
     The new variable's degree is deg M - g_k, where g_k is the carried
     degree of X_k and M is whichever of M' and M'' leads the numerator; it
@@ -807,6 +868,12 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
         shift = sum(mu * lam[u][k - 1] for u, mu in m)
         shift -= sum(mu * mv * lam[u][v] for i, (u, mu) in enumerate(m) for v, mv in m[i + 1 :])
         factors.append((shift, m))
+    # M' and M'' are pointed, and deg M' - deg M'' = B_0 c for this step's c-vector c, which is
+    # sign-coherent (Gross-Hacking-Keel-Kontsevich 2018); so by compatibility their order weights
+    # differ by 1^T Lambda_0 B_0 c = -2 sum_u d_u c_u != 0, and the heavier one leads the numerator.
+    weights = state.variables[k - 1].torus.weights
+    degs = [[sum(mu * state.degrees[u][v] for u, mu in m) for v in range(cur.size)] for _, m in factors]
+    g = tuple(map(sub, max(degs, key=lambda a: _dot(weights, a)), state.degrees[k - 1]))
     labels = state.labels
     key = (labels[k - 1], *((shift, tuple((labels[u], mu) for u, mu in m)) for shift, m in factors))
     memo = state.exchanges
@@ -817,14 +884,20 @@ def mutate_state(state: ClusterState, k: int, stats: dict | None = None) -> Clus
             stats["reused"] = True
     else:
         new = _exchange(state.variables, k, factors, stats)
-        label = memo.next_label
-        memo.next_label += 1
+        name = (state.initial.degree_check, g)
+        named = memo.named.get(name)
+        if named is None:
+            label = memo.next_label
+            memo.next_label += 1
+            memo.named[name] = new, label
+        elif named[0] == new:
+            new, label = named
+        else:
+            raise TorusError(
+                f"the exchange at {k} after {state.history} gives a variable of degree {g} "
+                f"unlike the family's variable of that degree, label {named[1]}"
+            )
         memo.entries[key] = new, label
-    # M' and M'' are pointed, and deg M' - deg M'' = B_0 c for this step's c-vector c, which is
-    # sign-coherent (Gross-Hacking-Keel-Kontsevich 2018); so by compatibility their order weights
-    # differ by 1^T Lambda_0 B_0 c = -2 sum_u d_u c_u != 0, and the heavier one leads the numerator.
-    degs = [[sum(mu * state.degrees[u][v] for u, mu in m) for v in range(cur.size)] for _, m in factors]
-    g = tuple(map(sub, max(degs, key=lambda a: _dot(new.torus.weights, a)), state.degrees[k - 1]))
     variables, new_labels, degrees = list(state.variables), list(labels), list(state.degrees)
     variables[k - 1], new_labels[k - 1], degrees[k - 1] = new, label, g
     history, current = state.history + (k,), mutate_pair(cur, k)
@@ -840,9 +913,9 @@ def _exchange(variables: tuple[QLaurent, ...], k: int, factors: list, stats: dic
     for shift, m in factors:
         powers = [variables[u] for u, mu in m for _ in range(mu)]
         if powers:  # q^{shift/2} times the first factor, on fresh coefficients the division may spend
-            term = QLaurent(torus, {a: c.shift(shift) for a, c in powers[0].terms.items()})
+            term = QLaurent._unchecked(torus, {a: c.shift(shift) for a, c in powers[0].terms.items()})
         else:
-            term = QLaurent(torus, {torus.one: QCoeff.q_power(shift)})
+            term = QLaurent._unchecked(torus, {torus.one: QCoeff.q_power(shift)})
         for x in powers[1:]:
             if stats is not None:
                 n = len(term.terms) * len(x.terms)

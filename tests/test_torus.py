@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import gc
@@ -660,7 +661,11 @@ def test_the_memo_outlives_the_states_an_exchange_was_computed_from():
 
 @pytest.mark.parametrize("code, window, depth", [("B2", 4, 5), ("G2", 6, 3), ("B3", 8, 3)])
 def test_the_memo_holds_one_entry_per_division(code, window, depth, monkeypatch):
-    """A walk tree that keeps only the states with children leaves its root's memo one entry per division run."""
+    """A walk tree that keeps only the states with children leaves its root's memo one entry per division run.
+
+    Each label of the memo names one variable, distinct variables have
+    distinct labels, and every fresh label names a variable of the memo.
+    """
     pair = _seed(code, window)
     divisions = [0]
 
@@ -678,8 +683,11 @@ def test_the_memo_holds_one_entry_per_division(code, window, depth, monkeypatch)
     del parents, state
     gc.collect()
     assert divisions[0] > 0 and len(root.exchanges.entries) == divisions[0]
-    labels = sorted(label for _, label in root.exchanges.entries.values())
-    assert labels == list(range(window, root.exchanges.next_label))
+    named = dict(zip(root.labels, root.variables))
+    for x, label in root.exchanges.entries.values():
+        assert named.setdefault(label, x) is x
+    assert all(x != y for x, y in itertools.combinations(named.values(), 2))
+    assert sorted(named) == list(range(root.exchanges.next_label))
 
 
 @pytest.mark.parametrize(
@@ -767,6 +775,131 @@ def test_exchange_key_holds_the_shift():
         assert theirs.variables[k - 1] != mine.variables[k - 1]
 
 
+
+# Windows whose exchangeable part is of finite cluster type, with its number of
+# cluster variables (|Phi+| + rank) and of clusters, frozen variables excluded
+# (Fomin & Zelevinsky, "Cluster algebras II: Finite type classification",
+# Invent. Math. 2003).  C2 is B2 again, and B2 window 6 is of type F4.
+FINITE_TYPE_WINDOWS = [("A2", 4, 5, 5), ("B2", 4, 6, 6), ("C2", 4, 6, 6), ("G2", 4, 8, 8), ("B2", 6, 28, 105)]
+_FINITE_IDS = [f"{code}-w{window}" for code, window, _, _ in FINITE_TYPE_WINDOWS]
+
+
+@pytest.mark.parametrize("code, window, n_variables, n_clusters", FINITE_TYPE_WINDOWS, ids=_FINITE_IDS)
+def test_finite_type_exchange_graph_is_certified_whole(code, window, n_variables, n_clusters):
+    """Every cluster of a finite-type window, by breadth-first search, with every variable certified.
+
+    A cluster is the set of its labels, since equal variables share one
+    label.  Each new variable is bar-invariant with coefficients in
+    Z>=0[q^{+-1/2}], and its certified degree is the carried one.  The
+    search stops once it holds more clusters than the classification
+    allows, so a label that failed to merge shows as a wrong count.
+    """
+    pair = build_seed(alternating(parse_type(code)), window)
+    ex = sorted(pair.exchangeable)
+    root = ClusterState.from_pair(pair)
+
+    def cluster(state):
+        return frozenset(state.labels[u - 1] for u in ex)
+
+    clusters, variables = {cluster(root)}, set(cluster(root))
+    queue = collections.deque([root])
+    while queue and len(clusters) <= n_clusters:
+        state = queue.popleft()
+        for k in ex:
+            new = mutate_state(state, k)
+            if cluster(new) in clusters:
+                continue
+            clusters.add(cluster(new))
+            queue.append(new)
+            if new.labels[k - 1] not in variables:
+                variables.add(new.labels[k - 1])
+                assert q_structure_witness(new.variables[k - 1]) is None
+                assert degree_of_pointed(new.variables[k - 1], pair) == predicted_degree(new, k)
+    assert (len(variables), len(clusters)) == (n_variables, n_clusters)
+
+
+@pytest.mark.parametrize("code, window, n_variables, n_clusters", FINITE_TYPE_WINDOWS, ids=_FINITE_IDS)
+def test_a_long_walk_divides_once_per_cluster_and_position(code, window, n_variables, n_clusters, monkeypatch):
+    """A 3,000-step random walk that keeps only its latest state returns to the clusters it has seen.
+
+    Its memo then serves every step out of a known cluster at a known
+    position, so the walk divides at most once per cluster and position,
+    and its family names no more variables than the window has.
+    """
+    pair = build_seed(alternating(parse_type(code)), window)
+    ex = sorted(pair.exchangeable)
+    divisions = [0]
+
+    def counting(*args, **kwargs):
+        divisions[0] += 1
+        return divide_right_exact(*args, **kwargs)
+
+    monkeypatch.setattr(torus_module, "divide_right_exact", counting)
+    rng = random.Random(3101)
+    state = ClusterState.from_pair(pair)
+    for _ in range(3000):
+        state = mutate_state(state, rng.choice(ex))
+    assert divisions[0] == len(state.exchanges.entries) <= n_clusters * len(ex)
+    assert state.exchanges.next_label <= n_variables + len(pair.frozen)
+
+
+def test_certified_degrees_equal_those_of_fresh_copies():
+    """Over a whole walk tree, each kept degree equals the one certified afresh for an equal copy."""
+    pair = _seed("G2", 6)
+    check = pair.degree_check
+    states = {(): ClusterState.from_pair(pair)}
+    for walk in _walk_tree(sorted(pair.exchangeable), 3):
+        states[walk] = mutate_state(states[walk[:-1]], walk[-1])
+    for state in states.values():
+        for x in state.variables:
+            g = degree_of_pointed(x, pair)
+            fresh = QLaurent(x.torus, dict(x.terms))
+            assert not fresh.certified_degrees
+            assert x.certified_degrees[check] == g == degree_of_pointed(fresh, pair)
+            assert degree_of_pointed(x, pair) is g
+            assert "certified_degrees" not in pickle.loads(pickle.dumps(x)).__dict__
+
+
+def test_a_degree_is_certified_once_per_pair_object(monkeypatch):
+    """A repeat call under one pair reads the kept degree; an equal pair object certifies afresh."""
+    pair = b2_pair()
+    twin = CompatiblePair(pair.lam, pair.b, pair.exchangeable, pair.diag)
+    x = mutate_state(ClusterState.from_pair(pair), 1).variables[0]
+    runs = []
+    certify = torus_module._certify_pointed
+    monkeypatch.setattr(torus_module, "_certify_pointed", lambda *args: runs.append(args) or certify(*args))
+    g = degree_of_pointed(x, pair)
+    assert degree_of_pointed(x, pair) == g and len(runs) == 1
+    assert twin == pair and twin.degree_check is not pair.degree_check
+    assert degree_of_pointed(x, twin) == g and len(runs) == 2
+    assert set(x.certified_degrees) == {pair.degree_check, twin.degree_check}
+
+
+def test_a_failed_certificate_is_not_kept():
+    """NotPointedError is raised on every call, and nothing is kept for the element."""
+    pair = b2_pair()
+    torus = WindowTorus(pair.lam)
+    x = QLaurent.monomial(torus, (0, 0, 0, 0)) + QLaurent.monomial(torus, (1, 0, 0, 0))
+    for _ in range(3):
+        with pytest.raises(NotPointedError):
+            degree_of_pointed(x, pair)
+    assert not x.certified_degrees
+
+
+def test_a_corrupted_degree_entry_makes_the_exchange_raise():
+    """A computed variable is merged with the family's variable of its degree only if their terms are equal."""
+    pair = b2_pair()
+    root = ClusterState.from_pair(pair)
+    one = mutate_state(root, 1)
+    named = root.exchanges.named
+    name = (pair.degree_check, root.degrees[0])
+    assert named[name] == (root.variables[0], 0)
+    assert mutate_state(one, 1).variables[0] is root.variables[0]  # mu_1 mu_1 gives X_1 back, with its label
+    fresh = mutate_state(ClusterState.from_pair(pair), 1)
+    fresh.exchanges.named[(pair.degree_check, root.degrees[0])] = (fresh.variables[1], 0)
+    with pytest.raises(TorusError, match="unlike the family's variable of that degree"):
+        mutate_state(fresh, 1)
+
 def test_one_step_exchange_degree():
     pair = b2_pair()
     st0 = ClusterState.from_pair(pair)
@@ -822,6 +955,39 @@ def test_window_key_refuses_a_wrong_length_or_a_non_integer_entry(make, named):
     (a,) = QLaurent.monomial(torus, np.array([1, 0, 0, -2])).terms
     assert a == (1, 0, 0, -2) and all(type(e) is int for e in a)
 
+
+
+@pytest.mark.parametrize(
+    "terms, named",
+    [
+        ({(1, 0, 0): QCoeff.one()}, "has 4 entries, got 3"),
+        ({(1.5, 0, 0, 0): QCoeff.one()}, "an exponent entry is not an integer"),
+        ({(1, 0, 0, 0): QCoeff()}, "not a nonzero QCoeff"),
+        ({(1, 0, 0, 0): 1}, "not a nonzero QCoeff"),
+    ],
+    ids=["short", "fractional", "zero", "not-a-coefficient"],
+)
+def test_the_constructor_checks_every_key_and_coefficient(terms, named):
+    """QLaurent(torus, terms) runs the torus's key on every key and refuses a zero coefficient."""
+    torus = WindowTorus(b2_pair().lam)
+    with pytest.raises(TorusError, match=re.escape(named)):
+        QLaurent(torus, terms) * QLaurent.generator(torus, 4)
+    x = QLaurent(torus, {(np.int64(1), 0, 0, 0): QCoeff.one()})
+    assert x == QLaurent.generator(torus, 1) and all(type(e) is int for a in x.terms for e in a)
+    assert QLaurent(torus) == QLaurent.zero(torus) and QLaurent(torus).is_zero
+
+
+def test_the_constructor_checks_xelement_keys():
+    """An XElement built from another element's ExpKeys keeps them; a hat off the torus, or two keys of one exponent, raise."""
+    b2 = XTorus(TCartan(build_cartan("B", 2)))
+    x = XElement.raw_generator(b2, 1, 0) * XElement.raw_generator(b2, 2, 1)
+    assert XElement(b2, x.terms) == x
+    with pytest.raises(ValueError, match="does not match the parity"):
+        XElement(b2, {(((1, 1), 1),): QCoeff.one()})
+    with pytest.raises(ValueError, match="appears twice"):
+        XElement(b2, {(((1, 0), 1), ((1, 0), 2)): QCoeff.one()})
+    with pytest.raises(TorusError, match="two keys name the exponent"):
+        XElement(b2, {(((1, 0), 1),): QCoeff.one(), (((1, 0), 1), ((2, 1), 0)): QCoeff.one()})
 
 @pytest.mark.parametrize("u", [0, -1, 5])
 def test_generator_rejects_positions_outside_the_window(u):
